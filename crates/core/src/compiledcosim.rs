@@ -1,9 +1,9 @@
-//! The compiled bit-parallel follower: up to 64 scenario lanes per sweep.
+//! The lane-batched cycle follower: up to 64 scenario lanes per clock.
 //!
-//! [`CompiledCosim`] couples a [`LaneBank`] — replicated DUT instances
-//! behind one bit-sliced SoA pin interface (see
-//! [`castanet_rtl::compiled`]) — as a [`CoupledSimulator`], so `Coupling`,
-//! `ParallelCoupling`, strict pre-flight and telemetry all work unchanged.
+//! [`CompiledCosim`] couples a [`LaneBank`] — replicated DUT instances,
+//! one `u64` per lane per pin (see [`castanet_rtl::compiled`]) — as a
+//! [`CoupledSimulator`], so `Coupling`, `ParallelCoupling`, strict
+//! pre-flight and telemetry all work unchanged.
 //! Lane 0 is the *coupled* lane: network stimulus lands there and its
 //! egress cells flow back as response messages, byte-for-byte conformant
 //! with [`crate::CycleCosim`] on the same traffic. Lanes 1..N carry
@@ -47,8 +47,7 @@ struct EgressLane {
     traces: Vec<Vec<AtmCell>>,
 }
 
-/// The compiled bit-parallel coupled follower with bank-wide idle
-/// skipping.
+/// The lane-batched coupled follower with bank-wide idle skipping.
 pub struct CompiledCosim {
     bank: LaneBank,
     clock_period: SimDuration,
@@ -190,8 +189,9 @@ impl CompiledCosim {
     ///
     /// # Errors
     ///
-    /// [`CastanetError::UnknownPort`] for an unregistered ingress line;
-    /// conversion errors when the cell cannot be encoded.
+    /// [`CastanetError::UnknownPort`] for an unregistered ingress line,
+    /// [`CastanetError::UnknownLane`] for a lane past the bank; conversion
+    /// errors when the cell cannot be encoded.
     pub fn seed_cell(
         &mut self,
         lane: usize,
@@ -202,7 +202,10 @@ impl CompiledCosim {
         if port >= self.ingress.len() {
             return Err(CastanetError::UnknownPort { port });
         }
-        assert!(lane < self.bank.lanes(), "lane out of range");
+        let lanes = self.bank.lanes();
+        if lane >= lanes {
+            return Err(CastanetError::UnknownLane { lane, lanes });
+        }
         let wire = cell.encode(self.format)?;
         let start = self
             .clock_at_or_after(stamp)
@@ -249,8 +252,8 @@ impl CompiledCosim {
 
     fn run_clock(&mut self) -> Vec<Message> {
         // One sampling decision covers the clock's three micro-phases —
-        // pack (scatter stimulus into lane words), the behavioral fallback
-        // evaluation, and unpack (gather egress words) — so a sampled
+        // pack (drive each lane's stimulus onto its pins), the lane bank's
+        // clock edge, and unpack (reassemble egress cells) — so a sampled
         // clock yields one complete pack/eval/unpack triple.
         let sampled = self.tel.micro_gate();
         let t_ps = (self.clocks_done + 1) * self.clock_period.as_picos();
@@ -258,10 +261,7 @@ impl CompiledCosim {
         for lane in 0..self.bank.lanes() {
             match self.stimulus[lane].pop_front().flatten() {
                 Some(v) => self.bank.set_inputs(lane, &v),
-                None => {
-                    let zeros = self.zero_inputs.clone();
-                    self.bank.set_inputs(lane, &zeros);
-                }
+                None => self.bank.set_inputs(lane, &self.zero_inputs),
             }
         }
         if sampled {
@@ -588,6 +588,22 @@ mod tests {
                 assert_eq!(c.id(), VpiVci::uni(7, 70).unwrap());
             }
         }
+    }
+
+    #[test]
+    fn seed_cell_rejects_an_unknown_lane_or_port() {
+        let mut cosim = fixture(3);
+        assert!(matches!(
+            cosim.seed_cell(3, 0, SimTime::ZERO, &cell(40)),
+            Err(CastanetError::UnknownLane { lane: 3, lanes: 3 })
+        ));
+        assert!(matches!(
+            cosim.seed_cell(0, 2, SimTime::ZERO, &cell(40)),
+            Err(CastanetError::UnknownPort { port: 2 })
+        ));
+        // Nothing was queued: the bank stays idle and skips the window.
+        cosim.advance_batch(SimTime::from_us(10)).unwrap();
+        assert_eq!(cosim.clocks_evaluated(), 0);
     }
 
     #[test]

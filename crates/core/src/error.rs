@@ -26,6 +26,13 @@ pub enum CastanetError {
         /// The port index used.
         port: usize,
     },
+    /// A lane-batched follower was addressed on a lane it does not have.
+    UnknownLane {
+        /// The lane index used.
+        lane: usize,
+        /// Lanes the follower has.
+        lanes: usize,
+    },
     /// Conversion between abstract data and bit-level form failed.
     Convert(String),
     /// Framing/serialization of an IPC message failed.
@@ -65,6 +72,9 @@ impl fmt::Display for CastanetError {
             }
             CastanetError::UnknownPort { port } => {
                 write!(f, "co-simulation port {port} is not configured")
+            }
+            CastanetError::UnknownLane { lane, lanes } => {
+                write!(f, "lane {lane} is out of range ({lanes} lanes)")
             }
             CastanetError::Convert(msg) => write!(f, "conversion failed: {msg}"),
             CastanetError::Codec(msg) => write!(f, "message codec failed: {msg}"),

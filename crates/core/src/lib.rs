@@ -21,8 +21,8 @@
 //!   the follower's clock always lagging;
 //! * [`cyclecosim`] — the cycle-based follower with idle skipping (the
 //!   paper's §5 conclusion);
-//! * [`compiledcosim`] — the compiled bit-parallel follower: 64 scenario
-//!   lanes behind one bit-sliced pin interface, idle skipping preserved;
+//! * [`compiledcosim`] — the lane-batched cycle follower: up to 64
+//!   scenario lanes of one DUT per clock, idle skipping preserved;
 //! * [`hwloop`] — §3.3: hardware in the simulation loop via the test board;
 //! * [`compare`] — Fig. 1's "=?": reference-vs-DUT stream comparison;
 //! * [`traceio`] — dump/replay of test vectors;

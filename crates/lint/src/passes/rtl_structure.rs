@@ -17,9 +17,8 @@
 //! | `CAST141` | error | gated-clock busy line has no driver |
 //!
 //! On a loop-free netlist, [`levelization_report`] builds the topo-ordered
-//! combinational schedule (levels, cone widths, fanout stats) that
-//! `castanet-lint --rtl` prints and the ROADMAP's compiled bit-parallel
-//! backend consumes.
+//! combinational levels (cone widths, fanout stats) that
+//! `castanet-lint --rtl` prints.
 
 use crate::diagnostic::{Diagnostic, Severity};
 use castanet_rtl::netlist::{NetlistGraph, StructuralFinding};

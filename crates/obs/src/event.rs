@@ -56,13 +56,11 @@ pub enum Phase {
     KernelAdvance,
     /// Cycle engine: one behavioral clock edge.
     CycleEval,
-    /// Compiled backend: one word-op schedule evaluation (lowered DUTs).
-    CompiledScheduleEval,
-    /// Compiled backend: one behavioral `LaneBank` clock edge (fallback).
+    /// Compiled backend: one behavioral `LaneBank` clock edge.
     CompiledFallbackEval,
-    /// Compiled backend: scattering stimulus integers into lane words.
+    /// Compiled backend: driving each lane's stimulus onto its input pins.
     CompiledPack,
-    /// Compiled backend: gathering egress lane words back to integers.
+    /// Compiled backend: reading each lane's egress pins back into cells.
     CompiledUnpack,
     /// Parallel executor: streaming grant windows to the follower.
     ParallelGrant,
@@ -82,7 +80,6 @@ impl Phase {
         Phase::KernelDelta,
         Phase::KernelAdvance,
         Phase::CycleEval,
-        Phase::CompiledScheduleEval,
         Phase::CompiledFallbackEval,
         Phase::CompiledPack,
         Phase::CompiledUnpack,
@@ -101,7 +98,6 @@ impl Phase {
             Phase::KernelDelta => "kernel.delta",
             Phase::KernelAdvance => "kernel.advance",
             Phase::CycleEval => "cycle.eval",
-            Phase::CompiledScheduleEval => "compiled.schedule_eval",
             Phase::CompiledFallbackEval => "compiled.fallback_eval",
             Phase::CompiledPack => "compiled.pack",
             Phase::CompiledUnpack => "compiled.unpack",
@@ -123,7 +119,6 @@ impl Phase {
                 | Phase::KernelEval
                 | Phase::KernelDelta
                 | Phase::CycleEval
-                | Phase::CompiledScheduleEval
                 | Phase::CompiledFallbackEval
                 | Phase::CompiledPack
                 | Phase::CompiledUnpack
@@ -265,7 +260,6 @@ impl EventKind {
         "kernel.delta",
         "kernel.advance",
         "cycle.eval",
-        "compiled.schedule_eval",
         "compiled.fallback_eval",
         "compiled.pack",
         "compiled.unpack",

@@ -129,7 +129,9 @@ impl Histogram {
     pub fn record(&self, value: u64) {
         if let Some(cell) = &self.0 {
             cell.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-            cell.count.fetch_add(1, Ordering::Relaxed);
+            // Release after the bucket bump: a snapshot that reads `count`
+            // with Acquire sees at least that many bucket entries.
+            cell.count.fetch_add(1, Ordering::Release);
             cell.sum.fetch_add(value, Ordering::Relaxed);
             cell.min.fetch_min(value, Ordering::Relaxed);
             cell.max.fetch_max(value, Ordering::Relaxed);
@@ -304,7 +306,9 @@ impl MetricsRegistry {
 
     /// Copies every metric out. Safe to call from any thread mid-run;
     /// values are individually (not mutually) consistent — each atomic is
-    /// read once, concurrent updates may land between reads.
+    /// read once, concurrent updates may land between reads. The one
+    /// cross-field guarantee: a histogram's bucket total is never below
+    /// its `count`, because `count` is read first.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
         let metrics = self.metrics.lock().expect("metrics registry poisoned");
@@ -318,6 +322,7 @@ impl MetricsRegistry {
                     .gauges
                     .push((name.clone(), cell.value.load(Ordering::Relaxed))),
                 Metric::Histogram(cell) => {
+                    let count = cell.count.load(Ordering::Acquire);
                     let buckets: Vec<(u64, u64)> = cell
                         .buckets
                         .iter()
@@ -330,7 +335,7 @@ impl MetricsRegistry {
                     snap.histograms.push((
                         name.clone(),
                         HistogramSnapshot {
-                            count: cell.count.load(Ordering::Relaxed),
+                            count,
                             sum: cell.sum.load(Ordering::Relaxed),
                             min: cell.min.load(Ordering::Relaxed),
                             max: cell.max.load(Ordering::Relaxed),
@@ -495,8 +500,8 @@ mod tests {
                 assert!(n >= last, "counter went backwards");
                 let hs = snap.histogram("concurrent").unwrap();
                 let bucket_total: u64 = hs.buckets.iter().map(|&(_, n)| n).sum();
-                // count is bumped after the bucket, so buckets >= count.
-                assert!(bucket_total + 4 >= hs.count);
+                // count is bumped after the bucket and read before it.
+                assert!(bucket_total >= hs.count);
                 last = n;
             }
         });

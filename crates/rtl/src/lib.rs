@@ -10,16 +10,14 @@
 //! * [`cycle`] — the cycle-based engine the paper's conclusion calls for,
 //!   sharing DUTs with the event-driven kernel via
 //!   [`cycle::attach_cycle_dut`];
-//! * [`compiled`] — the compiled bit-parallel backend: the levelized
-//!   netlist lowered to word-level ops over bit-sliced state, 64 scenario
-//!   lanes per instruction, plus the [`compiled::LaneBank`] batching
-//!   fallback for behavioral DUTs;
+//! * [`compiled`] — [`compiled::LaneBank`], up to 64 replicated
+//!   behavioural DUT instances stepped together as scenario lanes;
 //! * [`comp`] — a library of RTL building blocks (flip-flops, counters,
 //!   FIFOs) written as event-driven processes;
 //! * [`netlist`] — netlist introspection: the signal→process→signal
 //!   dataflow graph, structural checks (combinational loops, multi-driver
 //!   conflicts, sensitivity completeness, gated-clock safety) and the
-//!   levelization schedule for a compiled backend;
+//!   levelization report behind `castanet-lint --rtl`;
 //! * [`dut`] — the paper's ATM hardware: byte-serial cell receiver and
 //!   transmitter (Fig. 4), the 4-port switch with global control unit (the
 //!   headline workload) and the accounting unit of the §4 case study;
@@ -68,7 +66,7 @@ pub mod vector;
 pub mod wave;
 pub mod wheel;
 
-pub use compiled::{CompileError, CompiledSchedule, CompiledSim, LaneBank, PackedBit, LANES};
+pub use compiled::{LaneBank, LANES};
 pub use cycle::{CycleDut, CycleSim, PortDecl};
 pub use error::RtlError;
 pub use logic::Logic;

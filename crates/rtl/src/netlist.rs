@@ -19,9 +19,9 @@
 //!   A DUT with any of these defects simulates *differently* from its
 //!   synthesized netlist — the sim/synth mismatch the co-verification flow
 //!   must rule out before system-level simulation starts.
-//! * [`NetlistGraph::levelize`] — the topo-ordered combinational schedule
-//!   (levels, cone widths, fanout) that a compiled bit-parallel backend
-//!   evaluates level by level instead of event by event.
+//! * [`NetlistGraph::levelize`] — the topo-ordered combinational levels
+//!   (cone widths, fanout) that `castanet-lint --rtl` reports, showing how
+//!   much of a design a level-by-level evaluator could cover.
 //!
 //! Processes that do not implement [`crate::sim::RtlProcess::io`] are
 //! *opaque*: the analyses skip them (no false findings from guessed read
@@ -358,8 +358,7 @@ pub struct LevelStats {
     pub level: usize,
     /// Processes evaluated at this level.
     pub processes: usize,
-    /// Total width (bits) of all signals written at this level — the
-    /// cone width a bit-parallel backend evaluates per lane.
+    /// Total width (bits) of all signals written at this level.
     pub cone_bits: usize,
     /// Highest reader fan-out of any signal written at this level.
     pub max_fanout: usize,

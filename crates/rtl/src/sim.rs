@@ -63,17 +63,6 @@ pub trait RtlProcess: Send {
     fn io(&self) -> Option<ProcessIo> {
         None
     }
-
-    /// Emits this process's behaviour as word-level ops for the compiled
-    /// bit-parallel backend (see [`crate::compiled`]) and returns `true`,
-    /// or returns `false` (the default) to declare it not lowerable.
-    /// Implementations must agree with [`RtlProcess::run`] on the X01
-    /// domain; clocked processes must assign every output unconditionally
-    /// (hold is a mux of the old value, not a skipped write).
-    fn lower(&self, ctx: &mut crate::compiled::LowerCtx<'_>) -> bool {
-        let _ = ctx;
-        false
-    }
 }
 
 /// Per-process registration record: the sensitivity lists as declared
@@ -570,14 +559,6 @@ impl Simulator {
     /// Ids of all declared signals, in declaration order.
     pub fn signals(&self) -> impl Iterator<Item = SignalId> + '_ {
         (0..self.signals.len()).map(SignalId)
-    }
-
-    /// Borrow of a registered process, for compile-time introspection such
-    /// as [`crate::compiled::CompiledSchedule::compile`]. `None` for a
-    /// foreign id or while the process is being run.
-    #[must_use]
-    pub fn process_ref(&self, id: ProcId) -> Option<&dyn RtlProcess> {
-        self.processes.get(id.0).and_then(|slot| slot.as_deref())
     }
 
     /// Builds the introspectable dataflow graph of the elaborated design:

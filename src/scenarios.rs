@@ -384,10 +384,9 @@ pub fn switch_cosim_parallel(config: SwitchScenarioConfig) -> SwitchCosimParalle
     }
 }
 
-/// The compiled bit-parallel follower shared by the compiled co-simulation
-/// variant and the multi-lane scenario sweep: `lanes` replicated switch
-/// instances behind one bit-sliced pin interface (see
-/// [`castanet_rtl::compiled::LaneBank`]), with the same per-line pin layout
+/// The lane-batched follower shared by the compiled co-simulation variant
+/// and the multi-lane scenario sweep: `lanes` replicated switch instances
+/// in one [`castanet_rtl::compiled::LaneBank`], with the same per-line pin layout
 /// as [`switch_cycle_follower`] replicated into every lane.
 fn switch_compiled_follower(
     config: &SwitchScenarioConfig,
@@ -424,8 +423,8 @@ fn switch_compiled_follower(
 }
 
 /// The compiled-backend variant of [`switch_cosim`]: the same network model
-/// and workload, with the compiled bit-parallel follower carrying the
-/// coupled traffic on lane 0.
+/// and workload, with the lane-batched follower carrying the coupled
+/// traffic on lane 0.
 pub struct SwitchCosimCompiled {
     /// The coupled simulation, ready to run.
     pub coupling: Coupling<castanet::CompiledCosim>,
@@ -1058,6 +1057,12 @@ mod tests {
         assert_eq!(permuted[0], traces[3]);
         assert_eq!(permuted[1], traces[0]);
         assert_eq!(permuted[2], traces[1]);
+        // At the lane cap, lane 63's trace is that of its seed swept alone.
+        let mut seeds = vec![11; castanet_rtl::compiled::LANES];
+        seeds[63] = 33;
+        let full = switch_compiled_sweep(&config, &seeds);
+        assert_eq!(full.len(), 64);
+        assert_eq!(full[63], switch_compiled_sweep(&config, &[33])[0]);
     }
 
     #[test]

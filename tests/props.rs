@@ -1027,202 +1027,6 @@ fn level_order_evaluation_matches_event_kernel_fixpoint() {
     );
 }
 
-mod compiled_netgen {
-    //! Random loop-free netlist generator for the compiled backend: the
-    //! same layered-DAG shape as [`super::netgen::loop_free`], but built
-    //! from the lowerable, X-propagating
-    //! [`castanet_rtl::compiled::gates::XorReduce`] so the event kernel
-    //! and the compiled evaluator share one operator semantics.
-
-    use super::harness::Gen;
-    use castanet_rtl::compiled::gates::XorReduce;
-    use castanet_rtl::signal::SignalId;
-    use castanet_rtl::sim::Simulator;
-
-    pub struct Fixture {
-        pub sim: Simulator,
-        pub inputs: Vec<SignalId>,
-        /// Every gate output, in creation order.
-        pub outs: Vec<SignalId>,
-    }
-
-    /// A random layered DAG: every gate reads only previously created
-    /// signals and writes a fresh one, so loops are impossible by
-    /// construction.
-    pub fn loop_free(g: &mut Gen) -> Fixture {
-        let mut sim = Simulator::new();
-        let mut pool = Vec::new();
-        let mut inputs = Vec::new();
-        for i in 0..g.range_usize(2, 6) {
-            let s = sim.add_signal(format!("in{i}"), 1);
-            sim.mark_external_input(s);
-            pool.push(s);
-            inputs.push(s);
-        }
-        let mut outs = Vec::new();
-        for k in 0..g.range_usize(1, 24) {
-            let fanin = g.range_usize(1, 4.min(pool.len() + 1));
-            let mut reads: Vec<SignalId> = Vec::new();
-            while reads.len() < fanin {
-                let s = pool[g.range_usize(0, pool.len())];
-                if !reads.contains(&s) {
-                    reads.push(s);
-                }
-            }
-            let out = sim.add_signal(format!("n{k}"), 1);
-            sim.mark_external_output(out);
-            let gate = XorReduce::new(format!("g{k}"), reads.clone(), out);
-            sim.add_process(Box::new(gate), &reads);
-            pool.push(out);
-            outs.push(out);
-        }
-        Fixture { sim, inputs, outs }
-    }
-}
-
-#[test]
-fn compiled_evaluation_matches_event_kernel_fixpoint_on_all_lanes() {
-    use castanet_rtl::compiled::{CompiledSchedule, CompiledSim, LANES};
-    cases(
-        "compiled_evaluation_matches_event_kernel_fixpoint_on_all_lanes",
-        |g| {
-            let mut fx = compiled_netgen::loop_free(g);
-            let schedule = CompiledSchedule::compile(&fx.sim).expect("loop-free DAG compiles");
-            let mut csim = CompiledSim::new(schedule, LANES);
-
-            // Per-lane random drive over the full X01 domain (X included:
-            // both backends must propagate unknowns identically), settled
-            // once for all 64 lanes together.
-            let domain = [Logic::Zero, Logic::One, Logic::X];
-            let drives: Vec<Vec<Logic>> = (0..LANES)
-                .map(|_| {
-                    fx.inputs
-                        .iter()
-                        .map(|_| domain[g.range_usize(0, 3)])
-                        .collect()
-                })
-                .collect();
-            for (lane, drive) in drives.iter().enumerate() {
-                for (&input, &v) in fx.inputs.iter().zip(drive) {
-                    csim.poke(input, lane, &LogicVector::from(v)).expect("poke");
-                }
-            }
-            csim.settle();
-
-            // Reference: the event kernel settles each lane's assignment in
-            // sequence through its delta cycles.
-            for (lane, drive) in drives.iter().enumerate() {
-                let t = SimTime::from_ns(10 * (lane as u64 + 1));
-                for (&input, &v) in fx.inputs.iter().zip(drive) {
-                    fx.sim.poke_bit(input, v, t).expect("poke");
-                }
-                fx.sim
-                    .run_until(t + SimDuration::from_ns(1))
-                    .expect("settle");
-                for &out in &fx.outs {
-                    assert_eq!(
-                        csim.read_bit(out, lane),
-                        fx.sim.read_bit(out).to_x01(),
-                        "lane {lane} disagrees with the event kernel on {out}"
-                    );
-                }
-            }
-        },
-    );
-}
-
-#[test]
-fn compiled_lanes_are_independent_under_seed_permutation() {
-    use castanet_rtl::compiled::{CompiledSchedule, CompiledSim, LANES};
-    cases(
-        "compiled_lanes_are_independent_under_seed_permutation",
-        |g| {
-            let fx = compiled_netgen::loop_free(g);
-            let schedule = CompiledSchedule::compile(&fx.sim).expect("compiles");
-
-            let lanes = g.range_usize(2, LANES + 1);
-            let drives: Vec<Vec<Logic>> = (0..lanes)
-                .map(|_| {
-                    fx.inputs
-                        .iter()
-                        .map(|_| if g.bool() { Logic::One } else { Logic::Zero })
-                        .collect()
-                })
-                .collect();
-            // A random permutation of the lane assignment (Fisher-Yates).
-            let mut perm: Vec<usize> = (0..lanes).collect();
-            for i in (1..lanes).rev() {
-                perm.swap(i, g.range_usize(0, i + 1));
-            }
-
-            let mut a = CompiledSim::new(schedule.clone(), lanes);
-            let mut b = CompiledSim::new(schedule, lanes);
-            for lane in 0..lanes {
-                for (&input, &v) in fx.inputs.iter().zip(&drives[lane]) {
-                    a.poke(input, lane, &LogicVector::from(v)).expect("poke");
-                    b.poke(input, perm[lane], &LogicVector::from(v))
-                        .expect("poke");
-                }
-            }
-            a.settle();
-            b.settle();
-            // Permuting the per-lane seeds permutes the outputs and changes
-            // nothing else — any cross-lane bleed breaks this bijection.
-            for (lane, &target) in perm.iter().enumerate() {
-                for &out in &fx.outs {
-                    assert_eq!(
-                        a.read_bit(out, lane),
-                        b.read_bit(out, target),
-                        "lane {lane} leaked into the permuted evaluation on {out}"
-                    );
-                }
-            }
-        },
-    );
-}
-
-#[test]
-fn bit_slice_pack_unpack_round_trips_logic_vectors() {
-    use castanet_rtl::compiled::{pack_vectors, unpack_vectors, PackedBit, LANES};
-    cases("bit_slice_pack_unpack_round_trips_logic_vectors", |g| {
-        let width = g.range_usize(1, 65);
-        let lanes = g.range_usize(1, LANES + 1);
-        let vectors: Vec<LogicVector> = (0..lanes)
-            .map(|_| {
-                let bits: Vec<Logic> = (0..width)
-                    .map(|_| Logic::ALL[g.range_usize(0, Logic::ALL.len())])
-                    .collect();
-                LogicVector::from_bits(&bits)
-            })
-            .collect();
-        let words = pack_vectors(&vectors);
-        assert_eq!(words.len(), width);
-        for w in &words {
-            assert_eq!(w.val & w.unk, 0, "val/unk invariant");
-        }
-        // The packed image is the X01 collapse of the originals...
-        let back = unpack_vectors(&words, lanes);
-        for (v, r) in vectors.iter().zip(&back) {
-            for bit in 0..width {
-                assert_eq!(r.bit(bit), v.bit(bit).to_x01(), "bit {bit}");
-            }
-        }
-        // ...lanes past the packed count read X, and per-lane set/get on a
-        // single word agrees with the vector path.
-        if lanes < LANES {
-            assert!(unpack_vectors(&words, lanes + 1)[lanes]
-                .iter()
-                .all(|b| b == Logic::X));
-        }
-        let bit = g.range_usize(0, width);
-        let lane = g.range_usize(0, lanes);
-        let mut w = PackedBit::ALL_X;
-        w.set_lane(lane, vectors[lane].bit(bit));
-        assert_eq!(w.lane(lane), vectors[lane].bit(bit).to_x01());
-        assert_eq!(words[bit].lane(lane), vectors[lane].bit(bit).to_x01());
-    });
-}
-
 #[test]
 fn seeded_back_edge_trips_cast100_and_breaks_levelization() {
     use netgen::XorGate;

@@ -63,37 +63,6 @@ fn stock_switch_levelization_matches_the_golden_file() {
     );
 }
 
-#[test]
-fn stock_switch_compiled_schedule_matches_the_golden_file() {
-    // Pins the compiled-backend lowering of the stock switch netlist: word
-    // layout, per-level op counts, behavioral slots and generator set. Any
-    // change to the lowering shows up here as a reviewable diff. To
-    // regenerate after an intentional change:
-    //     UPDATE_GOLDEN=1 cargo test --test rtl_structure golden
-    let cfg = SwitchScenarioConfig {
-        cells_per_source: 10,
-        ..Default::default()
-    };
-    let cosim = switch_cosim(cfg);
-    let schedule =
-        castanet_rtl::compiled::CompiledSchedule::compile(cosim.coupling.follower().sim())
-            .expect("stock switch netlist compiles");
-    let rendered = schedule.dump();
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/compiled_schedule_switch.txt"
-    );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(path, &rendered).expect("update golden");
-    }
-    let golden =
-        std::fs::read_to_string(path).expect("golden file (set UPDATE_GOLDEN=1 to create)");
-    assert_eq!(
-        rendered, golden,
-        "compiled schedule drifted from tests/golden/compiled_schedule_switch.txt"
-    );
-}
-
 fn expect_u64(obj: &std::collections::BTreeMap<String, Value>, key: &str) -> u64 {
     match obj.get(key) {
         Some(Value::Number(n)) => {

@@ -13,8 +13,8 @@
 //! deliberately excluded — schedules may differ, contents may not.
 //!
 //! The same discipline applies across *backends*: the event-driven kernel,
-//! the cycle engine and the compiled bit-parallel backend are three
-//! from-scratch evaluators of one DUT semantics, so the stock-switch
+//! the cycle engine and the lane-batched compiled backend are three
+//! drivers of one DUT semantics, so the stock-switch
 //! scenario must produce byte-identical egress from identical traffic on
 //! all three — including through the gated-clock idle-skip fast path,
 //! whose evaluated/skipped telemetry counters must agree between the
@@ -157,9 +157,9 @@ fn fresh_event_follower(cell_type: MessageTypeId) -> RtlCosim {
     RtlCosim::new(sim, entity)
 }
 
-/// The compiled bit-parallel follower on the identical DUT: `lanes`
-/// replicated switches behind one bit-sliced pin interface; lane 0 carries
-/// the coupled traffic.
+/// The lane-batched compiled follower on the identical DUT: `lanes`
+/// replicated switches in one lane bank; lane 0 carries the coupled
+/// traffic.
 fn fresh_compiled_follower(cell_type: MessageTypeId, lanes: usize) -> CompiledCosim {
     let duts: Vec<Box<dyn CycleDut>> = (0..lanes)
         .map(|_| Box::new(routed_switch()) as Box<dyn CycleDut>)

@@ -108,7 +108,7 @@ fn telemetry_does_not_perturb_event_driven_egress() {
 
 #[test]
 fn telemetry_does_not_perturb_compiled_egress() {
-    // Same invariant on the compiled bit-parallel backend (pack/eval/
+    // Same invariant on the lane-batched compiled backend (pack/eval/
     // unpack micro-phases plus the lane-occupancy gauges).
     let tel = Telemetry::enabled();
     let with_tel = run_compiled(Some(&tel));
