@@ -16,10 +16,7 @@
 //! * `parallel_cycle_based`  — the same executor over the cycle engine,
 //!   where the old channel transport *lost* to serial (E8 measured 0.87×)
 //!   because per-window allocations and mutex rendezvous cost more than
-//!   the overlap bought back;
-//! * `timewarp_cycle_based`  — informational: `ExecMode::TimeWarp` with
-//!   checkpointed speculation on the cycle engine, to price the safety
-//!   net against the conservative rows.
+//!   the overlap bought back.
 //!
 //! CI enforces `parallel_event_driven > serial_event_driven` and
 //! `parallel_cycle_based > serial_cycle_based` per workload size via
@@ -31,7 +28,7 @@
 //! and a sub-10% verdict cannot be trusted across disjoint measurement
 //! windows — machine drift between windows routinely exceeds the margin
 //! itself. So, exactly like E12's overhead budget, one pass gathers all
-//! five configurations' samples *interleaved*: each round builds and
+//! four configurations' samples *interleaved*: each round builds and
 //! times every configuration back to back (construction and teardown
 //! outside the timed window), the rows replay their samples through
 //! `iter_custom`, and the `--require-faster` guard compares medians —
@@ -50,7 +47,7 @@
 //! removed, and the comparison degenerates to a coin flip.
 
 use castanet::coupling::Coupling;
-use castanet::parallel::{ExecMode, ParallelCoupling};
+use castanet::parallel::ParallelCoupling;
 use castanet::CoupledSimulator;
 use castanet_bench::small_switch_config;
 use castanet_netsim::time::{SimDuration, SimTime};
@@ -66,12 +63,11 @@ const ROUNDS: usize = 20;
 const SIZES: [u64; 2] = [200, 400];
 
 /// Row names, in the order each round gathers them.
-const ROWS: [&str; 5] = [
+const ROWS: [&str; 4] = [
     "serial_event_driven",
     "serial_cycle_based",
     "parallel_event_driven",
     "parallel_cycle_based",
-    "timewarp_cycle_based",
 ];
 
 fn timed_serial<S: CoupledSimulator>(mut coupling: Coupling<S>) -> Duration {
@@ -95,7 +91,7 @@ fn timed_parallel<S: CoupledSimulator + Send>(mut coupling: ParallelCoupling<S>)
 /// verdicts compare exactly these pairs, and a multi-millisecond run
 /// between a pair's two samples would reintroduce the within-round
 /// drift the interleaving exists to cancel.
-fn one_round(n: u64) -> [Duration; 5] {
+fn one_round(n: u64) -> [Duration; 4] {
     let serial_event = timed_serial(switch_cosim(small_switch_config(n)).coupling);
     let parallel_event = timed_parallel(
         switch_cosim(small_switch_config(n))
@@ -109,29 +105,17 @@ fn one_round(n: u64) -> [Duration; 5] {
             .coupling
             .with_batching(SimDuration::from_us(400), 8),
     );
-    let timewarp_cycle = timed_parallel(
-        switch_cosim_parallel(small_switch_config(n))
-            .coupling
-            .with_batching(SimDuration::from_us(400), 8)
-            .with_exec_mode(ExecMode::TimeWarp),
-    );
-    [
-        serial_event,
-        serial_cycle,
-        parallel_event,
-        parallel_cycle,
-        timewarp_cycle,
-    ]
+    [serial_event, serial_cycle, parallel_event, parallel_cycle]
 }
 
 /// `samples()[size_index][row][round]`, gathered once for every row.
-fn samples() -> &'static Vec<[Vec<Duration>; 5]> {
-    static SAMPLES: OnceLock<Vec<[Vec<Duration>; 5]>> = OnceLock::new();
+fn samples() -> &'static Vec<[Vec<Duration>; 4]> {
+    static SAMPLES: OnceLock<Vec<[Vec<Duration>; 4]>> = OnceLock::new();
     SAMPLES.get_or_init(|| {
         SIZES
             .iter()
             .map(|&n| {
-                let mut rows: [Vec<Duration>; 5] = Default::default();
+                let mut rows: [Vec<Duration>; 4] = Default::default();
                 for round in 0..=ROUNDS {
                     let took = one_round(n);
                     if round > 0 {

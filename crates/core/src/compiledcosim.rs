@@ -421,29 +421,6 @@ impl CoupledSimulator for CompiledCosim {
         self.obs_idle_skips = tel.counter("compiled.idle_skips");
     }
 
-    fn fork(&self) -> Option<Self> {
-        Some(CompiledCosim {
-            bank: self.bank.fork()?,
-            clock_period: self.clock_period,
-            clocks_done: self.clocks_done,
-            stimulus: self.stimulus.clone(),
-            zero_inputs: self.zero_inputs.clone(),
-            ingress: self.ingress.clone(),
-            egress: self.egress.clone(),
-            response_type: self.response_type,
-            format: self.format,
-            skipped: self.skipped,
-            undecodable: self.undecodable,
-            obs_evaluated: self.obs_evaluated.clone(),
-            obs_skipped: self.obs_skipped.clone(),
-            obs_fallback_evals: self.obs_fallback_evals.clone(),
-            obs_lanes_active: self.obs_lanes_active.clone(),
-            obs_queue_depth: self.obs_queue_depth.clone(),
-            obs_idle_skips: self.obs_idle_skips.clone(),
-            tel: self.tel.clone(),
-        })
-    }
-
     fn structural_preflight(&self) -> Vec<String> {
         let mut findings = Vec::new();
         let ins = self.bank.input_ports();

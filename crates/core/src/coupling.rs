@@ -98,20 +98,10 @@ pub trait CoupledSimulator {
         Vec::new()
     }
 
-    /// Checkpoints the follower: returns an independent copy of the full
-    /// follower state, suitable for restoring later by plain assignment.
-    /// This is the primitive behind
-    /// [`ExecMode::TimeWarp`](crate::parallel::ExecMode::TimeWarp):
-    /// the executor forks before speculating past the granted horizon and
-    /// rolls back to the fork if stimulus invalidates the speculation.
-    ///
-    /// The default returns `None` — "this follower cannot be
-    /// checkpointed" — which is the honest answer for followers wrapping
-    /// external state (hardware boards, remote processes, boxed
-    /// event-driven simulators). Deterministic in-process followers
-    /// ([`crate::cyclecosim::CycleCosim`],
-    /// [`crate::compiledcosim::CompiledCosim`]) override it with a deep
-    /// copy.
+    /// A checkpoint of the follower state. No executor calls it, since both
+    /// are conservative, and no follower in this crate overrides the
+    /// default `None`; it stays only because the E1 benchmark's adapter
+    /// implements it.
     fn fork(&self) -> Option<Self>
     where
         Self: Sized,

@@ -349,26 +349,6 @@ impl CoupledSimulator for CycleCosim {
         self.obs_evaluated = tel.gauge("follower.clocks_evaluated");
         self.obs_skipped = tel.gauge("follower.clocks_skipped");
     }
-
-    fn fork(&self) -> Option<Self> {
-        Some(CycleCosim {
-            sim: self.sim.fork()?,
-            clock_period: self.clock_period,
-            clocks_done: self.clocks_done,
-            stimulus: self.stimulus.clone(),
-            zero_inputs: self.zero_inputs.clone(),
-            ingress: self.ingress.clone(),
-            egress: self.egress.clone(),
-            response_type: self.response_type,
-            format: self.format,
-            skipped: self.skipped,
-            undecodable: self.undecodable,
-            obs_evaluated: self.obs_evaluated.clone(),
-            obs_skipped: self.obs_skipped.clone(),
-            tel: self.tel.clone(),
-            phase_stamp: 0,
-        })
-    }
 }
 
 #[cfg(test)]

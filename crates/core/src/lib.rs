@@ -77,7 +77,7 @@ pub use error::CastanetError;
 pub use hwloop::BoardCosim;
 pub use interface::CastanetInterfaceProcess;
 pub use message::{Message, MessagePayload, MessageTypeId};
-pub use parallel::{AdaptiveWindow, ExecMode, ParallelCoupling};
+pub use parallel::{AdaptiveWindow, ParallelCoupling};
 pub use remote::{FollowerServer, RemoteFollower};
 pub use ring::SpscRing;
 pub use sync::{ConservativeSync, LockstepSync, OptimisticSync};

@@ -28,22 +28,17 @@
 //!   when the pipeline idles the window shrinks so responses pipeline back
 //!   sooner. The controller observes the in-flight window count, not the
 //!   raw ring occupancy — a deterministic input, so widths (and the
-//!   network kernel's whole time trajectory) are reproducible run to run;
-//! * **time-warp** ([`ExecMode::TimeWarp`]) speculates through stimulus
-//!   silence: after a stimulus-free window the follower checkpoints itself
-//!   ([`CoupledSimulator::fork`]), runs ahead of the granted horizon, and
-//!   buffers the speculative responses. If the grant later catches up
-//!   before new stimulus arrives, the buffered work commits for free; if
-//!   stimulus invalidates it, the follower rolls back to the checkpoint
-//!   and replays conservatively — so the observable trace is identical to
-//!   conservative execution by construction.
+//!   network kernel's whole time trajectory) are reproducible run to run.
+//!
+//! The executor is conservative only: the follower never runs ahead of its
+//! grant and never rolls back. The optimistic alternative §3.1 argues
+//! against lives in [`crate::sync::optimistic`].
 //!
 //! Protocol → thread/ring mapping (Fig. 3): every non-null message of the
 //! window raises the originator time on the follower's synchronizer; the
 //! window's grant is the time-stamped null message; the follower advances to
-//! the grant and never past it (speculation runs past it only on forked
-//! state that is discarded unless the grant catches up), so the lag
-//! invariant `t_local ≤ grant` holds exactly as in the serial executive.
+//! the grant and never past it, so the lag invariant `t_local ≤ grant`
+//! holds exactly as in the serial executive.
 //! Responses produced while the originator has already raced ahead arrive
 //! "behind" the network clock — that pipeline lag is counted in
 //! [`CouplingStats::deferred_responses`] and injected at the network's
@@ -70,22 +65,6 @@ use castanet_netsim::kernel::Kernel;
 use castanet_netsim::time::{SimDuration, SimTime};
 use castanet_obs::{Counter, EventKind, Gauge, Histogram, Phase, Telemetry, Track};
 use std::collections::VecDeque;
-
-/// How the executor schedules the follower relative to the grant horizon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// §3.1's conservative protocol: the follower never runs past the
-    /// granted horizon. Always safe, no checkpointing required.
-    #[default]
-    Conservative,
-    /// Optimistic execution with rollback: after stimulus-free windows the
-    /// follower forks a checkpoint and speculates past the grant; buffered
-    /// speculative responses commit when the grant catches up and roll
-    /// back when stimulus invalidates them. Requires a follower whose
-    /// [`CoupledSimulator::fork`] returns `Some`; the observable trace is
-    /// identical to [`ExecMode::Conservative`] by construction.
-    TimeWarp,
-}
 
 /// Run-time controller for the batch-window length, bounded below by an
 /// eighth of the configured base window and above by the base window plus
@@ -228,19 +207,13 @@ pub struct ParallelCoupling<S: CoupledSimulator + Send> {
     drain_quantum: SimDuration,
     drain_quiet_chunks: u32,
     strict: bool,
-    /// Simulated-time length of one batched timing window (the adaptive
-    /// controller's base when [`ParallelCoupling::with_adaptive_window`]
-    /// is on).
+    /// Simulated-time length of one batched timing window: the
+    /// [`AdaptiveWindow`] controller's base.
     batch_window: SimDuration,
-    /// Command-ring capacity: how many windows the originator may run
-    /// ahead of the follower before its pushes block (bounded pipeline
-    /// lag).
+    /// Pipeline depth: how many windows may be in flight before the
+    /// originator waits for a reply (bounded pipeline lag). The command
+    /// ring has at least this many slots.
     channel_depth: usize,
-    exec_mode: ExecMode,
-    adaptive: bool,
-    /// Speculation lookahead for [`ExecMode::TimeWarp`]; defaults to the
-    /// batch window when unset.
-    spec_window: Option<SimDuration>,
     /// Telemetry handle; disabled (all recording a no-op) by default.
     tel: Telemetry,
 }
@@ -252,8 +225,6 @@ impl<S: CoupledSimulator + Send> std::fmt::Debug for ParallelCoupling<S> {
             .field("follower_now", &self.follower.now())
             .field("batch_window", &self.batch_window)
             .field("channel_depth", &self.channel_depth)
-            .field("exec_mode", &self.exec_mode)
-            .field("adaptive", &self.adaptive)
             .field("stats", &self.stats)
             .finish()
     }
@@ -285,9 +256,6 @@ impl<S: CoupledSimulator + Send> ParallelCoupling<S> {
             strict: false,
             batch_window: SimDuration::from_us(100),
             channel_depth: 4,
-            exec_mode: ExecMode::Conservative,
-            adaptive: true,
-            spec_window: None,
             tel: Telemetry::disabled(),
         }
     }
@@ -298,10 +266,8 @@ impl<S: CoupledSimulator + Send> ParallelCoupling<S> {
     /// occupancy, `channel.grant_latency_ns`, `channel.window_msgs`,
     /// `channel.backpressure_stalls`, the ring gauges
     /// `ring.grant_width_ps` / `ring.cmd_occupancy` and the park counters
-    /// `ring.originator_parks` / `ring.follower_parks` (plus
-    /// `timewarp.commits` / `timewarp.rollbacks` under
-    /// [`ExecMode::TimeWarp`]). Both threads record into the shared trace
-    /// sink, each on its own track.
+    /// `ring.originator_parks` / `ring.follower_parks`. Both threads
+    /// record into the shared trace sink, each on its own track.
     #[must_use]
     pub fn with_telemetry(mut self, tel: &Telemetry) -> Self {
         self.tel = tel.clone();
@@ -332,54 +298,6 @@ impl<S: CoupledSimulator + Send> ParallelCoupling<S> {
         self.strict
     }
 
-    /// Selects the execution mode (conservative by default).
-    #[must_use]
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec_mode = mode;
-        self
-    }
-
-    /// The configured execution mode.
-    #[must_use]
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
-    }
-
-    /// Enables (default) or disables the [`AdaptiveWindow`] controller.
-    /// When disabled every window uses the fixed batch window from
-    /// [`ParallelCoupling::with_batching`].
-    #[must_use]
-    pub fn with_adaptive_window(mut self, adaptive: bool) -> Self {
-        self.adaptive = adaptive;
-        self
-    }
-
-    /// Whether the adaptive grant-window controller is enabled.
-    #[must_use]
-    pub fn adaptive_window(&self) -> bool {
-        self.adaptive
-    }
-
-    /// Sets the [`ExecMode::TimeWarp`] speculation lookahead (how far past
-    /// the granted horizon the follower runs ahead on forked state). The
-    /// default is the batch window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    #[must_use]
-    pub fn with_speculation(mut self, window: SimDuration) -> Self {
-        assert!(!window.is_zero(), "speculation window must be non-zero");
-        self.spec_window = Some(window);
-        self
-    }
-
-    /// The configured speculation lookahead, if any.
-    #[must_use]
-    pub fn speculation_window(&self) -> Option<SimDuration> {
-        self.spec_window
-    }
-
     /// Tunes the final drain — as
     /// [`Coupling::with_drain`](crate::coupling::Coupling::with_drain).
     ///
@@ -397,8 +315,9 @@ impl<S: CoupledSimulator + Send> ParallelCoupling<S> {
 
     /// Tunes the batching: `batch_window` of simulated time per timing
     /// window (larger windows = fewer thread rendezvous but coarser
-    /// response pipelining), `channel_depth` windows of bounded run-ahead
-    /// (the command-ring capacity).
+    /// response pipelining; the [`AdaptiveWindow`] controller starts here),
+    /// `channel_depth` windows of bounded run-ahead: at most that many
+    /// windows are in flight before the originator waits for a reply.
     ///
     /// # Panics
     ///
@@ -436,19 +355,10 @@ impl<S: CoupledSimulator + Send> ParallelCoupling<S> {
     /// # Errors
     ///
     /// Propagates simulator, conversion and synchronization errors from
-    /// either thread; [`CastanetError::Transport`] when
-    /// [`ExecMode::TimeWarp`] is selected but the follower's
-    /// [`CoupledSimulator::fork`] returns `None`.
+    /// either thread. A follower panic is re-raised once both rings close.
     pub fn run(&mut self, until: SimTime) -> Result<CouplingStats, CastanetError> {
         if self.strict {
             self.preflight()?;
-        }
-        if self.exec_mode == ExecMode::TimeWarp && self.follower.fork().is_none() {
-            return Err(CastanetError::Transport(
-                "ExecMode::TimeWarp needs a checkpointable follower \
-                 (CoupledSimulator::fork returned None)"
-                    .into(),
-            ));
         }
         let batch_window = self.batch_window;
         let channel_depth = self.channel_depth;
@@ -456,14 +366,10 @@ impl<S: CoupledSimulator + Send> ParallelCoupling<S> {
         let drain_quiet_chunks = self.drain_quiet_chunks;
         let cell_type = self.cell_type;
         let iface = self.iface;
-        let exec_mode = self.exec_mode;
-        let spec_window = self.spec_window.unwrap_or(batch_window);
         // δ_j headroom for the adaptive controller, read before the &mut
         // borrows below freeze `self`.
         let headroom = self.sync.type_delta(cell_type).unwrap_or(SimDuration::ZERO);
-        let mut window_ctl = self
-            .adaptive
-            .then(|| AdaptiveWindow::new(batch_window, headroom));
+        let mut window_ctl = AdaptiveWindow::new(batch_window, headroom);
         let net = &mut self.net;
         let stats = &mut self.stats;
         let outbox = &self.outbox;
@@ -498,8 +404,6 @@ impl<S: CoupledSimulator + Send> ParallelCoupling<S> {
                             sync,
                             promised,
                             cell_type,
-                            exec_mode,
-                            spec_window,
                             &mut cmd_rx,
                             &mut rep_tx,
                             &follower_tel,
@@ -520,7 +424,7 @@ impl<S: CoupledSimulator + Send> ParallelCoupling<S> {
                         outbox,
                         iface,
                         until,
-                        batch_window,
+                        channel_depth,
                         &mut window_ctl,
                         drain_quantum,
                         drain_quiet_chunks,
@@ -629,8 +533,8 @@ fn originator_loop(
     outbox: &OutboxHandle,
     iface: ModuleId,
     until: SimTime,
-    batch_window: SimDuration,
-    window_ctl: &mut Option<AdaptiveWindow>,
+    channel_depth: usize,
+    window_ctl: &mut AdaptiveWindow,
     drain_quantum: SimDuration,
     drain_quiet_chunks: u32,
     phase_tel: &Telemetry,
@@ -660,14 +564,12 @@ fn originator_loop(
             Phase::ParallelGrant,
         );
         while let Some(t0) = net.next_event_time().filter(|t| *t < until) {
-            let width = match window_ctl.as_mut() {
-                Some(ctl) => {
-                    let w = ctl.observe(in_flight, cmd_tx.capacity());
-                    obs.grant_width.set(w.as_picos());
-                    w
-                }
-                None => batch_window,
-            };
+            // The pipeline is gated on the configured depth, not on the
+            // command ring's capacity: the ring holds at least two slots,
+            // so at depth 1 its capacity would let a second window run
+            // ahead.
+            let width = window_ctl.observe(in_flight, channel_depth);
+            obs.grant_width.set(width.as_picos());
             let w = until.min(t0 + width);
             let window_start = obs.tel.now_ns();
             let executed = net.run_grant_window(w)?;
@@ -712,7 +614,7 @@ fn originator_loop(
             // available would let wall-clock thread scheduling leak into
             // simulated timestamps and break run-to-run reproducibility
             // (replay traces assert bit- *and* cycle-exact responses).
-            if in_flight == cmd_tx.capacity() {
+            if in_flight == channel_depth {
                 let stall_start = obs.tel.now_ns();
                 obs.stalls.inc();
                 let mut error = None;
@@ -983,8 +885,9 @@ fn handle_reply(
 /// `fill` is invoked exactly once, on the successful push.
 ///
 /// Under the originator loop's pipeline discipline (`in_flight` is held
-/// strictly below the command-ring capacity before every push, and ring
-/// occupancy never exceeds `in_flight`) the full-ring path cannot engage;
+/// strictly below the channel depth, itself at most the command-ring
+/// capacity, before every push, and ring occupancy never exceeds
+/// `in_flight`) the full-ring path cannot engage;
 /// it remains as the deadlock-free backstop for any other call pattern.
 #[allow(clippy::too_many_arguments)]
 fn push_cmd(
@@ -1059,135 +962,22 @@ fn fatal_from(rep_rx: &mut RingConsumer<'_, RepEntry>, msgs: &mut Vec<Message>) 
     CastanetError::Transport("parallel follower thread terminated unexpectedly".into())
 }
 
-/// Per-run time-warp state, owned by the follower thread. Speculation is
-/// *commit-at-grant*: the follower only runs ahead on forked state after a
-/// stimulus-free window, and the buffered responses are revealed to the
-/// originator only once a later grant covers the whole speculated stretch
-/// — so every reply the originator sees is identical (stamps, order,
-/// multiset) to what conservative execution would have produced.
-struct WarpState<S> {
-    /// How far past the current horizon a speculation runs.
-    spec_window: SimDuration,
-    /// The forked pre-speculation state; `Some` while a speculation is
-    /// outstanding.
-    checkpoint: Option<S>,
-    /// Responses produced speculatively, withheld until commit.
-    spec_buf: Vec<Message>,
-    /// Local time the active speculation started from (rollback target).
-    spec_from: SimTime,
-    /// Local time the active speculation ran to (commit threshold).
-    spec_to: SimTime,
-    commits: Counter,
-    rollbacks: Counter,
-}
-
-impl<S> WarpState<S> {
-    fn new(spec_window: SimDuration, tel: &Telemetry) -> Self {
-        WarpState {
-            spec_window,
-            checkpoint: None,
-            spec_buf: Vec::new(),
-            spec_from: SimTime::ZERO,
-            spec_to: SimTime::ZERO,
-            commits: tel.counter("timewarp.commits"),
-            rollbacks: tel.counter("timewarp.rollbacks"),
-        }
-    }
-}
-
-/// Forks a checkpoint and speculatively advances `spec_window` past the
-/// follower's current time, buffering the responses. A follower that
-/// cannot fork (or errors while speculating) simply stays conservative —
-/// speculation is an optimization, never a correctness requirement.
-fn speculate<S: CoupledSimulator>(follower: &mut S, warp: &mut WarpState<S>) {
-    debug_assert!(warp.checkpoint.is_none(), "speculation already active");
-    let Some(checkpoint) = follower.fork() else {
-        return;
-    };
-    let from = follower.now();
-    let to = from + warp.spec_window;
-    match follower.advance_batch(to) {
-        Ok(buf) => {
-            warp.checkpoint = Some(checkpoint);
-            warp.spec_buf = buf;
-            warp.spec_from = from;
-            warp.spec_to = to;
-        }
-        Err(_) => {
-            // A speculative failure is not a real failure: restore the
-            // checkpoint and let conservative execution (re)discover any
-            // genuine error inside the granted horizon.
-            *follower = checkpoint;
-        }
-    }
-}
-
-/// Abandons the active speculation (if any): restores the checkpointed
-/// follower state and discards the buffered responses, recording the
-/// rollback on the follower's trace track.
-fn rollback<S: CoupledSimulator>(follower: &mut S, warp: &mut WarpState<S>, tel: &Telemetry) {
-    let Some(checkpoint) = warp.checkpoint.take() else {
-        return;
-    };
-    warp.rollbacks.inc();
-    tel.record(
-        Track::Follower,
-        warp.spec_from.as_picos(),
-        EventKind::Rollback {
-            to_ps: warp.spec_from.as_picos(),
-            replayed: warp.spec_buf.len() as u64,
-        },
-    );
-    warp.spec_buf.clear();
-    *follower = checkpoint;
-}
-
-/// Resolves an active speculation against a freshly computed grant:
-/// commits (returning the buffered responses) when the grant covers the
-/// whole speculated stretch, rolls back otherwise. Returns an empty vec
-/// when there was nothing to resolve.
-fn settle_speculation<S: CoupledSimulator>(
-    follower: &mut S,
-    warp: &mut WarpState<S>,
-    granted: SimTime,
-    tel: &Telemetry,
-) -> Vec<Message> {
-    if warp.checkpoint.is_none() {
-        return Vec::new();
-    }
-    if granted >= warp.spec_to {
-        warp.commits.inc();
-        warp.checkpoint = None;
-        std::mem::take(&mut warp.spec_buf)
-    } else {
-        rollback(follower, warp, tel);
-        Vec::new()
-    }
-}
-
 /// The follower thread: pops commands off the ring (spin-then-park when
 /// empty), plays timing windows and drain requests in order, and pushes
 /// replies back. The spawn wrapper in [`ParallelCoupling::run`] closes
 /// both rings after this returns — or unwinds — so a blocked peer wakes
 /// and observes termination.
-#[allow(clippy::too_many_arguments)]
 fn follower_worker<S: CoupledSimulator>(
     follower: &mut S,
     sync: &mut ConservativeSync,
     promised: &mut SimTime,
     cell_type: MessageTypeId,
-    exec_mode: ExecMode,
-    spec_window: SimDuration,
     cmd_rx: &mut RingConsumer<'_, CmdEntry>,
     rep_tx: &mut RingProducer<'_, RepEntry>,
     tel: &Telemetry,
 ) {
-    let mut warp = match exec_mode {
-        ExecMode::TimeWarp => Some(WarpState::new(spec_window, tel)),
-        ExecMode::Conservative => None,
-    };
     // Consumer-side stimulus scratch: swapped with command slots, drained
-    // by `window_step`, so one buffer serves the whole run.
+    // by `conservative_step`, so one buffer serves the whole run.
     let mut msgs: Vec<Message> = Vec::new();
     let mut idle_rounds = 0u32;
     loop {
@@ -1214,16 +1004,6 @@ fn follower_worker<S: CoupledSimulator>(
             if cmd_rx.is_closed() && !cmd_rx.can_pop() {
                 break;
             }
-            // An empty command ring is the time-warp opening: run ahead
-            // speculatively instead of spinning while the originator
-            // assembles the next window. The checkpoint guard makes this
-            // one speculation per idle period, not one per poll.
-            if let Some(w) = warp.as_mut() {
-                if w.checkpoint.is_none() {
-                    speculate(follower, w);
-                    continue;
-                }
-            }
             spin_round();
             idle_rounds += 1;
             if idle_rounds >= spin_rounds() && !cmd_rx.can_pop() {
@@ -1235,16 +1015,8 @@ fn follower_worker<S: CoupledSimulator>(
         match kind {
             CmdKind::Empty => {}
             CmdKind::Window => {
-                match window_step(
-                    follower,
-                    sync,
-                    promised,
-                    cell_type,
-                    &mut msgs,
-                    grant,
-                    warp.as_mut(),
-                    tel,
-                ) {
+                match conservative_step(follower, sync, promised, cell_type, &mut msgs, grant, tel)
+                {
                     Ok(responses) => {
                         if !push_reply(rep_tx, RepKind::Window, responses, None) {
                             break;
@@ -1265,7 +1037,6 @@ fn follower_worker<S: CoupledSimulator>(
                     quantum,
                     quiet_chunks,
                     until,
-                    warp.as_mut(),
                     rep_tx,
                     tel,
                 ) {
@@ -1317,68 +1088,11 @@ fn push_reply(
     }
 }
 
-/// Plays one timing window on the follower. Conservative mode: queue the
-/// stimulus (raising the originator clock per message), take the grant
-/// (the null message), sweep the whole window in one batched advance, then
-/// settle the local clock — never past the grant. Time-warp mode wraps
-/// the same step with speculation bookkeeping: stimulus rolls an active
-/// speculation back, a grant covering the speculated stretch commits it,
-/// and stimulus-free windows start the next speculation.
-#[allow(clippy::too_many_arguments)]
-fn window_step<S: CoupledSimulator>(
-    follower: &mut S,
-    sync: &mut ConservativeSync,
-    promised: &mut SimTime,
-    cell_type: MessageTypeId,
-    msgs: &mut Vec<Message>,
-    grant: SimTime,
-    warp: Option<&mut WarpState<S>>,
-    tel: &Telemetry,
-) -> Result<Vec<Message>, CastanetError> {
-    let Some(warp) = warp else {
-        return conservative_step(follower, sync, promised, cell_type, msgs, grant, tel);
-    };
-    if warp.checkpoint.is_some() && !msgs.is_empty() {
-        // Stimulus invalidates the speculation: it must be delivered to
-        // the pre-speculation state.
-        rollback(follower, warp, tel);
-    }
-    if warp.checkpoint.is_some() {
-        // Stimulus-free window over an active speculation: raise the
-        // grant, then either commit the buffered stretch or (if the
-        // grant still falls short of it) roll back and replay.
-        if grant > *promised {
-            sync.receive(cell_type, grant, true)?;
-            *promised = grant;
-        }
-        let granted = sync.grant();
-        let mut responses = settle_speculation(follower, warp, granted, tel);
-        let advance_start = tel.now_ns();
-        responses.extend(follower.advance_batch(granted)?);
-        tel.record_span(
-            Track::Follower,
-            granted.as_picos(),
-            advance_start,
-            EventKind::FollowerAdvance {
-                granted_ps: granted.as_picos(),
-                responses: responses.len() as u64,
-            },
-        );
-        let local = follower.now().max(sync.local_time()).min(granted);
-        sync.advance_local(local)?;
-        speculate(follower, warp);
-        return Ok(responses);
-    }
-    let stimulus_free = msgs.is_empty();
-    let responses = conservative_step(follower, sync, promised, cell_type, msgs, grant, tel)?;
-    if stimulus_free {
-        speculate(follower, warp);
-    }
-    Ok(responses)
-}
-
-/// The conservative window step shared by both execution modes; drains
-/// the stimulus scratch so its capacity returns to the ring.
+/// Plays one timing window on the follower: queue the stimulus (raising
+/// the originator clock per message), take the grant (the null message),
+/// sweep the whole window in one batched advance, then settle the local
+/// clock — never past the grant. Drains the stimulus scratch so its
+/// capacity returns to the ring.
 fn conservative_step<S: CoupledSimulator>(
     follower: &mut S,
     sync: &mut ConservativeSync,
@@ -1443,10 +1157,8 @@ fn conservative_step<S: CoupledSimulator>(
 }
 
 /// Drains the follower's pipeline in `quantum`-sized chunks, forwarding
-/// responses as they surface. An active speculation is resolved against
-/// the first chunk's grant (committed when covered, rolled back and
-/// replayed otherwise). Returns `Ok(true)` when quiet, `Ok(false)` when
-/// the originator went away mid-drain.
+/// responses as they surface. Returns `Ok(true)` when quiet, `Ok(false)`
+/// when the originator went away mid-drain.
 #[allow(clippy::too_many_arguments)]
 fn drain_step<S: CoupledSimulator>(
     follower: &mut S,
@@ -1456,21 +1168,10 @@ fn drain_step<S: CoupledSimulator>(
     quantum: SimDuration,
     quiet_chunks: u32,
     until: SimTime,
-    mut warp: Option<&mut WarpState<S>>,
     rep_tx: &mut RingProducer<'_, RepEntry>,
     tel: &Telemetry,
 ) -> Result<bool, CastanetError> {
     let mut quiet = 0u32;
-    // In time-warp mode the drain itself opens with a speculation when
-    // none survived the window stream (a saturated command ring never
-    // lets the follower speculate between windows), so the first chunk
-    // below resolves it — usually as a commit, the drain horizon being
-    // far wider than the speculation window.
-    if let Some(w) = warp.as_mut() {
-        if w.checkpoint.is_none() {
-            speculate(follower, w);
-        }
-    }
     loop {
         let horizon = (follower.now().max(sync.local_time()) + quantum)
             .min(until)
@@ -1481,11 +1182,7 @@ fn drain_step<S: CoupledSimulator>(
         }
         let granted = sync.grant();
         let chunk_start = tel.now_ns();
-        let mut responses = match warp.as_mut() {
-            Some(w) => settle_speculation(follower, w, granted, tel),
-            None => Vec::new(),
-        };
-        responses.extend(follower.advance_batch(granted)?);
+        let responses = follower.advance_batch(granted)?;
         tel.record_span(
             Track::Follower,
             granted.as_picos(),
@@ -1647,23 +1344,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_and_fixed_windows_produce_the_same_trace() {
-        let (serial, got_fixed) = build(16, SimDuration::from_us(5));
-        let mut fixed = serial.into_parallel().with_adaptive_window(false);
-        fixed.run(SimTime::from_ms(2)).unwrap();
-
-        let (serial, got_adaptive) = build(16, SimDuration::from_us(5));
-        let mut adaptive = serial.into_parallel().with_adaptive_window(true);
-        adaptive.run(SimTime::from_ms(2)).unwrap();
-
-        assert_eq!(
-            collected_cells(&got_fixed),
-            collected_cells(&got_adaptive),
-            "window sizing is a throughput knob, never a semantics knob"
-        );
-    }
-
-    #[test]
     fn adaptive_window_respects_floor_and_delta_bound() {
         let base = SimDuration::from_us(100);
         let headroom = SimDuration::from_us(60);
@@ -1787,69 +1467,5 @@ mod tests {
         assert!(coupling.preflight().is_ok());
         coupling.run(SimTime::from_ms(1)).unwrap();
         assert_eq!(got.len(), 3);
-    }
-
-    #[test]
-    fn time_warp_matches_conservative_and_speculates() {
-        let (serial, got_c) = build(12, SimDuration::from_us(50));
-        let mut conservative = serial
-            .into_parallel()
-            .with_batching(SimDuration::from_us(5), 4)
-            .with_adaptive_window(false);
-        let c_stats = conservative.run(SimTime::from_ms(2)).unwrap();
-        let c_cells = collected_cells(&got_c);
-
-        let (serial, got_w) = build(12, SimDuration::from_us(50));
-        let tel = Telemetry::enabled();
-        let mut warp = serial
-            .into_parallel()
-            .with_batching(SimDuration::from_us(5), 4)
-            .with_adaptive_window(false)
-            .with_exec_mode(ExecMode::TimeWarp)
-            .with_telemetry(&tel);
-        let w_stats = warp.run(SimTime::from_ms(2)).unwrap();
-
-        assert_eq!(collected_cells(&got_w), c_cells, "trace-identical");
-        assert_eq!(w_stats.responses, c_stats.responses);
-        assert_eq!(w_stats.messages_to_follower, c_stats.messages_to_follower);
-        assert_eq!(w_stats.late_responses, 0);
-        let snap = tel.metrics_snapshot();
-        let commits = snap.counter("timewarp.commits").unwrap_or(0);
-        let rollbacks = snap.counter("timewarp.rollbacks").unwrap_or(0);
-        assert!(
-            commits + rollbacks > 0,
-            "speculation never ran: commits={commits} rollbacks={rollbacks}"
-        );
-    }
-
-    #[test]
-    fn time_warp_refuses_an_uncheckpointable_follower() {
-        /// A follower with the default `fork` (`None`): time-warp must be
-        /// rejected up front rather than silently degrade.
-        struct NoFork(SimTime);
-        impl CoupledSimulator for NoFork {
-            fn deliver(&mut self, _msg: Message) -> Result<(), CastanetError> {
-                Ok(())
-            }
-            fn advance_until(&mut self, horizon: SimTime) -> Result<Vec<Message>, CastanetError> {
-                self.0 = horizon;
-                Ok(Vec::new())
-            }
-            fn now(&self) -> SimTime {
-                self.0
-            }
-        }
-
-        let mut net = Kernel::new(1);
-        let node = net.add_node("n");
-        let mut sync = ConservativeSync::new();
-        let cell_type = sync.register_type(CLK * 53);
-        let (iface_proc, outbox) = CastanetInterfaceProcess::new(cell_type);
-        let iface = net.add_module(node, "castanet", Box::new(iface_proc));
-        let mut coupling =
-            ParallelCoupling::new(net, NoFork(SimTime::ZERO), sync, cell_type, iface, outbox)
-                .with_exec_mode(ExecMode::TimeWarp);
-        let err = coupling.run(SimTime::from_ms(1)).unwrap_err();
-        assert!(matches!(err, CastanetError::Transport(_)), "{err:?}");
     }
 }

@@ -357,12 +357,6 @@ impl<T: Default> RingProducer<'_, T> {
     pub fn occupancy(&self) -> usize {
         self.ring.occupancy()
     }
-
-    /// The ring's slot count.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.ring.capacity()
-    }
 }
 
 /// The popping half of a split ring.
@@ -430,12 +424,6 @@ impl<T: Default> RingConsumer<'_, T> {
     #[must_use]
     pub fn occupancy(&self) -> usize {
         self.ring.occupancy()
-    }
-
-    /// The ring's slot count.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.ring.capacity()
     }
 }
 

@@ -202,7 +202,8 @@ pub enum EventKind {
     /// The originator blocked on the bounded command channel — the
     /// follower is the bottleneck (span over the blocked send).
     BackpressureStall {
-        /// Windows in flight when the stall began.
+        /// Windows still in flight when the stall ended, after the
+        /// reply that freed a pipeline slot was absorbed.
         in_flight: u64,
     },
     /// The optimistic synchronizer rolled back to an earlier state.

@@ -95,27 +95,6 @@ impl LaneBank {
         self.cycles
     }
 
-    /// Forks the bank: every lane's DUT is duplicated via
-    /// [`CycleDut::fork_dut`] and the pin state and cycle count are
-    /// copied, so the fork replays identically from this point. Returns
-    /// `None` when any lane's DUT does not support forking.
-    #[must_use]
-    pub fn fork(&self) -> Option<Self> {
-        let duts = self
-            .duts
-            .iter()
-            .map(|d| d.fork_dut())
-            .collect::<Option<Vec<_>>>()?;
-        Some(LaneBank {
-            duts,
-            in_ports: self.in_ports.clone(),
-            out_ports: self.out_ports.clone(),
-            inputs: self.inputs.clone(),
-            outputs: self.outputs.clone(),
-            cycles: self.cycles,
-        })
-    }
-
     /// Lane `lane`'s DUT instance.
     #[must_use]
     pub fn dut(&self, lane: usize) -> &dyn CycleDut {

@@ -99,15 +99,6 @@ pub trait CycleDut: Send {
     fn outputs_inert(&self, outputs: &[u64]) -> bool {
         outputs.iter().all(|&w| w == 0)
     }
-
-    /// Deep-copies the DUT state into a fresh boxed instance — the
-    /// checkpoint primitive behind time-warp co-simulation. The default
-    /// returns `None` ("not checkpointable"), which is the honest answer
-    /// for DUTs wrapping external or shared state; pure-state models
-    /// override it with a plain `Clone`.
-    fn fork_dut(&self) -> Option<Box<dyn CycleDut>> {
-        None
-    }
 }
 
 /// The cycle-based engine: drives a [`CycleDut`] one clock at a time,
@@ -236,19 +227,6 @@ impl CycleSim {
     #[must_use]
     pub fn dut(&self) -> &dyn CycleDut {
         self.dut.as_ref()
-    }
-
-    /// Deep-copies the whole engine (DUT state plus cycle counter), or
-    /// `None` when the wrapped DUT does not support
-    /// [`CycleDut::fork_dut`].
-    #[must_use]
-    pub fn fork(&self) -> Option<Self> {
-        Some(CycleSim {
-            dut: self.dut.fork_dut()?,
-            inputs: self.inputs.clone(),
-            outputs: self.outputs.clone(),
-            cycles: self.cycles,
-        })
     }
 
     /// Mutable access to the wrapped DUT.

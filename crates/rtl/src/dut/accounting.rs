@@ -179,10 +179,6 @@ impl CycleDut for AccountingUnitRtl {
         !self.in_cell
     }
 
-    fn fork_dut(&self) -> Option<Box<dyn CycleDut>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn clock_edge(&mut self, inputs: &[u64]) -> Vec<u64> {
         let data = inputs[0] as u8;
         let sync = inputs[1] == 1;

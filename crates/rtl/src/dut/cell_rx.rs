@@ -114,10 +114,6 @@ impl CycleDut for CellReceiver {
         *self = CellReceiver::new();
     }
 
-    fn fork_dut(&self) -> Option<Box<dyn CycleDut>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn clock_edge(&mut self, inputs: &[u64]) -> Vec<u64> {
         let data = inputs[0] as u8;
         let sync = inputs[1] == 1;

@@ -80,10 +80,6 @@ impl CycleDut for CellTransmitter {
         *self = CellTransmitter::new();
     }
 
-    fn fork_dut(&self) -> Option<Box<dyn CycleDut>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn clock_edge(&mut self, inputs: &[u64]) -> Vec<u64> {
         let wr_en = inputs[0] == 1;
         let wr_addr = (inputs[1] as usize).min(CELL_OCTETS - 1);

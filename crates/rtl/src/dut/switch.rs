@@ -226,10 +226,6 @@ impl CycleDut for AtmSwitchRtl {
             && self.fifos.iter().all(std::collections::VecDeque::is_empty)
     }
 
-    fn fork_dut(&self) -> Option<Box<dyn CycleDut>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn inputs_inert(&self, inputs: &[u64]) -> bool {
         let n = self.cfg.ports;
         if inputs.len() != 3 * n + 6 {

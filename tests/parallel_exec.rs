@@ -17,14 +17,15 @@
 use castanet::coupling::Coupling;
 use castanet::cyclecosim::{CycleCosim, EgressIndices, IngressIndices};
 use castanet::interface::{response_packet, CastanetInterfaceProcess};
-use castanet::parallel::ExecMode;
 use castanet::sync::ConservativeSync;
+use castanet::Telemetry;
 use castanet_atm::addr::{HeaderFormat, VpiVci};
 use castanet_atm::cell::AtmCell;
 use castanet_netsim::event::PortId;
 use castanet_netsim::kernel::Kernel;
 use castanet_netsim::process::{CollectorHandle, CollectorProcess};
 use castanet_netsim::time::{SimDuration, SimTime};
+use castanet_obs::EventKind;
 use castanet_rtl::cycle::CycleSim;
 use castanet_rtl::dut::{AtmSwitchRtl, SwitchRtlConfig};
 use std::collections::HashSet;
@@ -265,15 +266,8 @@ fn coupled(cells: u64, gap: SimDuration) -> (Coupling<CycleCosim>, CollectorHand
 }
 
 fn run_once(cells: u64, window: SimDuration, depth: usize) -> Vec<AtmCell> {
-    run_mode(cells, window, depth, ExecMode::Conservative)
-}
-
-fn run_mode(cells: u64, window: SimDuration, depth: usize, mode: ExecMode) -> Vec<AtmCell> {
     let (serial, got) = coupled(cells, SimDuration::from_us(2));
-    let mut coupling = serial
-        .into_parallel()
-        .with_batching(window, depth)
-        .with_exec_mode(mode);
+    let mut coupling = serial.into_parallel().with_batching(window, depth);
     let stats = coupling.run(SimTime::from_ms(2)).expect("run");
     assert_eq!(stats.responses, cells);
     assert_eq!(stats.late_responses, 0);
@@ -295,22 +289,38 @@ fn depth_one_backpressure_stress_completes_and_is_deterministic() {
 }
 
 #[test]
+fn depth_one_keeps_at_most_one_window_in_flight() {
+    // Replies are absorbed one per pipeline-full stall, so a stall ends
+    // with `depth - 1` windows still in flight. At depth 1 any stall that
+    // ends with a window still outstanding means two were in flight.
+    let (serial, got) = coupled(40, SimDuration::from_us(2));
+    let tel = Telemetry::enabled();
+    let mut coupling = serial
+        .with_telemetry(&tel)
+        .into_parallel()
+        .with_batching(SimDuration::from_us(1), 1);
+    coupling.run(SimTime::from_ms(2)).expect("run");
+    assert_eq!(got.len(), 40);
+    let stalls: Vec<u64> = tel
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::BackpressureStall { in_flight } => Some(in_flight),
+            _ => None,
+        })
+        .collect();
+    assert!(!stalls.is_empty(), "depth 1 never filled the pipeline");
+    assert!(
+        stalls.iter().all(|&n| n == 0),
+        "a stall left windows in flight at depth 1: {stalls:?}"
+    );
+}
+
+#[test]
 fn wide_window_deep_channel_stress_matches_the_tight_configuration() {
     // The opposite extreme — everything in flight at once — must observe
     // the same cells in the same order.
     let tight = run_once(60, SimDuration::from_us(1), 1);
     let wide = run_once(60, SimDuration::from_ms(1), 8);
     assert_eq!(tight, wide);
-}
-
-#[test]
-fn time_warp_stress_matches_conservative_mode() {
-    // The checkpoint/rollback machinery under the same harsh depth-1
-    // schedule, plus a relaxed configuration: every run must observe
-    // exactly the conservative trace, bit for bit.
-    let reference = run_once(120, SimDuration::from_us(1), 1);
-    let warped = run_mode(120, SimDuration::from_us(1), 1, ExecMode::TimeWarp);
-    assert_eq!(reference, warped, "time-warp depth-1 stress diverged");
-    let relaxed = run_mode(120, SimDuration::from_us(50), 4, ExecMode::TimeWarp);
-    assert_eq!(reference, relaxed, "time-warp relaxed schedule diverged");
 }
