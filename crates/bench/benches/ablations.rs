@@ -42,12 +42,14 @@ fn local_follower() -> CycleCosim {
         data: 0,
         sync: 1,
         enable: 2,
-    });
+    })
+    .expect("line pins are within the switch's port lists");
     f.add_egress(EgressIndices {
         data: 3,
         sync: 4,
         valid: 5,
-    });
+    })
+    .expect("line pins are within the switch's port lists");
     f
 }
 

@@ -24,12 +24,12 @@ use crate::coupling::CoupledSimulator;
 use crate::cyclecosim::{EgressIndices, IngressIndices};
 use crate::error::CastanetError;
 use crate::message::{Message, MessagePayload, MessageTypeId};
+use crate::stimulus::{clock_at_or_after, skip_idle, StimulusWindow};
 use castanet_atm::addr::HeaderFormat;
 use castanet_atm::cell::{AtmCell, CELL_OCTETS};
 use castanet_netsim::time::{SimDuration, SimTime};
 use castanet_obs::{Counter, Gauge, Phase, Telemetry, Track};
 use castanet_rtl::compiled::LaneBank;
-use std::collections::VecDeque;
 
 #[derive(Clone)]
 struct IngressLane {
@@ -52,10 +52,8 @@ pub struct CompiledCosim {
     bank: LaneBank,
     clock_period: SimDuration,
     clocks_done: u64,
-    /// Per-lane per-clock input words for clocks `clocks_done..`; `None`
-    /// slots are all-zero (idle line).
-    stimulus: Vec<VecDeque<Option<Vec<u64>>>>,
-    zero_inputs: Vec<u64>,
+    /// Per-lane input words for clocks `clocks_done..`.
+    stimulus: Vec<StimulusWindow>,
     ingress: Vec<IngressLane>,
     egress: Vec<EgressLane>,
     response_type: MessageTypeId,
@@ -99,14 +97,14 @@ impl CompiledCosim {
         response_type: MessageTypeId,
         format: HeaderFormat,
     ) -> Self {
-        let zero_inputs = vec![0u64; bank.input_ports().len()];
-        let lanes = bank.lanes();
+        let stride = bank.input_ports().len();
         CompiledCosim {
+            stimulus: (0..bank.lanes())
+                .map(|_| StimulusWindow::new(stride))
+                .collect(),
             bank,
             clock_period,
             clocks_done: 0,
-            stimulus: vec![VecDeque::new(); lanes],
-            zero_inputs,
             ingress: Vec::new(),
             egress: Vec::new(),
             response_type,
@@ -125,16 +123,28 @@ impl CompiledCosim {
 
     /// Registers an ingress line (same pin indices in every lane); returns
     /// its co-simulation port index.
-    pub fn add_ingress(&mut self, idx: IngressIndices) -> usize {
+    ///
+    /// # Errors
+    ///
+    /// As [`crate::CycleCosim::add_ingress`], against the lane bank's
+    /// input ports.
+    pub fn add_ingress(&mut self, idx: IngressIndices) -> Result<usize, CastanetError> {
+        idx.check(self.bank.input_ports())?;
         self.ingress.push(IngressLane {
             idx,
             next_free_clock: vec![0; self.bank.lanes()],
         });
-        self.ingress.len() - 1
+        Ok(self.ingress.len() - 1)
     }
 
     /// Registers an egress line; returns its co-simulation port index.
-    pub fn add_egress(&mut self, idx: EgressIndices) -> usize {
+    ///
+    /// # Errors
+    ///
+    /// As [`crate::CycleCosim::add_egress`], against the lane bank's
+    /// output ports.
+    pub fn add_egress(&mut self, idx: EgressIndices) -> Result<usize, CastanetError> {
+        idx.check(self.bank.output_ports())?;
         let lanes = self.bank.lanes();
         self.egress.push(EgressLane {
             idx,
@@ -143,7 +153,7 @@ impl CompiledCosim {
                 .collect(),
             traces: vec![Vec::new(); lanes],
         });
-        self.egress.len() - 1
+        Ok(self.egress.len() - 1)
     }
 
     /// Number of scenario lanes.
@@ -207,50 +217,19 @@ impl CompiledCosim {
             return Err(CastanetError::UnknownLane { lane, lanes });
         }
         let wire = cell.encode(self.format)?;
-        let start = self
-            .clock_at_or_after(stamp)
-            .max(self.ingress[port].next_free_clock[lane])
+        let line = &mut self.ingress[port];
+        let start = clock_at_or_after(stamp, self.clock_period)
+            .max(line.next_free_clock[lane])
             .max(self.clocks_done);
-        let idx = self.ingress[port].idx;
-        for (k, &byte) in wire.iter().enumerate() {
-            let slot = self.slot_mut(lane, start + k as u64);
-            slot[idx.data] = u64::from(byte);
-            slot[idx.sync] = u64::from(k == 0);
-            slot[idx.enable] = 1;
-        }
-        self.ingress[port].next_free_clock[lane] = start + CELL_OCTETS as u64;
+        let offset = (start - self.clocks_done) as usize;
+        self.stimulus[lane].put_cell(offset, line.idx, &wire);
+        line.next_free_clock[lane] = start + CELL_OCTETS as u64;
         Ok(())
     }
 
-    fn clock_at_or_after(&self, t: SimTime) -> u64 {
-        let period = self.clock_period.as_picos();
-        let ps = t.as_picos();
-        if ps <= period {
-            return 0;
-        }
-        ps.div_ceil(period) - 1
-    }
-
-    fn slot_mut(&mut self, lane: usize, clock: u64) -> &mut Vec<u64> {
-        debug_assert!(clock >= self.clocks_done);
-        let idx = (clock - self.clocks_done) as usize;
-        let queue = &mut self.stimulus[lane];
-        while queue.len() <= idx {
-            queue.push_back(None);
-        }
-        queue[idx].get_or_insert_with(|| self.zero_inputs.clone())
-    }
-
-    /// The earliest clock (absolute) with pending stimulus in any lane.
-    fn next_stimulus_clock(&self) -> Option<u64> {
-        self.stimulus
-            .iter()
-            .filter_map(|q| q.iter().position(Option::is_some))
-            .min()
-            .map(|off| self.clocks_done + off as u64)
-    }
-
-    fn run_clock(&mut self) -> Vec<Message> {
+    /// Evaluates clock `clocks_done` on every lane, appending the cells
+    /// lane 0 completes to `responses`.
+    fn run_clock(&mut self, responses: &mut Vec<Message>) {
         // One sampling decision covers the clock's three micro-phases —
         // pack (drive each lane's stimulus onto its pins), the lane bank's
         // clock edge, and unpack (reassemble egress cells) — so a sampled
@@ -258,11 +237,9 @@ impl CompiledCosim {
         let sampled = self.tel.micro_gate();
         let t_ps = (self.clocks_done + 1) * self.clock_period.as_picos();
         let mut mark = if sampled { self.tel.now_ns() } else { 0 };
-        for lane in 0..self.bank.lanes() {
-            match self.stimulus[lane].pop_front().flatten() {
-                Some(v) => self.bank.set_inputs(lane, &v),
-                None => self.bank.set_inputs(lane, &self.zero_inputs),
-            }
+        for (lane, window) in self.stimulus.iter_mut().enumerate() {
+            self.bank.set_inputs(lane, window.front());
+            window.pop_front();
         }
         if sampled {
             mark = self
@@ -278,7 +255,6 @@ impl CompiledCosim {
         }
         self.clocks_done += 1;
         let stamp = SimTime::from_picos(self.clocks_done * self.clock_period.as_picos());
-        let mut responses = Vec::new();
         for (port, line) in self.egress.iter_mut().enumerate() {
             for lane in 0..self.bank.lanes() {
                 if self.bank.output(lane, line.idx.valid) != 1 {
@@ -321,7 +297,6 @@ impl CompiledCosim {
                 mark,
             );
         }
-        responses
     }
 
     fn advance_inner(&mut self, horizon: SimTime, stop_at_first: bool) -> Vec<Message> {
@@ -329,14 +304,15 @@ impl CompiledCosim {
         let target = horizon.as_picos().div_ceil(period).saturating_sub(1);
         let mut collected = Vec::new();
         if self.tel.is_enabled() {
-            self.obs_lanes_active.set(
+            self.obs_lanes_active
+                .set(self.stimulus.iter().filter(|w| w.has_stimulus()).count() as u64);
+            self.obs_queue_depth.set(
                 self.stimulus
                     .iter()
-                    .filter(|q| q.iter().any(Option::is_some))
-                    .count() as u64,
+                    .map(StimulusWindow::len)
+                    .max()
+                    .unwrap_or(0) as u64,
             );
-            self.obs_queue_depth
-                .set(self.stimulus.iter().map(VecDeque::len).max().unwrap_or(0) as u64);
         }
         while self.clocks_done < target {
             // Idle skip: every lane's DUT quiescent and no stimulus
@@ -344,37 +320,17 @@ impl CompiledCosim {
             // nothing anywhere, so jump to the next stimulus clock (or
             // the horizon) in O(1).
             if self.bank.idle() {
-                match self.next_stimulus_clock() {
-                    None => {
-                        self.skipped += target - self.clocks_done;
-                        self.obs_idle_skips.inc();
-                        for q in &mut self.stimulus {
-                            q.clear();
-                        }
-                        self.clocks_done = target;
-                        break;
-                    }
-                    Some(c) if c > self.clocks_done => {
-                        let jump = (c - self.clocks_done).min(target - self.clocks_done);
-                        self.skipped += jump;
-                        self.obs_idle_skips.inc();
-                        for q in &mut self.stimulus {
-                            let n = (jump as usize).min(q.len());
-                            q.drain(..n);
-                        }
-                        self.clocks_done += jump;
-                        continue;
-                    }
-                    Some(_) => {}
+                let jump = skip_idle(&mut self.stimulus, target - self.clocks_done);
+                if jump > 0 {
+                    self.skipped += jump;
+                    self.obs_idle_skips.inc();
+                    self.clocks_done += jump;
+                    continue;
                 }
             }
-            let responses = self.run_clock();
-            if !responses.is_empty() {
-                if stop_at_first {
-                    self.publish_clock_gauges();
-                    return responses;
-                }
-                collected.extend(responses);
+            self.run_clock(&mut collected);
+            if stop_at_first && !collected.is_empty() {
+                break;
             }
         }
         self.publish_clock_gauges();
@@ -395,8 +351,7 @@ impl CoupledSimulator for CompiledCosim {
                 msg.payload.kind()
             )));
         };
-        let cell = cell.clone();
-        self.seed_cell(0, msg.port, msg.stamp, &cell)
+        self.seed_cell(0, msg.port, msg.stamp, cell)
     }
 
     fn advance_until(&mut self, horizon: SimTime) -> Result<Vec<Message>, CastanetError> {
@@ -419,61 +374,6 @@ impl CoupledSimulator for CompiledCosim {
         self.obs_lanes_active = tel.gauge("compiled.lanes_active");
         self.obs_queue_depth = tel.gauge("compiled.queue_depth");
         self.obs_idle_skips = tel.counter("compiled.idle_skips");
-    }
-
-    fn structural_preflight(&self) -> Vec<String> {
-        let mut findings = Vec::new();
-        let ins = self.bank.input_ports();
-        let outs = self.bank.output_ports();
-        for (port, line) in self.ingress.iter().enumerate() {
-            for (pin, i) in [
-                ("data", line.idx.data),
-                ("sync", line.idx.sync),
-                ("enable", line.idx.enable),
-            ] {
-                if i >= ins.len() {
-                    findings.push(format!(
-                        "CAST150: compiled ingress {port} {pin} pin index {i} out of range \
-                         ({} input ports on the lane bank)",
-                        ins.len()
-                    ));
-                    continue;
-                }
-                let want = if pin == "data" { 8 } else { 1 };
-                if ins[i].width < want {
-                    findings.push(format!(
-                        "CAST151: compiled ingress {port} {pin} pin '{}' is {} bits wide, \
-                         needs {want}",
-                        ins[i].name, ins[i].width
-                    ));
-                }
-            }
-        }
-        for (port, line) in self.egress.iter().enumerate() {
-            for (pin, i) in [
-                ("data", line.idx.data),
-                ("sync", line.idx.sync),
-                ("valid", line.idx.valid),
-            ] {
-                if i >= outs.len() {
-                    findings.push(format!(
-                        "CAST150: compiled egress {port} {pin} pin index {i} out of range \
-                         ({} output ports on the lane bank)",
-                        outs.len()
-                    ));
-                    continue;
-                }
-                let want = if pin == "data" { 8 } else { 1 };
-                if outs[i].width < want {
-                    findings.push(format!(
-                        "CAST151: compiled egress {port} {pin} pin '{}' is {} bits wide, \
-                         needs {want}",
-                        outs[i].name, outs[i].width
-                    ));
-                }
-            }
-        }
-        findings
     }
 }
 
@@ -500,26 +400,34 @@ mod tests {
         let duts: Vec<Box<dyn CycleDut>> = (0..lanes).map(|_| Box::new(switch()) as _).collect();
         let bank = LaneBank::new(duts);
         let mut cosim = CompiledCosim::new(bank, CLK, MessageTypeId(9), HeaderFormat::Uni);
-        cosim.add_ingress(IngressIndices {
-            data: 0,
-            sync: 1,
-            enable: 2,
-        });
-        cosim.add_ingress(IngressIndices {
-            data: 3,
-            sync: 4,
-            enable: 5,
-        });
-        cosim.add_egress(EgressIndices {
-            data: 0,
-            sync: 1,
-            valid: 2,
-        });
-        cosim.add_egress(EgressIndices {
-            data: 3,
-            sync: 4,
-            valid: 5,
-        });
+        cosim
+            .add_ingress(IngressIndices {
+                data: 0,
+                sync: 1,
+                enable: 2,
+            })
+            .unwrap();
+        cosim
+            .add_ingress(IngressIndices {
+                data: 3,
+                sync: 4,
+                enable: 5,
+            })
+            .unwrap();
+        cosim
+            .add_egress(EgressIndices {
+                data: 0,
+                sync: 1,
+                valid: 2,
+            })
+            .unwrap();
+        cosim
+            .add_egress(EgressIndices {
+                data: 3,
+                sync: 4,
+                valid: 5,
+            })
+            .unwrap();
         cosim
     }
 
@@ -602,33 +510,46 @@ mod tests {
     }
 
     #[test]
-    fn preflight_flags_bad_pins() {
-        let duts: Vec<Box<dyn CycleDut>> = vec![Box::new(switch())];
-        let mut cosim = CompiledCosim::new(
-            LaneBank::new(duts),
-            CLK,
-            MessageTypeId(9),
-            HeaderFormat::Uni,
-        );
-        cosim.add_ingress(IngressIndices {
-            data: 99,
-            sync: 1,
-            enable: 2,
-        });
-        cosim.add_egress(EgressIndices {
-            data: 1, // 1-bit sync pin used as the 8-bit data pin
-            sync: 4,
-            valid: 5,
-        });
-        let findings = cosim.structural_preflight();
-        assert!(
-            findings.iter().any(|f| f.starts_with("CAST150")),
-            "{findings:?}"
-        );
-        assert!(
-            findings.iter().any(|f| f.starts_with("CAST151")),
-            "{findings:?}"
-        );
-        assert!(fixture(1).structural_preflight().is_empty());
+    fn lines_on_missing_or_narrow_pins_are_rejected() {
+        let mut cosim = fixture(1);
+        let rejected = |r: Result<usize, CastanetError>, code: &str| matches!(r, Err(CastanetError::Preflight(f)) if f.len() == 1 && f[0].starts_with(code));
+        assert!(rejected(
+            cosim.add_ingress(IngressIndices {
+                data: 0,
+                sync: 1,
+                enable: 12,
+            }),
+            "CAST150"
+        ));
+        assert!(rejected(
+            cosim.add_egress(EgressIndices {
+                data: 9,
+                sync: 1,
+                valid: 2,
+            }),
+            "CAST150"
+        ));
+        // Port 1 is a 1-bit sync pin: too narrow to carry the data byte.
+        assert!(rejected(
+            cosim.add_ingress(IngressIndices {
+                data: 1,
+                sync: 0,
+                enable: 2,
+            }),
+            "CAST151"
+        ));
+        assert!(rejected(
+            cosim.add_egress(EgressIndices {
+                data: 1,
+                sync: 4,
+                valid: 5,
+            }),
+            "CAST151"
+        ));
+        // Nothing was registered by the rejected calls.
+        assert!(matches!(
+            cosim.seed_cell(0, 2, SimTime::ZERO, &cell(40)),
+            Err(CastanetError::UnknownPort { port: 2 })
+        ));
     }
 }

@@ -6,20 +6,22 @@
 //! the same pin-level DUT runs under the cycle engine, one `clock_edge`
 //! call per clock, with **idle skipping** — when no stimulus is pending and
 //! the DUT reports quiescence ([`castanet_rtl::cycle::CycleDut::is_idle`]),
-//! whole stretches of simulated time advance in O(1). The E1/E7 benches
-//! compare this follower against the event-driven [`crate::RtlCosim`] on
-//! identical workloads.
+//! whole stretches of simulated time advance in O(1). Delivered cells wait
+//! in a flat stimulus window and the DUT writes into the engine's own output
+//! buffer, so an evaluated clock allocates nothing unless it completes a
+//! cell. The E1/E7 benches compare this follower against the event-driven
+//! [`crate::RtlCosim`] on identical workloads.
 
 use crate::convert::ByteStreamAssembler;
 use crate::coupling::CoupledSimulator;
 use crate::error::CastanetError;
 use crate::message::{Message, MessagePayload, MessageTypeId};
+use crate::stimulus::{clock_at_or_after, skip_idle, StimulusWindow};
 use castanet_atm::addr::HeaderFormat;
 use castanet_atm::cell::CELL_OCTETS;
 use castanet_netsim::time::{SimDuration, SimTime};
 use castanet_obs::{Gauge, Phase, Telemetry, Track};
-use castanet_rtl::cycle::CycleSim;
-use std::collections::VecDeque;
+use castanet_rtl::cycle::{CycleSim, PortDecl};
 
 /// Indices (into the DUT's input port list) of one ingress line.
 #[derive(Debug, Clone, Copy)]
@@ -43,6 +45,55 @@ pub struct EgressIndices {
     pub valid: usize,
 }
 
+impl IngressIndices {
+    /// Checks the pins against the DUT's input ports.
+    pub(crate) fn check(&self, ports: &[PortDecl]) -> Result<(), CastanetError> {
+        let pins = [
+            ("data", self.data),
+            ("sync", self.sync),
+            ("enable", self.enable),
+        ];
+        check_line("ingress", pins, ports)
+    }
+}
+
+impl EgressIndices {
+    /// Checks the pins against the DUT's output ports.
+    pub(crate) fn check(&self, ports: &[PortDecl]) -> Result<(), CastanetError> {
+        let pins = [
+            ("data", self.data),
+            ("sync", self.sync),
+            ("valid", self.valid),
+        ];
+        check_line("egress", pins, ports)
+    }
+}
+
+/// Rejects a line whose pin index is past the DUT's port list (`CAST150`)
+/// or whose data pin is narrower than a byte (`CAST151`). Strobes need one
+/// bit, which every declared port has.
+fn check_line(
+    line: &str,
+    pins: [(&str, usize); 3],
+    ports: &[PortDecl],
+) -> Result<(), CastanetError> {
+    for (role, index) in pins {
+        let finding = match ports.get(index) {
+            None => format!(
+                "CAST150: {line} {role} pin index {index} out of range ({} ports on the DUT)",
+                ports.len()
+            ),
+            Some(p) if role == "data" && p.width < 8 => format!(
+                "CAST151: {line} data pin '{}' is {} bits wide, needs 8",
+                p.name, p.width
+            ),
+            Some(_) => continue,
+        };
+        return Err(CastanetError::Preflight(vec![finding]));
+    }
+    Ok(())
+}
+
 #[derive(Clone)]
 struct IngressLine {
     idx: IngressIndices,
@@ -60,10 +111,8 @@ pub struct CycleCosim {
     sim: CycleSim,
     clock_period: SimDuration,
     clocks_done: u64,
-    /// Per-clock input words for clocks `clocks_done..`; `None` slots are
-    /// all-zero (idle line).
-    stimulus: VecDeque<Option<Vec<u64>>>,
-    zero_inputs: Vec<u64>,
+    /// Input words for clocks `clocks_done..`.
+    stimulus: StimulusWindow,
     ingress: Vec<IngressLine>,
     egress: Vec<EgressLine>,
     response_type: MessageTypeId,
@@ -103,13 +152,11 @@ impl CycleCosim {
         response_type: MessageTypeId,
         format: HeaderFormat,
     ) -> Self {
-        let zero_inputs = vec![0u64; sim.input_ports().len()];
         CycleCosim {
+            stimulus: StimulusWindow::new(sim.input_ports().len()),
             sim,
             clock_period,
             clocks_done: 0,
-            stimulus: VecDeque::new(),
-            zero_inputs,
             ingress: Vec::new(),
             egress: Vec::new(),
             response_type,
@@ -124,21 +171,33 @@ impl CycleCosim {
     }
 
     /// Registers an ingress line; returns its co-simulation port index.
-    pub fn add_ingress(&mut self, idx: IngressIndices) -> usize {
+    ///
+    /// # Errors
+    ///
+    /// [`CastanetError::Preflight`] with one `CAST150` finding for a pin
+    /// index past the DUT's input ports, or `CAST151` for a data pin
+    /// narrower than 8 bits.
+    pub fn add_ingress(&mut self, idx: IngressIndices) -> Result<usize, CastanetError> {
+        idx.check(self.sim.input_ports())?;
         self.ingress.push(IngressLine {
             idx,
             next_free_clock: 0,
         });
-        self.ingress.len() - 1
+        Ok(self.ingress.len() - 1)
     }
 
     /// Registers an egress line; returns its co-simulation port index.
-    pub fn add_egress(&mut self, idx: EgressIndices) -> usize {
+    ///
+    /// # Errors
+    ///
+    /// As [`CycleCosim::add_ingress`], against the DUT's output ports.
+    pub fn add_egress(&mut self, idx: EgressIndices) -> Result<usize, CastanetError> {
+        idx.check(self.sim.output_ports())?;
         self.egress.push(EgressLine {
             idx,
             assembler: ByteStreamAssembler::new(self.format),
         });
-        self.egress.len() - 1
+        Ok(self.egress.len() - 1)
     }
 
     /// Clocks actually evaluated.
@@ -165,29 +224,9 @@ impl CycleCosim {
         &self.sim
     }
 
-    fn clock_at_or_after(&self, t: SimTime) -> u64 {
-        let period = self.clock_period.as_picos();
-        let ps = t.as_picos();
-        if ps <= period {
-            return 0;
-        }
-        ps.div_ceil(period) - 1
-    }
-
-    fn slot_mut(&mut self, clock: u64) -> &mut Vec<u64> {
-        debug_assert!(clock >= self.clocks_done);
-        let idx = (clock - self.clocks_done) as usize;
-        while self.stimulus.len() <= idx {
-            self.stimulus.push_back(None);
-        }
-        self.stimulus[idx].get_or_insert_with(|| self.zero_inputs.clone())
-    }
-
-    fn run_clock(&mut self) -> Result<Vec<Message>, CastanetError> {
-        let inputs = match self.stimulus.pop_front().flatten() {
-            Some(v) => v,
-            None => self.zero_inputs.clone(),
-        };
+    /// Evaluates clock `clocks_done`, appending the cells it completes to
+    /// `responses`.
+    fn run_clock(&mut self, responses: &mut Vec<Message>) -> Result<(), CastanetError> {
         // `cycle.eval` is a per-clock micro-phase: sampled 1-in-N, so the
         // two clock reads are paid once per stride, not per clock. Across
         // back-to-back sampled clocks the previous span's end stamp doubles
@@ -203,7 +242,8 @@ impl CycleCosim {
             self.phase_stamp = 0;
             0
         };
-        let outs = self.sim.step(&inputs)?;
+        let outs = self.sim.step(self.stimulus.front())?;
+        self.stimulus.pop_front();
         self.clocks_done += 1;
         let stamp = SimTime::from_picos(self.clocks_done * self.clock_period.as_picos());
         if sampled {
@@ -214,7 +254,6 @@ impl CycleCosim {
                 eval_start,
             );
         }
-        let mut responses = Vec::new();
         for (port, line) in self.egress.iter_mut().enumerate() {
             if outs[line.idx.valid] != 1 {
                 continue;
@@ -240,7 +279,7 @@ impl CycleCosim {
                 }
             }
         }
-        Ok(responses)
+        Ok(())
     }
 
     fn advance_inner(
@@ -255,40 +294,21 @@ impl CycleCosim {
         self.phase_stamp = 0;
         let mut collected = Vec::new();
         while self.clocks_done < target {
-            // Idle skip: no stimulus pending anywhere in the window and the
-            // DUT quiescent — jump straight to the next stimulus clock (or
-            // the horizon).
+            // Idle skip: the DUT quiescent — jump straight to the next
+            // stimulus clock (or the horizon).
             if self.sim.dut().is_idle() {
-                let next_stim = self
-                    .stimulus
-                    .iter()
-                    .position(Option::is_some)
-                    .map(|off| self.clocks_done + off as u64);
-                match next_stim {
-                    None => {
-                        self.skipped += target - self.clocks_done;
-                        self.stimulus.clear();
-                        self.clocks_done = target;
-                        break;
-                    }
-                    Some(c) if c > self.clocks_done => {
-                        let jump = (c - self.clocks_done).min(target - self.clocks_done);
-                        self.skipped += jump;
-                        self.stimulus.drain(..jump as usize);
-                        self.clocks_done += jump;
-                        self.phase_stamp = 0;
-                        continue;
-                    }
-                    Some(_) => {}
+                let remaining = target - self.clocks_done;
+                let jump = skip_idle(std::slice::from_mut(&mut self.stimulus), remaining);
+                if jump > 0 {
+                    self.skipped += jump;
+                    self.clocks_done += jump;
+                    self.phase_stamp = 0;
+                    continue;
                 }
             }
-            let responses = self.run_clock()?;
-            if !responses.is_empty() {
-                if stop_at_first {
-                    self.publish_clock_gauges();
-                    return Ok(responses);
-                }
-                collected.extend(responses);
+            self.run_clock(&mut collected)?;
+            if stop_at_first && !collected.is_empty() {
+                break;
             }
         }
         self.publish_clock_gauges();
@@ -313,18 +333,13 @@ impl CoupledSimulator for CycleCosim {
             return Err(CastanetError::UnknownPort { port: msg.port });
         }
         let wire = cell.encode(self.format)?;
-        let start = self
-            .clock_at_or_after(msg.stamp)
-            .max(self.ingress[msg.port].next_free_clock)
+        let line = &mut self.ingress[msg.port];
+        let start = clock_at_or_after(msg.stamp, self.clock_period)
+            .max(line.next_free_clock)
             .max(self.clocks_done);
-        let idx = self.ingress[msg.port].idx;
-        for (k, &byte) in wire.iter().enumerate() {
-            let slot = self.slot_mut(start + k as u64);
-            slot[idx.data] = u64::from(byte);
-            slot[idx.sync] = u64::from(k == 0);
-            slot[idx.enable] = 1;
-        }
-        self.ingress[msg.port].next_free_clock = start + CELL_OCTETS as u64;
+        let offset = (start - self.clocks_done) as usize;
+        self.stimulus.put_cell(offset, line.idx, &wire);
+        line.next_free_clock = start + CELL_OCTETS as u64;
         self.phase_stamp = 0;
         Ok(())
     }
@@ -369,26 +384,34 @@ mod tests {
         assert!(switch.install_route(1, 40, 1, 7, 70));
         let sim = CycleSim::new(Box::new(switch));
         let mut cosim = CycleCosim::new(sim, CLK, MessageTypeId(9), HeaderFormat::Uni);
-        cosim.add_ingress(IngressIndices {
-            data: 0,
-            sync: 1,
-            enable: 2,
-        });
-        cosim.add_ingress(IngressIndices {
-            data: 3,
-            sync: 4,
-            enable: 5,
-        });
-        cosim.add_egress(EgressIndices {
-            data: 0,
-            sync: 1,
-            valid: 2,
-        });
-        cosim.add_egress(EgressIndices {
-            data: 3,
-            sync: 4,
-            valid: 5,
-        });
+        cosim
+            .add_ingress(IngressIndices {
+                data: 0,
+                sync: 1,
+                enable: 2,
+            })
+            .unwrap();
+        cosim
+            .add_ingress(IngressIndices {
+                data: 3,
+                sync: 4,
+                enable: 5,
+            })
+            .unwrap();
+        cosim
+            .add_egress(EgressIndices {
+                data: 0,
+                sync: 1,
+                valid: 2,
+            })
+            .unwrap();
+        cosim
+            .add_egress(EgressIndices {
+                data: 3,
+                sync: 4,
+                valid: 5,
+            })
+            .unwrap();
         cosim
     }
 
@@ -474,6 +497,32 @@ mod tests {
             payload: MessagePayload::Control(1),
         };
         assert!(matches!(cosim.deliver(msg), Err(CastanetError::Convert(_))));
+    }
+
+    #[test]
+    fn lines_on_missing_or_narrow_pins_are_rejected() {
+        let mut cosim = fixture();
+        let finding = |r: Result<usize, CastanetError>| match r {
+            Err(CastanetError::Preflight(f)) if f.len() == 1 => f[0][..7].to_string(),
+            other => panic!("expected one finding, got {other:?}"),
+        };
+        let ingress = |data, enable| IngressIndices {
+            data,
+            sync: 1,
+            enable,
+        };
+        let egress = |data, valid| EgressIndices {
+            data,
+            sync: 1,
+            valid,
+        };
+        // The 2-port switch has 12 input and 9 output ports; port 1 is a
+        // 1-bit strobe on both sides.
+        assert_eq!(finding(cosim.add_ingress(ingress(0, 12))), "CAST150");
+        assert_eq!(finding(cosim.add_egress(egress(0, 9))), "CAST150");
+        assert_eq!(finding(cosim.add_ingress(ingress(1, 2))), "CAST151");
+        assert_eq!(finding(cosim.add_egress(egress(1, 2))), "CAST151");
+        assert_eq!(cosim.add_ingress(ingress(0, 2)).unwrap(), 2);
     }
 
     #[test]

@@ -63,6 +63,7 @@ pub mod message;
 pub mod parallel;
 pub mod remote;
 pub mod ring;
+mod stimulus;
 pub mod sync;
 pub mod traceio;
 pub mod verify;

@@ -1258,26 +1258,34 @@ mod tests {
         assert!(switch.install_route(1, 40, 1, 7, 70));
         let sim = CycleSim::new(Box::new(switch));
         let mut follower = CycleCosim::new(sim, CLK, cell_type, HeaderFormat::Uni);
-        follower.add_ingress(IngressIndices {
-            data: 0,
-            sync: 1,
-            enable: 2,
-        });
-        follower.add_ingress(IngressIndices {
-            data: 3,
-            sync: 4,
-            enable: 5,
-        });
-        follower.add_egress(EgressIndices {
-            data: 0,
-            sync: 1,
-            valid: 2,
-        });
-        follower.add_egress(EgressIndices {
-            data: 3,
-            sync: 4,
-            valid: 5,
-        });
+        follower
+            .add_ingress(IngressIndices {
+                data: 0,
+                sync: 1,
+                enable: 2,
+            })
+            .unwrap();
+        follower
+            .add_ingress(IngressIndices {
+                data: 3,
+                sync: 4,
+                enable: 5,
+            })
+            .unwrap();
+        follower
+            .add_egress(EgressIndices {
+                data: 0,
+                sync: 1,
+                valid: 2,
+            })
+            .unwrap();
+        follower
+            .add_egress(EgressIndices {
+                data: 3,
+                sync: 4,
+                valid: 5,
+            })
+            .unwrap();
         (
             Coupling::new(net, follower, sync, cell_type, iface, outbox),
             got,
@@ -1398,11 +1406,13 @@ mod tests {
             cell_type,
             HeaderFormat::Uni,
         );
-        follower.add_ingress(IngressIndices {
-            data: 0,
-            sync: 1,
-            enable: 2,
-        });
+        follower
+            .add_ingress(IngressIndices {
+                data: 0,
+                sync: 1,
+                enable: 2,
+            })
+            .unwrap();
         let mut coupling = ParallelCoupling::new(net, follower, sync, cell_type, iface, outbox);
         let stats = coupling.run(SimTime::from_ms(1)).unwrap();
         assert_eq!(stats.messages_to_follower, 0);

@@ -245,12 +245,14 @@ mod tests {
             data: 0,
             sync: 1,
             enable: 2,
-        });
+        })
+        .unwrap();
         f.add_egress(EgressIndices {
             data: 3,
             sync: 4,
             valid: 5,
-        });
+        })
+        .unwrap();
         f
     }
 

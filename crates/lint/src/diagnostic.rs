@@ -238,12 +238,12 @@ pub const CODES: &[(&str, Severity, &str)] = &[
     (
         "CAST150",
         Severity::Error,
-        "compiled-follower ingress/egress pin index out of range for the lane bank's port list",
+        "cycle/compiled follower line pin index out of range for the DUT's port list (add_ingress/add_egress reject it)",
     ),
     (
         "CAST151",
         Severity::Error,
-        "compiled-follower pin is narrower than its line role requires (8-bit data, 1-bit strobes)",
+        "cycle/compiled follower line data pin narrower than 8 bits (add_ingress/add_egress reject it)",
     ),
 ];
 

@@ -18,12 +18,15 @@ pub const LANES: usize = 64;
 ///
 /// Pin values are kept lane-major, one `u64` per port: lane `k`'s inputs
 /// are exactly what its DUT samples on the next edge, and its outputs are
-/// what that DUT returned on the last one, truncated to the declared port
+/// what that DUT wrote on the last one, truncated to the declared port
 /// width. Every pin powers on as `0`.
 pub struct LaneBank {
     duts: Vec<Box<dyn CycleDut>>,
     in_ports: Vec<PortDecl>,
     out_ports: Vec<PortDecl>,
+    /// Width masks of the input and output ports, index-aligned.
+    in_masks: Vec<u64>,
+    out_masks: Vec<u64>,
     /// `inputs[lane * in_ports.len() + port]`.
     inputs: Vec<u64>,
     /// `outputs[lane * out_ports.len() + port]`.
@@ -64,6 +67,8 @@ impl LaneBank {
         LaneBank {
             inputs: vec![0; lanes * in_ports.len()],
             outputs: vec![0; lanes * out_ports.len()],
+            in_masks: in_ports.iter().map(PortDecl::mask).collect(),
+            out_masks: out_ports.iter().map(PortDecl::mask).collect(),
             duts,
             in_ports,
             out_ports,
@@ -123,10 +128,18 @@ impl LaneBank {
 
     /// Drives every input port of lane `lane` from `values`.
     pub fn set_inputs(&mut self, lane: usize, values: &[u64]) {
-        assert_eq!(values.len(), self.in_ports.len(), "input port count");
-        for (port, &v) in values.iter().enumerate() {
-            self.set_input(lane, port, v);
+        let n_in = self.in_ports.len();
+        assert_eq!(values.len(), n_in, "input port count");
+        assert!(lane < self.duts.len(), "lane out of range");
+        for (port, (&v, mask)) in values.iter().zip(&self.in_masks).enumerate() {
+            assert_eq!(
+                v & !mask,
+                0,
+                "value exceeds {} bits",
+                self.in_ports[port].width
+            );
         }
+        self.inputs[lane * n_in..(lane + 1) * n_in].copy_from_slice(values);
     }
 
     /// The value driven on input port `port` of lane `lane`.
@@ -143,15 +156,16 @@ impl LaneBank {
         self.outputs[lane * self.out_ports.len() + port]
     }
 
-    /// One clock edge on every lane: step each lane's DUT on its input
-    /// pins and store what it drives out.
+    /// One clock edge on every lane: each lane's DUT samples its input
+    /// pins and writes straight into its own output pin row, which is then
+    /// masked to the declared port widths in place.
     pub fn clock_edge(&mut self) {
         let (n_in, n_out) = (self.in_ports.len(), self.out_ports.len());
         for (lane, dut) in self.duts.iter_mut().enumerate() {
-            let driven = dut.clock_edge(&self.inputs[lane * n_in..(lane + 1) * n_in]);
             let pins = &mut self.outputs[lane * n_out..(lane + 1) * n_out];
-            for (port, &value) in driven.iter().enumerate() {
-                pins[port] = value & self.out_ports[port].mask();
+            dut.clock_edge(&self.inputs[lane * n_in..(lane + 1) * n_in], pins);
+            for (pin, mask) in pins.iter_mut().zip(&self.out_masks) {
+                *pin &= mask;
             }
         }
         self.cycles += 1;
@@ -178,9 +192,9 @@ mod tests {
         fn reset(&mut self) {
             self.total = 0;
         }
-        fn clock_edge(&mut self, inputs: &[u64]) -> Vec<u64> {
+        fn clock_edge(&mut self, inputs: &[u64], outputs: &mut [u64]) {
             self.total = (self.total + inputs[0]) & 0xFFFF;
-            vec![self.total]
+            outputs[0] = self.total;
         }
         fn is_idle(&self) -> bool {
             true
@@ -221,8 +235,8 @@ mod tests {
                 vec![PortDecl::new("y", 2)]
             }
             fn reset(&mut self) {}
-            fn clock_edge(&mut self, _inputs: &[u64]) -> Vec<u64> {
-                vec![0]
+            fn clock_edge(&mut self, _inputs: &[u64], outputs: &mut [u64]) {
+                outputs[0] = 0;
             }
         }
         let _ = LaneBank::new(vec![Box::new(Accum::default()), Box::new(Other)]);

@@ -58,18 +58,24 @@ impl PortDecl {
 /// engine, the event-driven wrapper and the hardware test board (whose
 /// "prototype chip" is a `CycleDut` behind the pin interface).
 pub trait CycleDut: Send {
-    /// Input port declarations, in the order `clock_edge` expects.
+    /// Input port declarations, in the order `clock_edge` reads them.
     fn input_ports(&self) -> Vec<PortDecl>;
 
-    /// Output port declarations, in the order `clock_edge` returns.
+    /// Output port declarations, in the order `clock_edge` writes them.
     fn output_ports(&self) -> Vec<PortDecl>;
 
     /// Returns all state to power-on values.
     fn reset(&mut self);
 
     /// Executes one rising clock edge: samples `inputs` (one word per input
-    /// port) and returns the output pin values *after* the edge.
-    fn clock_edge(&mut self, inputs: &[u64]) -> Vec<u64>;
+    /// port) and writes the output pin values *after* the edge into
+    /// `outputs` (one word per output port).
+    ///
+    /// The caller owns both slices and sizes them from the port lists, so
+    /// an edge allocates nothing and a DUT cannot produce the wrong number
+    /// of words. `outputs` holds unspecified values on entry: the DUT must
+    /// write every word. Callers mask each word to its declared width.
+    fn clock_edge(&mut self, inputs: &[u64], outputs: &mut [u64]);
 
     /// `true` when the DUT is quiescent: with all-zero inputs, further
     /// clocks provably change nothing observable. A cycle-based
@@ -102,7 +108,8 @@ pub trait CycleDut: Send {
 }
 
 /// The cycle-based engine: drives a [`CycleDut`] one clock at a time,
-/// validating port counts/widths and counting cycles.
+/// validating port counts/widths and counting cycles. The DUT writes its
+/// outputs into a buffer the engine owns, so a step allocates nothing.
 ///
 /// # Examples
 ///
@@ -114,7 +121,9 @@ pub trait CycleDut: Send {
 ///     fn input_ports(&self) -> Vec<PortDecl> { vec![PortDecl::new("x", 8)] }
 ///     fn output_ports(&self) -> Vec<PortDecl> { vec![PortDecl::new("y", 8)] }
 ///     fn reset(&mut self) {}
-///     fn clock_edge(&mut self, inputs: &[u64]) -> Vec<u64> { vec![(inputs[0] * 2) & 0xFF] }
+///     fn clock_edge(&mut self, inputs: &[u64], outputs: &mut [u64]) {
+///         outputs[0] = (inputs[0] * 2) & 0xFF;
+///     }
 /// }
 ///
 /// let mut sim = CycleSim::new(Box::new(Doubler));
@@ -126,6 +135,11 @@ pub struct CycleSim {
     dut: Box<dyn CycleDut>,
     inputs: Vec<PortDecl>,
     outputs: Vec<PortDecl>,
+    /// Width masks of the input and output ports, index-aligned.
+    in_masks: Vec<u64>,
+    out_masks: Vec<u64>,
+    /// Output words of the latest edge, masked to their port widths.
+    out: Vec<u64>,
     cycles: u64,
 }
 
@@ -149,27 +163,31 @@ impl CycleSim {
         let outputs = dut.output_ports();
         CycleSim {
             dut,
+            in_masks: inputs.iter().map(PortDecl::mask).collect(),
+            out_masks: outputs.iter().map(PortDecl::mask).collect(),
+            out: vec![0; outputs.len()],
             inputs,
             outputs,
             cycles: 0,
         }
     }
 
-    /// Executes one clock edge.
+    /// Executes one clock edge and returns the output words after it,
+    /// each masked to its port width.
     ///
     /// # Errors
     ///
     /// Returns [`RtlError::PortCountMismatch`] for a wrong input count or
     /// [`RtlError::WidthMismatch`] when a word exceeds its port width.
-    pub fn step(&mut self, inputs: &[u64]) -> Result<Vec<u64>, RtlError> {
+    pub fn step(&mut self, inputs: &[u64]) -> Result<&[u64], RtlError> {
         if inputs.len() != self.inputs.len() {
             return Err(RtlError::PortCountMismatch {
                 expected: self.inputs.len(),
                 got: inputs.len(),
             });
         }
-        for (word, port) in inputs.iter().zip(&self.inputs) {
-            if *word & !port.mask() != 0 {
+        for ((word, mask), port) in inputs.iter().zip(&self.in_masks).zip(&self.inputs) {
+            if word & !mask != 0 {
                 return Err(RtlError::WidthMismatch {
                     expected: port.width,
                     got: 64 - word.leading_zeros() as usize,
@@ -177,31 +195,31 @@ impl CycleSim {
             }
         }
         self.cycles += 1;
-        let out = self.dut.clock_edge(inputs);
-        debug_assert_eq!(
-            out.len(),
-            self.outputs.len(),
-            "dut returned wrong output count"
-        );
-        Ok(out)
+        self.dut.clock_edge(inputs, &mut self.out);
+        for (word, mask) in self.out.iter_mut().zip(&self.out_masks) {
+            *word &= mask;
+        }
+        Ok(&self.out)
     }
 
-    /// Executes `n` cycles with constant inputs, returning the last outputs.
+    /// Executes `n` cycles with constant inputs, returning the last outputs
+    /// (for `n == 0`, those of the previous step: all zero before the
+    /// first).
     ///
     /// # Errors
     ///
     /// See [`CycleSim::step`].
-    pub fn step_n(&mut self, inputs: &[u64], n: u64) -> Result<Vec<u64>, RtlError> {
-        let mut last = Vec::new();
+    pub fn step_n(&mut self, inputs: &[u64], n: u64) -> Result<&[u64], RtlError> {
         for _ in 0..n {
-            last = self.step(inputs)?;
+            self.step(inputs)?;
         }
-        Ok(last)
+        Ok(&self.out)
     }
 
     /// Resets the DUT and the cycle counter.
     pub fn reset(&mut self) {
         self.dut.reset();
+        self.out.fill(0);
         self.cycles = 0;
     }
 
@@ -257,10 +275,15 @@ struct CycleDutProcess {
     /// Reused input-word buffer: one sample per clock edge, no
     /// per-edge allocation.
     in_words: Vec<u64>,
+    /// Output words of this edge, written by the DUT.
+    out_cur: Vec<u64>,
     /// Output words assigned on the previous edge: an unchanged word is
     /// not re-driven (a same-value drive produces no event, so skipping
     /// it is observationally identical and saves the resolution work).
+    /// Swapped with `out_cur` after every edge.
     out_prev: Vec<u64>,
+    /// `false` until the first edge has driven every output.
+    driven: bool,
     /// Clock-gate request line (gated attachment only): driven `One` while
     /// the DUT needs clocking, `Zero` once it is provably quiescent.
     busy: Option<SignalId>,
@@ -299,24 +322,22 @@ impl RtlProcess for CycleDutProcess {
             self.in_words
                 .push(ctx.read_u64(self.inputs[i]).unwrap_or(0));
         }
-        let outs = self.dut.clock_edge(&self.in_words);
-        let first = self.out_prev.is_empty();
-        for (i, ((sig, &word), width)) in self
+        self.dut.clock_edge(&self.in_words, &mut self.out_cur);
+        for (((sig, word), &prev), &width) in self
             .outputs
             .iter()
-            .zip(&outs)
+            .zip(&mut self.out_cur)
+            .zip(&self.out_prev)
             .zip(&self.out_widths)
-            .enumerate()
         {
-            if first || self.out_prev[i] != word {
-                ctx.assign(
-                    *sig,
-                    crate::vector::LogicVector::from_u64(word & mask(*width), *width),
-                );
+            *word &= mask(width);
+            if !self.driven || prev != *word {
+                ctx.assign(*sig, crate::vector::LogicVector::from_u64(*word, width));
             }
         }
-        self.out_prev.clear();
-        self.out_prev.extend_from_slice(&outs);
+        self.driven = true;
+        std::mem::swap(&mut self.out_prev, &mut self.out_cur);
+        let outs = &self.out_prev;
         if let Some(busy) = self.busy {
             // With inert inputs, inert outputs and a quiescent DUT, every
             // further edge is a provable no-op — and nothing assigned on
@@ -324,7 +345,7 @@ impl RtlProcess for CycleDutProcess {
             // the next one. Park the clock until an input event.
             if self.dut.is_idle()
                 && self.dut.inputs_inert(&self.in_words)
-                && self.dut.outputs_inert(&outs)
+                && self.dut.outputs_inert(outs)
             {
                 self.armed = false;
                 ctx.assign_bit(busy, Logic::Zero);
@@ -389,7 +410,9 @@ pub fn attach_cycle_dut(
         outputs: outputs.clone(),
         out_widths: out_decls.iter().map(|p| p.width).collect(),
         in_words: Vec::with_capacity(inputs.len()),
-        out_prev: Vec::new(),
+        out_cur: vec![0; outputs.len()],
+        out_prev: vec![0; outputs.len()],
+        driven: false,
         busy: None,
         armed: true,
     };
@@ -449,7 +472,9 @@ pub fn attach_cycle_dut_gated(
         outputs: outputs.clone(),
         out_widths: out_decls.iter().map(|p| p.width).collect(),
         in_words: Vec::with_capacity(inputs.len()),
-        out_prev: Vec::new(),
+        out_cur: vec![0; outputs.len()],
+        out_prev: vec![0; outputs.len()],
+        driven: false,
         busy: Some(busy),
         armed: true,
     };
@@ -489,13 +514,13 @@ mod tests {
         fn reset(&mut self) {
             self.acc = 0;
         }
-        fn clock_edge(&mut self, inputs: &[u64]) -> Vec<u64> {
+        fn clock_edge(&mut self, inputs: &[u64], outputs: &mut [u64]) {
             if inputs[1] == 1 {
                 self.acc = 0;
             } else {
                 self.acc = (self.acc + inputs[0]) & 0xFFFF;
             }
-            vec![self.acc]
+            outputs[0] = self.acc;
         }
     }
 
@@ -608,15 +633,15 @@ mod tests {
         fn reset(&mut self) {
             self.pending = None;
         }
-        fn clock_edge(&mut self, inputs: &[u64]) -> Vec<u64> {
-            let out = match self.pending.take() {
-                Some(d) => vec![1, d],
-                None => vec![0, 0],
+        fn clock_edge(&mut self, inputs: &[u64], outputs: &mut [u64]) {
+            let (valid, q) = match self.pending.take() {
+                Some(d) => (1, d),
+                None => (0, 0),
             };
+            outputs.copy_from_slice(&[valid, q]);
             if inputs[0] == 1 {
                 self.pending = Some(inputs[1]);
             }
-            out
         }
         fn is_idle(&self) -> bool {
             self.pending.is_none()

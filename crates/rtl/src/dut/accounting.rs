@@ -179,7 +179,7 @@ impl CycleDut for AccountingUnitRtl {
         !self.in_cell
     }
 
-    fn clock_edge(&mut self, inputs: &[u64]) -> Vec<u64> {
+    fn clock_edge(&mut self, inputs: &[u64], outputs: &mut [u64]) {
         let data = inputs[0] as u8;
         let sync = inputs[1] == 1;
         let enable = inputs[2] == 1;
@@ -240,14 +240,14 @@ impl CycleDut for AccountingUnitRtl {
             }
         }
 
-        vec![
+        outputs.copy_from_slice(&[
             u64::from(self.rd_found),
             u64::from(self.rd_cells),
             u64::from(self.rd_charge),
             u64::from(self.unmatched),
             self.table.len() as u64,
             u64::from(self.cfg_full),
-        ]
+        ]);
     }
 }
 
@@ -278,7 +278,7 @@ mod tests {
         inp[6] = u64::from(vci);
         inp[7] = u64::from(weight);
         inp[8] = u64::from(fixed);
-        sim.step(&inp).unwrap()
+        sim.step(&inp).unwrap().to_vec()
     }
 
     fn stream_cell(sim: &mut CycleSim, cell: &[u8; CELL_OCTETS]) {

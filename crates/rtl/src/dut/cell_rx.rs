@@ -114,7 +114,7 @@ impl CycleDut for CellReceiver {
         *self = CellReceiver::new();
     }
 
-    fn clock_edge(&mut self, inputs: &[u64]) -> Vec<u64> {
+    fn clock_edge(&mut self, inputs: &[u64], outputs: &mut [u64]) {
         let data = inputs[0] as u8;
         let sync = inputs[1] == 1;
         let enable = inputs[2] == 1;
@@ -149,7 +149,7 @@ impl CycleDut for CellReceiver {
         }
         self.rd_data = self.done[rd_addr];
 
-        vec![
+        outputs.copy_from_slice(&[
             u64::from(self.cell_valid),
             u64::from(self.hec_ok),
             u64::from(self.vpi),
@@ -158,7 +158,7 @@ impl CycleDut for CellReceiver {
             u64::from(self.clp),
             u64::from(self.rd_data),
             u64::from(self.cells),
-        ]
+        ]);
     }
 }
 
@@ -181,7 +181,7 @@ mod tests {
         let mut last = Vec::new();
         for (i, &b) in wire.iter().enumerate() {
             let sync = u64::from(i == 0);
-            last = sim.step(&[u64::from(b), sync, 1, 0]).unwrap();
+            last = sim.step(&[u64::from(b), sync, 1, 0]).unwrap().to_vec();
         }
         last
     }
@@ -235,7 +235,7 @@ mod tests {
         // Remaining 52 bytes.
         let mut last = Vec::new();
         for &b in &wire[1..] {
-            last = sim.step(&[u64::from(b), 0, 1, 0]).unwrap();
+            last = sim.step(&[u64::from(b), 0, 1, 0]).unwrap().to_vec();
         }
         assert_eq!(last[0], 1);
         assert_eq!(last[1], 1, "gaps must not corrupt the cell");

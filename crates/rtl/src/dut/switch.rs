@@ -246,9 +246,10 @@ impl CycleDut for AtmSwitchRtl {
         (0..n).all(|i| outputs[3 * i + 1] == 0 && outputs[3 * i + 2] == 0)
     }
 
-    fn clock_edge(&mut self, inputs: &[u64]) -> Vec<u64> {
+    fn clock_edge(&mut self, inputs: &[u64], outputs: &mut [u64]) {
         let n = self.cfg.ports;
         debug_assert_eq!(inputs.len(), 3 * n + 6);
+        debug_assert_eq!(outputs.len(), 3 * n + 3);
 
         // Global control unit: configuration interface.
         let cfg_base = 3 * n;
@@ -287,7 +288,6 @@ impl CycleDut for AtmSwitchRtl {
         }
 
         // Egress: stream queued cells, chaining back-to-back.
-        let mut out = Vec::with_capacity(3 * n + 3);
         for i in 0..n {
             if !self.tx[i].active {
                 if let Some(cell) = self.fifos[i].pop_front() {
@@ -296,7 +296,7 @@ impl CycleDut for AtmSwitchRtl {
                     self.tx[i].active = true;
                 }
             }
-            if self.tx[i].active {
+            let line = if self.tx[i].active {
                 let idx = self.tx[i].index;
                 let byte = self.tx[i].buffer[idx];
                 let sync = idx == 0;
@@ -305,19 +305,15 @@ impl CycleDut for AtmSwitchRtl {
                     self.tx[i].active = false;
                     self.tx[i].index = 0;
                 }
-                out.push(u64::from(byte));
-                out.push(u64::from(sync));
-                out.push(1);
+                [u64::from(byte), u64::from(sync), 1]
             } else {
-                out.push(0);
-                out.push(0);
-                out.push(0);
-            }
+                [0; 3]
+            };
+            outputs[3 * i..3 * i + 3].copy_from_slice(&line);
         }
-        out.push(u64::from(self.unroutable));
-        out.push(u64::from(self.dropped));
-        out.push(self.table.len() as u64);
-        out
+        outputs[3 * n] = u64::from(self.unroutable);
+        outputs[3 * n + 1] = u64::from(self.dropped);
+        outputs[3 * n + 2] = self.table.len() as u64;
     }
 }
 
@@ -361,11 +357,11 @@ mod tests {
             inp[3 * port + 1] = u64::from(k == 0);
             inp[3 * port + 2] = 1;
             let out = sim.step(&inp).unwrap();
-            capture(&out, &mut streams);
+            capture(out, &mut streams);
         }
         for _ in 0..extra {
             let out = sim.step(&idle_inputs(ports)).unwrap();
-            capture(&out, &mut streams);
+            capture(out, &mut streams);
         }
         streams
     }

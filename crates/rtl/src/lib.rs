@@ -39,10 +39,11 @@
 //! let cell = AtmCell::user_data(VpiVci::uni(1, 42)?, [0; 48]);
 //! let wire = cell.encode(HeaderFormat::Uni)?;
 //! let mut sim = CycleSim::new(Box::new(CellReceiver::new()));
-//! let mut last = Vec::new();
-//! for (i, &byte) in wire.iter().enumerate() {
-//!     last = sim.step(&[u64::from(byte), u64::from(i == 0), 1, 0])?;
+//! for (i, &byte) in wire[..52].iter().enumerate() {
+//!     sim.step(&[u64::from(byte), u64::from(i == 0), 1, 0])?;
 //! }
+//! // `step` returns the outputs after the edge, from a buffer it owns.
+//! let last = sim.step(&[u64::from(wire[52]), 0, 1, 0])?;
 //! assert_eq!(last[0], 1, "cell_valid after 53 clocks");
 //! assert_eq!(last[3], 42, "vci decoded");
 //! # Ok::<(), Box<dyn std::error::Error>>(())

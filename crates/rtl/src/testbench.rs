@@ -605,8 +605,8 @@ mod tests {
                 ]
             }
             fn reset(&mut self) {}
-            fn clock_edge(&mut self, inputs: &[u64]) -> Vec<u64> {
-                vec![inputs[0], inputs[1], inputs[2]]
+            fn clock_edge(&mut self, inputs: &[u64], outputs: &mut [u64]) {
+                outputs.copy_from_slice(&inputs[..3]);
             }
         }
         let stimuli = vec![vec![ScheduledCell {

@@ -26,7 +26,8 @@ use std::time::Duration;
 ///     fn input_ports(&self) -> Vec<PortDecl> { vec![PortDecl::new("x", 8)] }
 ///     fn output_ports(&self) -> Vec<PortDecl> { vec![PortDecl::new("y", 8)] }
 ///     fn reset(&mut self) {}
-///     fn clock_edge(&mut self, i: &[u64]) -> Vec<u64> { vec![(i[0] + 1) & 0xFF] }
+///     // The caller sizes `o` from `output_ports()`: one word per port.
+///     fn clock_edge(&mut self, i: &[u64], o: &mut [u64]) { o[0] = (i[0] + 1) & 0xFF; }
 /// }
 ///
 /// let (dut, lanes) = MappedCycleDut::auto_mapped(Box::new(Inc));
@@ -237,8 +238,8 @@ mod tests {
             vec![PortDecl::new("y", 8)]
         }
         fn reset(&mut self) {}
-        fn clock_edge(&mut self, i: &[u64]) -> Vec<u64> {
-            vec![(i[0] + 1) & 0xFF]
+        fn clock_edge(&mut self, i: &[u64], o: &mut [u64]) {
+            o[0] = (i[0] + 1) & 0xFF;
         }
     }
 

@@ -44,6 +44,9 @@ pub struct MappedCycleDut {
     map: PinMapConfig,
     in_numbers: Vec<usize>,
     out_numbers: Vec<usize>,
+    /// Reused per-clock port words, sized from the DUT's port lists.
+    in_words: Vec<u64>,
+    out_words: Vec<u64>,
 }
 
 impl std::fmt::Debug for MappedCycleDut {
@@ -82,6 +85,8 @@ impl MappedCycleDut {
         MappedCycleDut {
             dut,
             map,
+            in_words: vec![0; in_numbers.len()],
+            out_words: vec![0; out_numbers.len()],
             in_numbers,
             out_numbers,
         }
@@ -156,18 +161,14 @@ impl HardwareDut for MappedCycleDut {
     }
 
     fn clock(&mut self, pins_in: &PinFrame) -> PinFrame {
-        let words: Vec<u64> = self
-            .in_numbers
-            .iter()
-            .map(|&n| {
-                // Decode via the inport's own segments (frame -> value).
-                let port = self.map.inport(n).expect("validated at construction");
-                decode_inport(port, pins_in)
-            })
-            .collect();
-        let outs = self.dut.clock_edge(&words);
+        for (word, &n) in self.in_words.iter_mut().zip(&self.in_numbers) {
+            // Decode via the inport's own segments (frame -> value).
+            let port = self.map.inport(n).expect("validated at construction");
+            *word = decode_inport(port, pins_in);
+        }
+        self.dut.clock_edge(&self.in_words, &mut self.out_words);
         let mut frame: PinFrame = [0; LANES];
-        for (&n, value) in self.out_numbers.iter().zip(outs) {
+        for (&n, &value) in self.out_numbers.iter().zip(&self.out_words) {
             let port = self.map.outport(n).expect("validated at construction");
             encode_outport(port, value, &mut frame);
         }
@@ -204,7 +205,11 @@ pub struct PortSubsetDut {
     inner: Box<dyn CycleDut>,
     keep_in: Vec<usize>,
     keep_out: Vec<usize>,
+    /// The inner DUT's full input words: hidden ports hold their tied
+    /// constants, kept ports are overwritten on every edge.
     tied: Vec<u64>,
+    /// The inner DUT's full output words, reused across edges.
+    inner_out: Vec<u64>,
 }
 
 impl std::fmt::Debug for PortSubsetDut {
@@ -232,12 +237,12 @@ impl PortSubsetDut {
             keep_out.iter().all(|&o| o < n_out),
             "kept output out of range"
         );
-        let tied = vec![0u64; n_in];
         PortSubsetDut {
             inner,
             keep_in,
             keep_out,
-            tied,
+            tied: vec![0; n_in],
+            inner_out: vec![0; n_out],
         }
     }
 
@@ -267,13 +272,14 @@ impl CycleDut for PortSubsetDut {
         self.inner.reset();
     }
 
-    fn clock_edge(&mut self, inputs: &[u64]) -> Vec<u64> {
-        let mut full = self.tied.clone();
-        for (slot, &value) in self.keep_in.iter().zip(inputs) {
-            full[*slot] = value;
+    fn clock_edge(&mut self, inputs: &[u64], outputs: &mut [u64]) {
+        for (&slot, &value) in self.keep_in.iter().zip(inputs) {
+            self.tied[slot] = value;
         }
-        let outs = self.inner.clock_edge(&full);
-        self.keep_out.iter().map(|&o| outs[o]).collect()
+        self.inner.clock_edge(&self.tied, &mut self.inner_out);
+        for (word, &o) in outputs.iter_mut().zip(&self.keep_out) {
+            *word = self.inner_out[o];
+        }
     }
 }
 
@@ -377,8 +383,8 @@ mod tests {
             vec![PortDecl::new("y", 8)]
         }
         fn reset(&mut self) {}
-        fn clock_edge(&mut self, inputs: &[u64]) -> Vec<u64> {
-            vec![(inputs[0] + 1) & 0xFF]
+        fn clock_edge(&mut self, inputs: &[u64], outputs: &mut [u64]) {
+            outputs[0] = (inputs[0] + 1) & 0xFF;
         }
     }
 
@@ -421,8 +427,8 @@ mod tests {
                 vec![PortDecl::new("b", 20)]
             }
             fn reset(&mut self) {}
-            fn clock_edge(&mut self, inputs: &[u64]) -> Vec<u64> {
-                vec![inputs[0]]
+            fn clock_edge(&mut self, inputs: &[u64], outputs: &mut [u64]) {
+                outputs[0] = inputs[0];
             }
         }
         let (mut mapped, lanes) = MappedCycleDut::auto_mapped(Box::new(WideChip));

@@ -216,18 +216,22 @@ fn switch_cycle_follower(
     let sim = castanet_rtl::cycle::CycleSim::new(Box::new(config.rtl_switch()));
     let mut follower = CycleCosim::new(sim, config.clock_period, cell_type, HeaderFormat::Uni);
     for i in 0..config.ports {
-        follower.add_ingress(IngressIndices {
-            data: 3 * i,
-            sync: 3 * i + 1,
-            enable: 3 * i + 2,
-        });
+        follower
+            .add_ingress(IngressIndices {
+                data: 3 * i,
+                sync: 3 * i + 1,
+                enable: 3 * i + 2,
+            })
+            .expect("line pins are within the switch's port lists");
     }
     for i in 0..config.ports {
-        follower.add_egress(EgressIndices {
-            data: 3 * i,
-            sync: 3 * i + 1,
-            valid: 3 * i + 2,
-        });
+        follower
+            .add_egress(EgressIndices {
+                data: 3 * i,
+                sync: 3 * i + 1,
+                valid: 3 * i + 2,
+            })
+            .expect("line pins are within the switch's port lists");
     }
     follower
 }
@@ -406,18 +410,22 @@ fn switch_compiled_follower(
         HeaderFormat::Uni,
     );
     for i in 0..config.ports {
-        follower.add_ingress(IngressIndices {
-            data: 3 * i,
-            sync: 3 * i + 1,
-            enable: 3 * i + 2,
-        });
+        follower
+            .add_ingress(IngressIndices {
+                data: 3 * i,
+                sync: 3 * i + 1,
+                enable: 3 * i + 2,
+            })
+            .expect("line pins are within the switch's port lists");
     }
     for i in 0..config.ports {
-        follower.add_egress(EgressIndices {
-            data: 3 * i,
-            sync: 3 * i + 1,
-            valid: 3 * i + 2,
-        });
+        follower
+            .add_egress(EgressIndices {
+                data: 3 * i,
+                sync: 3 * i + 1,
+                valid: 3 * i + 2,
+            })
+            .expect("line pins are within the switch's port lists");
     }
     follower
 }

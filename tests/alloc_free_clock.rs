@@ -1,0 +1,208 @@
+//! Heap traffic on the DUT clock path. Once a follower has warmed up, an
+//! evaluated clock must not touch the allocator unless it completes a
+//! cell: the DUT writes into pins its caller owns and stimulus waits in a
+//! preallocated window. The test counts the allocator calls made on its
+//! own thread, so tests running beside it in the same process do not
+//! disturb the counts.
+
+// A `GlobalAlloc` impl is `unsafe` by definition; this counting shim over
+// `System` is the only unsafe code in the workspace.
+#![allow(unsafe_code)]
+
+use castanet::coupling::CoupledSimulator;
+use castanet::message::{Message, MessageTypeId};
+use castanet_atm::cell::AtmCell;
+use castanet_netsim::time::SimTime;
+use castanet_rtl::compiled::LaneBank;
+use castanet_rtl::cycle::CycleDut;
+use castanet_rtl::dut::{AtmSwitchRtl, SwitchRtlConfig};
+use coverify::scenarios::{self, SwitchScenarioConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// the caller's `GlobalAlloc` guarantees are exactly the ones `System`
+// needs; counting touches only a const-initialized thread-local `Cell`,
+// which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: forwarded; see the impl.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: forwarded; see the impl.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: forwarded; `ptr` came from this allocator, i.e. `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded; `ptr` came from this allocator, i.e. `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations (`alloc`, `alloc_zeroed`, `realloc`) made on this thread
+/// while `f` runs.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// Cells per ingress line in one burst.
+const BURST: u64 = 6;
+
+/// Delivers `BURST` back-to-back cells on every ingress line, all stamped
+/// at the follower's current time.
+fn deliver_burst(
+    follower: &mut impl CoupledSimulator,
+    config: &SwitchScenarioConfig,
+    cell_type: MessageTypeId,
+) {
+    let now = follower.now();
+    for k in 0..BURST {
+        for line in 0..config.ports {
+            let cell = AtmCell::user_data(config.in_conn(line), [k as u8; 48]);
+            follower
+                .deliver(Message::cell(now, cell_type, line, cell))
+                .expect("deliver");
+        }
+    }
+}
+
+/// Advances one clock per call until the burst has drained. Returns, per
+/// call, the response messages it returned and the allocations it made.
+fn drain_clock_by_clock(follower: &mut impl CoupledSimulator, period_ps: u64) -> Vec<(u64, u64)> {
+    (0..(BURST + 4) * 53)
+        .map(|_| {
+            let horizon = SimTime::from_picos(follower.now().as_picos() + 2 * period_ps);
+            let (responses, allocs) =
+                allocations(|| follower.advance_until(horizon).expect("advance"));
+            (responses.len() as u64, allocs)
+        })
+        .collect()
+}
+
+#[test]
+fn cycle_follower_clocks_allocate_only_for_completed_cells() {
+    let config = SwitchScenarioConfig::default();
+    let period_ps = config.clock_period.as_picos();
+    let (_net, mut follower) = scenarios::switch_cosim_cycle(config).coupling.into_parts();
+    let cell_type = MessageTypeId(0);
+
+    // Warm-up: the window, the switch FIFOs and the reassembly state reach
+    // their working sizes.
+    let cells = BURST * config.ports as u64;
+    deliver_burst(&mut follower, &config, cell_type);
+    let warm = drain_clock_by_clock(&mut follower, period_ps);
+    assert_eq!(warm.iter().map(|&(n, _)| n).sum::<u64>(), cells);
+
+    let evaluated = follower.clocks_evaluated();
+    let ((), deliver_allocs) = allocations(|| deliver_burst(&mut follower, &config, cell_type));
+    assert_eq!(
+        deliver_allocs, 0,
+        "a warmed-up window stores cells in place"
+    );
+    let calls = drain_clock_by_clock(&mut follower, period_ps);
+    assert_eq!(calls.iter().map(|&(n, _)| n).sum::<u64>(), cells);
+    for (clock, &(n, allocs)) in calls.iter().enumerate() {
+        assert!(
+            allocs <= n,
+            "clock {clock}: {allocs} allocations for {n} response messages"
+        );
+    }
+    let busy = follower.clocks_evaluated() - evaluated;
+    assert!(
+        busy >= BURST * 53 && busy <= calls.len() as u64,
+        "{busy} evaluated clocks in {} calls",
+        calls.len()
+    );
+}
+
+#[test]
+fn lane_bank_busy_clocks_allocate_nothing() {
+    let config = SwitchScenarioConfig::default();
+    let switch = || {
+        let mut s = AtmSwitchRtl::new(SwitchRtlConfig {
+            ports: config.ports,
+            fifo_capacity: 16,
+            table_capacity: 8,
+        });
+        for line in 0..config.ports {
+            let (ic, oc) = (config.in_conn(line), config.out_conn(line));
+            assert!(s.install_route(
+                ic.vpi.value() as u8,
+                ic.vci.value(),
+                config.out_port(line),
+                oc.vpi.value() as u8,
+                oc.vci.value(),
+            ));
+        }
+        Box::new(s) as Box<dyn CycleDut>
+    };
+    let mut bank = LaneBank::new((0..8).map(|_| switch()).collect());
+    let n_in = bank.input_ports().len();
+
+    // Every line of every lane streams cells back to back.
+    let mut clocks = Vec::new();
+    for k in 0..BURST {
+        let wires: Vec<_> = (0..config.ports)
+            .map(|line| {
+                AtmCell::user_data(config.in_conn(line), [k as u8; 48])
+                    .encode(castanet_atm::addr::HeaderFormat::Uni)
+                    .expect("encode")
+            })
+            .collect();
+        for octet in 0..53 {
+            let mut words = vec![0; n_in];
+            for (line, wire) in wires.iter().enumerate() {
+                words[3 * line] = u64::from(wire[octet]);
+                words[3 * line + 1] = u64::from(octet == 0);
+                words[3 * line + 2] = 1;
+            }
+            clocks.push(words);
+        }
+    }
+    clocks.extend(std::iter::repeat_n(vec![0; n_in], 2 * 53));
+
+    let run = |bank: &mut LaneBank| {
+        let mut valid = 0;
+        for words in &clocks {
+            for lane in 0..bank.lanes() {
+                bank.set_inputs(lane, words);
+            }
+            bank.clock_edge();
+            valid += (0..config.ports)
+                .filter(|&line| bank.output(0, 3 * line + 2) == 1)
+                .count();
+        }
+        valid
+    };
+    let warm = run(&mut bank);
+    let (valid, allocs) = allocations(|| run(&mut bank));
+    assert_eq!(valid, warm);
+    assert_eq!(valid as u64, BURST * 53 * config.ports as u64);
+    assert_eq!(allocs, 0, "{} busy lane-bank clocks", clocks.len());
+}

@@ -101,8 +101,8 @@ impl CycleDut for BuggySwitch {
         self.inner.reset();
         self.cells_seen = 0;
     }
-    fn clock_edge(&mut self, inputs: &[u64]) -> Vec<u64> {
-        let mut outs = self.inner.clock_edge(inputs);
+    fn clock_edge(&mut self, inputs: &[u64], outs: &mut [u64]) {
+        self.inner.clock_edge(inputs, outs);
         // Corrupt the 20th payload octet of every 7th egress cell on line 1.
         if outs[5] == 1 {
             if outs[4] == 1 {
@@ -113,7 +113,6 @@ impl CycleDut for BuggySwitch {
                 outs[3] ^= 0x01;
             }
         }
-        outs
     }
     fn is_idle(&self) -> bool {
         self.inner.is_idle()
@@ -275,16 +274,20 @@ fn cycle_follower_single_cell_latency_matches_structure() {
         MessageTypeId(0),
         HeaderFormat::Uni,
     );
-    follower.add_ingress(IngressIndices {
-        data: 0,
-        sync: 1,
-        enable: 2,
-    });
-    follower.add_egress(EgressIndices {
-        data: 3,
-        sync: 4,
-        valid: 5,
-    });
+    follower
+        .add_ingress(IngressIndices {
+            data: 0,
+            sync: 1,
+            enable: 2,
+        })
+        .unwrap();
+    follower
+        .add_egress(EgressIndices {
+            data: 3,
+            sync: 4,
+            valid: 5,
+        })
+        .unwrap();
     follower
         .deliver(Message::cell(
             SimTime::ZERO,

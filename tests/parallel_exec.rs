@@ -239,26 +239,34 @@ fn coupled(cells: u64, gap: SimDuration) -> (Coupling<CycleCosim>, CollectorHand
     assert!(switch.install_route(1, 40, 1, 7, 70));
     let sim = CycleSim::new(Box::new(switch));
     let mut follower = CycleCosim::new(sim, SimDuration::from_ns(20), cell_type, HeaderFormat::Uni);
-    follower.add_ingress(IngressIndices {
-        data: 0,
-        sync: 1,
-        enable: 2,
-    });
-    follower.add_ingress(IngressIndices {
-        data: 3,
-        sync: 4,
-        enable: 5,
-    });
-    follower.add_egress(EgressIndices {
-        data: 0,
-        sync: 1,
-        valid: 2,
-    });
-    follower.add_egress(EgressIndices {
-        data: 3,
-        sync: 4,
-        valid: 5,
-    });
+    follower
+        .add_ingress(IngressIndices {
+            data: 0,
+            sync: 1,
+            enable: 2,
+        })
+        .unwrap();
+    follower
+        .add_ingress(IngressIndices {
+            data: 3,
+            sync: 4,
+            enable: 5,
+        })
+        .unwrap();
+    follower
+        .add_egress(EgressIndices {
+            data: 0,
+            sync: 1,
+            valid: 2,
+        })
+        .unwrap();
+    follower
+        .add_egress(EgressIndices {
+            data: 3,
+            sync: 4,
+            valid: 5,
+        })
+        .unwrap();
     (
         Coupling::new(net, follower, sync, cell_type, iface, outbox),
         got,

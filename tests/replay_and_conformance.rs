@@ -31,16 +31,20 @@ fn fresh_follower() -> CycleCosim {
         MessageTypeId(1),
         HeaderFormat::Uni,
     );
-    follower.add_ingress(IngressIndices {
-        data: 0,
-        sync: 1,
-        enable: 2,
-    });
-    follower.add_egress(EgressIndices {
-        data: 3,
-        sync: 4,
-        valid: 5,
-    });
+    follower
+        .add_ingress(IngressIndices {
+            data: 0,
+            sync: 1,
+            enable: 2,
+        })
+        .unwrap();
+    follower
+        .add_egress(EgressIndices {
+            data: 3,
+            sync: 4,
+            valid: 5,
+        })
+        .unwrap();
     follower
 }
 
@@ -134,26 +138,34 @@ fn replay_through_parallel_executor(records: &[TraceRecord]) -> Vec<(u64, AtmCel
     assert!(switch.install_route(1, 41, 1, 7, 71));
     let sim = CycleSim::new(Box::new(switch));
     let mut follower = CycleCosim::new(sim, SimDuration::from_ns(20), cell_type, HeaderFormat::Uni);
-    follower.add_ingress(IngressIndices {
-        data: 0,
-        sync: 1,
-        enable: 2,
-    });
-    follower.add_ingress(IngressIndices {
-        data: 3,
-        sync: 4,
-        enable: 5,
-    });
-    follower.add_egress(EgressIndices {
-        data: 0,
-        sync: 1,
-        valid: 2,
-    });
-    follower.add_egress(EgressIndices {
-        data: 3,
-        sync: 4,
-        valid: 5,
-    });
+    follower
+        .add_ingress(IngressIndices {
+            data: 0,
+            sync: 1,
+            enable: 2,
+        })
+        .unwrap();
+    follower
+        .add_ingress(IngressIndices {
+            data: 3,
+            sync: 4,
+            enable: 5,
+        })
+        .unwrap();
+    follower
+        .add_egress(EgressIndices {
+            data: 0,
+            sync: 1,
+            valid: 2,
+        })
+        .unwrap();
+    follower
+        .add_egress(EgressIndices {
+            data: 3,
+            sync: 4,
+            valid: 5,
+        })
+        .unwrap();
 
     let mut coupling =
         castanet::coupling::Coupling::new(net, follower, sync, cell_type, iface, outbox)
@@ -218,7 +230,8 @@ fn walking_ones_pass_through_the_receiver_dut() {
         for (i, &b) in wire.iter().enumerate() {
             last = sim
                 .step(&[u64::from(b), u64::from(i == 0), 1, 0])
-                .expect("step");
+                .expect("step")
+                .to_vec();
         }
         assert_eq!(last[0], 1, "cell_valid for {cell}");
         assert_eq!(last[1], 1, "hec ok for {cell}");
@@ -242,7 +255,8 @@ fn hec_error_campaign_through_the_receiver_dut() {
         for (i, &b) in wire.iter().enumerate() {
             last = sim
                 .step(&[u64::from(b), u64::from(i == 0), 1, 0])
-                .expect("step");
+                .expect("step")
+                .to_vec();
         }
         assert_eq!(last[0], 1, "cell completes (bit {bit})");
         assert_eq!(last[1], 0, "hec flagged (bit {bit})");
@@ -252,7 +266,8 @@ fn hec_error_campaign_through_the_receiver_dut() {
         for (i, &b) in wire.iter().enumerate() {
             last = sim
                 .step(&[u64::from(b), u64::from(i == 0), 1, 0])
-                .expect("step");
+                .expect("step")
+                .to_vec();
         }
         assert_eq!(last[1], 0, "double-bit corruption flagged");
     }
@@ -262,7 +277,8 @@ fn hec_error_campaign_through_the_receiver_dut() {
     for (i, &b) in wire.iter().enumerate() {
         last = sim
             .step(&[u64::from(b), u64::from(i == 0), 1, 0])
-            .expect("step");
+            .expect("step")
+            .to_vec();
     }
     assert_eq!(last[1], 1);
 }

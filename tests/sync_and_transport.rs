@@ -182,16 +182,20 @@ fn full_coupling_over_unix_sockets_two_thread_deployment() {
             MessageTypeId(0),
             castanet_atm::addr::HeaderFormat::Uni,
         );
-        follower.add_ingress(IngressIndices {
-            data: 0,
-            sync: 1,
-            enable: 2,
-        });
-        follower.add_egress(EgressIndices {
-            data: 3,
-            sync: 4,
-            valid: 5,
-        });
+        follower
+            .add_ingress(IngressIndices {
+                data: 0,
+                sync: 1,
+                enable: 2,
+            })
+            .unwrap();
+        follower
+            .add_egress(EgressIndices {
+                data: 3,
+                sync: 4,
+                valid: 5,
+            })
+            .unwrap();
         FollowerServer::new(server_t, follower).serve()
     });
 

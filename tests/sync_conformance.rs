@@ -104,26 +104,34 @@ fn routed_switch() -> AtmSwitchRtl {
 fn fresh_follower(cell_type: MessageTypeId) -> CycleCosim {
     let sim = CycleSim::new(Box::new(routed_switch()));
     let mut follower = CycleCosim::new(sim, CLK, cell_type, HeaderFormat::Uni);
-    follower.add_ingress(IngressIndices {
-        data: 0,
-        sync: 1,
-        enable: 2,
-    });
-    follower.add_ingress(IngressIndices {
-        data: 3,
-        sync: 4,
-        enable: 5,
-    });
-    follower.add_egress(EgressIndices {
-        data: 0,
-        sync: 1,
-        valid: 2,
-    });
-    follower.add_egress(EgressIndices {
-        data: 3,
-        sync: 4,
-        valid: 5,
-    });
+    follower
+        .add_ingress(IngressIndices {
+            data: 0,
+            sync: 1,
+            enable: 2,
+        })
+        .unwrap();
+    follower
+        .add_ingress(IngressIndices {
+            data: 3,
+            sync: 4,
+            enable: 5,
+        })
+        .unwrap();
+    follower
+        .add_egress(EgressIndices {
+            data: 0,
+            sync: 1,
+            valid: 2,
+        })
+        .unwrap();
+    follower
+        .add_egress(EgressIndices {
+            data: 3,
+            sync: 4,
+            valid: 5,
+        })
+        .unwrap();
     follower
 }
 
@@ -164,26 +172,34 @@ fn fresh_compiled_follower(cell_type: MessageTypeId, lanes: usize) -> CompiledCo
         .map(|_| Box::new(routed_switch()) as Box<dyn CycleDut>)
         .collect();
     let mut follower = CompiledCosim::new(LaneBank::new(duts), CLK, cell_type, HeaderFormat::Uni);
-    follower.add_ingress(IngressIndices {
-        data: 0,
-        sync: 1,
-        enable: 2,
-    });
-    follower.add_ingress(IngressIndices {
-        data: 3,
-        sync: 4,
-        enable: 5,
-    });
-    follower.add_egress(EgressIndices {
-        data: 0,
-        sync: 1,
-        valid: 2,
-    });
-    follower.add_egress(EgressIndices {
-        data: 3,
-        sync: 4,
-        valid: 5,
-    });
+    follower
+        .add_ingress(IngressIndices {
+            data: 0,
+            sync: 1,
+            enable: 2,
+        })
+        .unwrap();
+    follower
+        .add_ingress(IngressIndices {
+            data: 3,
+            sync: 4,
+            enable: 5,
+        })
+        .unwrap();
+    follower
+        .add_egress(EgressIndices {
+            data: 0,
+            sync: 1,
+            valid: 2,
+        })
+        .unwrap();
+    follower
+        .add_egress(EgressIndices {
+            data: 3,
+            sync: 4,
+            valid: 5,
+        })
+        .unwrap();
     follower
 }
 
@@ -321,6 +337,7 @@ fn opt_step(state: &mut OptState, cell: &AtmCell) -> Vec<AtmCell> {
     let mut clocks = 0u32;
     let mut fed = 0usize;
     // Feed 53 octets, then idle until the switch pipeline drains.
+    let mut outputs = [0u64; 9];
     while fed < wire.len() || !state.switch.is_idle() {
         let mut inputs = [0u64; 12];
         if fed < wire.len() {
@@ -329,7 +346,7 @@ fn opt_step(state: &mut OptState, cell: &AtmCell) -> Vec<AtmCell> {
             inputs[2] = 1;
             fed += 1;
         }
-        let outputs = state.switch.clock_edge(&inputs);
+        state.switch.clock_edge(&inputs, &mut outputs);
         if outputs[5] == 1 {
             if let Some(cell) = state
                 .rx
