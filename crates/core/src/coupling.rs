@@ -87,6 +87,15 @@ pub trait CoupledSimulator {
     /// The follower's current local time.
     fn now(&self) -> SimTime;
 
+    /// `true` when the follower knows that an advance to `horizon` has
+    /// nothing to simulate and so returns at once. The serial coupling
+    /// uses it only to skip timing such advances for the trace; the
+    /// default `false` is always correct.
+    fn idle_before(&self, horizon: SimTime) -> bool {
+        let _ = horizon;
+        false
+    }
+
     /// Error-level structural findings about the follower itself, each
     /// rendered as a `location: message` string prefixed with its stable
     /// diagnostic code. Strict-mode [`Coupling::run`] refuses to start
@@ -186,14 +195,18 @@ impl CoupledSimulator for RtlCosim {
         // Batched sweep: run the whole window in one kernel call and drain
         // the egress monitors once. The monitors stamp each cell at its
         // completion edge, so collecting late loses no timing information —
-        // this skips the per-time-point `collect` (two mutex locks per
-        // step) that `advance_until`'s zero-overshoot loop pays.
+        // this skips the per-time-point `collect` (one atomic load per
+        // egress line) that `advance_until`'s zero-overshoot loop pays.
         self.sim.run_until(horizon)?;
         Ok(self.entity.collect())
     }
 
     fn now(&self) -> SimTime {
         self.sim.now()
+    }
+
+    fn idle_before(&self, horizon: SimTime) -> bool {
+        self.sim.pending_time().is_none_or(|t| t >= horizon)
     }
 
     fn set_telemetry(&mut self, tel: &Telemetry) {
@@ -261,8 +274,8 @@ impl SyncCounters {
 /// (serial coupling: the follower never runs concurrently with the
 /// network), the same arrival additionally counts as a `late_response`,
 /// because only a feedforward violation can produce it there. A call that
-/// deferred anything records one `sync.deferred_window` phase span
-/// covering the injection pass.
+/// deferred anything records one `sync.deferred_window` phase span, from
+/// its first deferral to the end of the injection pass.
 pub(crate) fn inject_responses(
     net: &mut Kernel,
     stats: &mut CouplingStats,
@@ -273,8 +286,9 @@ pub(crate) fn inject_responses(
     counters: &SyncCounters,
 ) -> Result<usize, CastanetError> {
     let mut injected = 0;
-    let mut deferred_here = 0u64;
-    let pass_start = tel.now_ns();
+    // Read the clock only once a response is actually deferred: most
+    // passes defer nothing and would discard the stamp.
+    let mut pass_start = None;
     for msg in responses {
         let MessagePayload::Cell(cell) = msg.payload else {
             // Undecodable DUT output (raw payload): the network model
@@ -285,7 +299,7 @@ pub(crate) fn inject_responses(
         let now = net.now();
         let at = if msg.stamp < now {
             stats.deferred_responses += 1;
-            deferred_here += 1;
+            pass_start.get_or_insert_with(|| tel.now_ns());
             counters.deferred.inc();
             let kind = if pipelined {
                 EventKind::DeferredResponse {
@@ -323,12 +337,12 @@ pub(crate) fn inject_responses(
         stats.responses += 1;
         injected += 1;
     }
-    if deferred_here > 0 && tel.micro_gate() {
+    if let Some(start) = pass_start.filter(|_| tel.micro_gate()) {
         tel.record_phase(
             Track::Originator,
             net.now().as_picos(),
             Phase::SyncDeferredWindow,
-            pass_start,
+            start,
         );
     }
     Ok(injected)
@@ -543,22 +557,22 @@ impl<S: CoupledSimulator> Coupling<S> {
                     },
                 );
             }
-            let advance_start = if self.tel.trace_active() {
-                self.tel.now_ns()
-            } else {
-                0
-            };
+            // Most turns advance a follower with nothing to simulate
+            // before `horizon`; such an advance returns at once, so it is
+            // not worth a clock read.
+            let advance_start = (self.tel.trace_active() && !self.follower.idle_before(horizon))
+                .then(|| self.tel.now_ns());
             let responses = self.follower.advance_until(horizon)?;
             // Response-bearing advances always record; empty ones are
             // per-iteration plumbing (most loop turns return nothing) and
             // are thinned to the micro-sample stride — two clock reads per
             // otherwise-idle turn is what used to dominate the full-trace
             // overhead budget.
-            if !responses.is_empty() || self.tel.micro_gate() {
+            if self.tel.trace_active() && (!responses.is_empty() || self.tel.micro_gate()) {
                 self.tel.record_span(
                     Track::Follower,
                     horizon.as_picos(),
-                    advance_start,
+                    advance_start.unwrap_or_else(|| self.tel.now_ns()),
                     EventKind::FollowerAdvance {
                         granted_ps: horizon.as_picos(),
                         responses: responses.len() as u64,

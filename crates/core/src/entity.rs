@@ -267,6 +267,10 @@ impl CosimEntity {
     /// response messages to `out` and reuses the internal monitor-drain
     /// buffer, so polling with no pending cells touches no allocator.
     pub fn collect_into(&mut self, out: &mut Vec<Message>) {
+        if self.egress.iter().all(MonitorHandle::is_empty) {
+            // The per-time-step poll: nothing captured, nothing to move.
+            return;
+        }
         let mut captured = std::mem::take(&mut self.captured_scratch);
         for (port, handle) in self.egress.iter().enumerate() {
             captured.clear();

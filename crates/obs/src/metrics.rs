@@ -133,8 +133,15 @@ impl Histogram {
             // with Acquire sees at least that many bucket entries.
             cell.count.fetch_add(1, Ordering::Release);
             cell.sum.fetch_add(value, Ordering::Relaxed);
-            cell.min.fetch_min(value, Ordering::Relaxed);
-            cell.max.fetch_max(value, Ordering::Relaxed);
+            // `fetch_min`/`fetch_max` lower to compare-exchange loops;
+            // most observations move neither bound, and a bound only ever
+            // moves one way, so a plain load decides when to pay for one.
+            if value < cell.min.load(Ordering::Relaxed) {
+                cell.min.fetch_min(value, Ordering::Relaxed);
+            }
+            if value > cell.max.load(Ordering::Relaxed) {
+                cell.max.fetch_max(value, Ordering::Relaxed);
+            }
         }
     }
 

@@ -58,8 +58,13 @@ pub(crate) struct SignalState {
     drivers: Vec<(ProcId, LogicVector)>,
     /// Current resolved value.
     pub(crate) value: LogicVector,
-    /// Value before the most recent event (for edge detection).
-    pub(crate) previous: LogicVector,
+    /// `value.to_u64()`, refreshed on every event: processes read far
+    /// more often than values change.
+    pub(crate) value_u64: Option<u64>,
+    /// Bit 0 of `value`, and bit 0 of the value before the most recent
+    /// event (for edge detection).
+    pub(crate) bit0: Logic,
+    prev_bit0: Logic,
     /// Time of the most recent event.
     pub(crate) last_event: Option<SimTime>,
     /// Number of events (resolved-value changes) on this signal.
@@ -73,7 +78,9 @@ impl SignalState {
             width,
             drivers: Vec::new(),
             value: LogicVector::uninitialized(width),
-            previous: LogicVector::uninitialized(width),
+            value_u64: None,
+            bit0: Logic::U,
+            prev_bit0: Logic::U,
             last_event: None,
             event_count: 0,
         }
@@ -109,7 +116,10 @@ impl SignalState {
         if resolved == self.value {
             false
         } else {
-            self.previous = std::mem::replace(&mut self.value, resolved);
+            self.value_u64 = resolved.to_u64();
+            self.prev_bit0 = self.bit0;
+            self.bit0 = resolved.bit(0);
+            self.value = resolved;
             self.last_event = Some(at);
             self.event_count += 1;
             true
@@ -123,12 +133,12 @@ impl SignalState {
 
     /// Rising edge at `t` on bit 0.
     pub(crate) fn rising_at(&self, t: SimTime) -> bool {
-        self.event_at(t) && self.value.bit(0).is_one() && !self.previous.bit(0).is_one()
+        self.event_at(t) && self.bit0.is_one() && !self.prev_bit0.is_one()
     }
 
     /// Falling edge at `t` on bit 0.
     pub(crate) fn falling_at(&self, t: SimTime) -> bool {
-        self.event_at(t) && self.value.bit(0).is_zero() && !self.previous.bit(0).is_zero()
+        self.event_at(t) && self.bit0.is_zero() && !self.prev_bit0.is_zero()
     }
 }
 

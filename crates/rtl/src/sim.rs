@@ -19,7 +19,7 @@ use crate::signal::{ProcId, SignalId, SignalInfo, SignalState};
 use crate::vector::LogicVector;
 use crate::wheel::TimingWheel;
 use castanet_netsim::time::{SimDuration, SimTime};
-use castanet_obs::{Counter, Gauge, Phase, Telemetry, Track};
+use castanet_obs::{Counter, Gauge, Phase, Telemetry, Track, MICRO_SAMPLE_STRIDE};
 use std::collections::HashMap;
 
 /// A pending signal assignment or process wake-up. Time lives in the
@@ -179,6 +179,12 @@ pub struct Simulator {
     /// (`kernel.pop`/`kernel.eval`/`kernel.delta`) and the
     /// `kernel.advance` span.
     tel: Telemetry,
+    /// `tel` records trace events, so the micro-phases are sampled.
+    micro_armed: bool,
+    /// Time steps since the last sampled one; the kernel counts the
+    /// [`MICRO_SAMPLE_STRIDE`] itself instead of ticking the telemetry's
+    /// thread-local counter on every step.
+    micro_tick: u64,
 }
 
 impl std::fmt::Debug for Simulator {
@@ -232,6 +238,8 @@ impl Simulator {
             obs_wheel_cascade: Counter::default(),
             obs_wheel_occupancy: Gauge::default(),
             tel: Telemetry::disabled(),
+            micro_armed: false,
+            micro_tick: 0,
         }
     }
 
@@ -241,6 +249,7 @@ impl Simulator {
     /// telemetry the instruments are no-ops.
     pub fn set_telemetry(&mut self, tel: &Telemetry) {
         self.tel = tel.clone();
+        self.micro_armed = tel.trace_active();
         self.obs_queue_depth = tel.gauge("rtl.queue_depth");
         self.obs_wheel_cascade = tel.counter("rtl.wheel_cascade");
         self.obs_wheel_occupancy = tel.gauge("rtl.wheel_occupancy");
@@ -666,13 +675,13 @@ impl Simulator {
     /// Bit 0 of a signal.
     #[must_use]
     pub fn read_bit(&self, signal: SignalId) -> Logic {
-        self.signals[signal.0].value.bit(0)
+        self.signals[signal.0].bit0
     }
 
     /// Unsigned reading of a signal, when fully defined.
     #[must_use]
     pub fn read_u64(&self, signal: SignalId) -> Option<u64> {
-        self.signals[signal.0].value.to_u64()
+        self.signals[signal.0].value_u64
     }
 
     // ------------------------------------------------------------------
@@ -695,7 +704,14 @@ impl Simulator {
     #[must_use]
     pub fn next_time(&mut self) -> Option<SimTime> {
         self.elaborate();
-        if !self.delta.is_empty() {
+        self.pending_time()
+    }
+
+    /// [`Simulator::next_time`] without elaborating: until the first
+    /// advance, the processes' initial activity counts as pending at `now`.
+    #[must_use]
+    pub fn pending_time(&self) -> Option<SimTime> {
+        if !self.elaborated || !self.delta.is_empty() {
             // Elaboration-staged zero-delay activity sits at `now`.
             return Some(self.now);
         }
@@ -753,7 +769,10 @@ impl Simulator {
         // Sampled micro-phase breakdown of this step: `kernel.pop` is the
         // first spin's transaction collection, `kernel.eval` the first
         // spin's apply/wake/run, `kernel.delta` every follow-up delta spin.
-        let sampled = self.tel.micro_gate();
+        let sampled = self.micro_armed && {
+            self.micro_tick = (self.micro_tick + 1) % MICRO_SAMPLE_STRIDE;
+            self.micro_tick == 1
+        };
         let mut mark = if sampled { self.tel.now_ns() } else { 0 };
         loop {
             // Collect every transaction scheduled for exactly `t` *now*;
@@ -1008,13 +1027,13 @@ impl RtlCtx<'_> {
     /// Bit 0 of a signal.
     #[must_use]
     pub fn read_bit(&self, signal: SignalId) -> Logic {
-        self.signals[signal.0].value.bit(0)
+        self.signals[signal.0].bit0
     }
 
     /// Unsigned reading, when fully defined.
     #[must_use]
     pub fn read_u64(&self, signal: SignalId) -> Option<u64> {
-        self.signals[signal.0].value.to_u64()
+        self.signals[signal.0].value_u64
     }
 
     /// `true` when `signal` had an event in the delta cycle that woke this
@@ -1127,6 +1146,20 @@ mod tests {
         assert_eq!(sim.read_bit(b), Logic::Zero);
         assert_eq!(sim.read_bit(c), Logic::One);
         assert_eq!(sim.now(), SimTime::from_ns(10));
+    }
+
+    #[test]
+    fn pending_time_is_next_time_without_elaborating() {
+        let mut sim = Simulator::new();
+        let a = sim.add_signal("a", 1);
+        sim.poke_bit(a, Logic::One, SimTime::from_ns(5)).unwrap();
+        // Not elaborated yet: `now` conservatively counts as pending.
+        assert_eq!(sim.pending_time(), Some(SimTime::ZERO));
+        assert_eq!(sim.next_time(), Some(SimTime::from_ns(5)));
+        assert_eq!(sim.pending_time(), Some(SimTime::from_ns(5)));
+        sim.run_to_quiescence().unwrap();
+        assert_eq!(sim.pending_time(), None);
+        assert_eq!(sim.next_time(), None);
     }
 
     #[test]

@@ -20,6 +20,7 @@ use castanet_atm::cell::CELL_OCTETS;
 use castanet_atm::idle::idle_cell_bytes;
 use castanet_netsim::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A cell scheduled for a specific cell slot on one line.
@@ -151,20 +152,22 @@ type CapturedCell = (SimTime, [u8; CELL_OCTETS]);
 #[derive(Debug, Clone, Default)]
 pub struct MonitorHandle {
     cells: Arc<Mutex<Vec<CapturedCell>>>,
+    /// `cells.len()`, stored under the lock and readable without it, so a
+    /// collector polling after every time step pays one atomic load while
+    /// nothing has been captured.
+    count: Arc<AtomicUsize>,
 }
 
 impl MonitorHandle {
     /// Number of captured cells.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lock is poisoned.
+    #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
-        self.cells.lock().expect("monitor lock poisoned").len()
+        self.count.load(Ordering::Acquire)
     }
 
     /// `true` when nothing has been captured.
+    #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -177,19 +180,27 @@ impl MonitorHandle {
     /// Panics if the lock is poisoned.
     #[must_use]
     pub fn take(&self) -> Vec<(SimTime, [u8; CELL_OCTETS])> {
-        std::mem::take(&mut *self.cells.lock().expect("monitor lock poisoned"))
+        let mut cells = self.cells.lock().expect("monitor lock poisoned");
+        self.count.store(0, Ordering::Release);
+        std::mem::take(&mut *cells)
     }
 
     /// Drains the captured `(completion time, cell)` pairs into `out`,
     /// preserving order. Unlike [`MonitorHandle::take`] this keeps the
     /// internal buffer's capacity, so a polling collector allocates
-    /// nothing in steady state.
+    /// nothing in steady state, and an empty poll takes no lock.
     ///
     /// # Panics
     ///
     /// Panics if the lock is poisoned.
+    #[inline]
     pub fn drain_into(&self, out: &mut Vec<(SimTime, [u8; CELL_OCTETS])>) {
-        out.extend(self.cells.lock().expect("monitor lock poisoned").drain(..));
+        if self.is_empty() {
+            return;
+        }
+        let mut cells = self.cells.lock().expect("monitor lock poisoned");
+        self.count.store(0, Ordering::Release);
+        out.extend(cells.drain(..));
     }
 }
 
@@ -234,11 +245,9 @@ impl RtlProcess for CellStreamMonitor {
             if self.index == CELL_OCTETS {
                 self.index = 0;
                 self.in_cell = false;
-                self.out
-                    .cells
-                    .lock()
-                    .expect("monitor lock poisoned")
-                    .push((ctx.now(), self.shift));
+                let mut cells = self.out.cells.lock().expect("monitor lock poisoned");
+                cells.push((ctx.now(), self.shift));
+                self.out.count.store(cells.len(), Ordering::Release);
             }
         }
     }

@@ -433,9 +433,15 @@ impl LogicVector {
 
 impl PartialEq for LogicVector {
     fn eq(&self, other: &Self) -> bool {
-        // Trailing nibbles are zero by invariant, so word equality is
-        // exact bit equality.
-        self.len == other.len && self.words() == other.words()
+        // Trailing nibbles (and unused inline words) are zero by
+        // invariant, so word equality is exact bit equality. Comparing the
+        // fixed-size inline arrays avoids the run-time-length slice
+        // compare, which lowers to a `bcmp` call.
+        self.len == other.len
+            && match (&self.words, &other.words) {
+                (Words::Inline(a), Words::Inline(b)) => a == b,
+                _ => self.words() == other.words(),
+            }
     }
 }
 

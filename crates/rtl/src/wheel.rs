@@ -11,7 +11,10 @@
 //! slot vector — `O(1)`, no comparisons. Popping drains the slot holding
 //! the earliest timestamp; entries parked in coarse levels cascade down
 //! at most once per level as the base advances, so the amortized cost per
-//! entry is `O(levels)` with tiny constants.
+//! entry is `O(levels)` with tiny constants. The earliest pending
+//! timestamp is cached: a push can only lower it, and `pop_into`
+//! recomputes it once, so [`TimingWheel::peek`] is a field read even when
+//! the minimum sits in a coarse slot that would otherwise need a scan.
 //!
 //! Ordering contract (what the simulator relies on):
 //!
@@ -20,7 +23,8 @@
 //!   that timestamp and appends them to the output in push order (pushes
 //!   are globally sequence-numbered by the caller and monotone, so push
 //!   order *is* seq order — the property-based test against a
-//!   `BinaryHeap` reference model in `tests/rtl_kernel_props.rs` checks
+//!   `BinaryHeap` reference model in
+//!   `tests/props.rs::timing_wheel_matches_binary_heap_reference` checks
 //!   this end to end);
 //! * the base only advances inside `pop_into`, so a caller may keep
 //!   pushing timestamps as early as the last popped time (the simulator's
@@ -46,6 +50,11 @@ pub struct TimingWheel<T> {
     /// All stored timestamps are `>= base`; advanced by `pop_into`.
     base: u64,
     len: usize,
+    /// Earliest timestamp in each slot (`u64::MAX` while it is empty),
+    /// flattened like `slots`.
+    slot_min: Vec<u64>,
+    /// Earliest stored timestamp; `u64::MAX` while the wheel is empty.
+    min: u64,
     /// Entries moved between slots since the last [`Self::take_cascaded`].
     cascaded: u64,
 }
@@ -76,6 +85,8 @@ impl<T> TimingWheel<T> {
             occupied: [0; LEVELS],
             base: 0,
             len: 0,
+            slot_min: vec![u64::MAX; LEVELS * SLOTS],
+            min: u64::MAX,
             cascaded: 0,
         }
     }
@@ -126,40 +137,33 @@ impl<T> TimingWheel<T> {
         );
         let level = self.level_of(time);
         let slot = ((time >> (level * LEVEL_BITS)) & SLOT_MASK) as usize;
-        self.slots[level * SLOTS + slot].push((time, item));
+        let index = level * SLOTS + slot;
+        self.slots[index].push((time, item));
+        self.slot_min[index] = self.slot_min[index].min(time);
         self.occupied[level] |= 1 << slot;
         self.len += 1;
+        self.min = self.min.min(time);
     }
 
     /// Earliest pending timestamp, without disturbing the wheel.
-    ///
-    /// Within one level every surviving entry shares the base's digits
-    /// above that level (anything else would be `< base`), so the first
-    /// occupied slot of each level bounds that level's minimum; level 0
-    /// slots hold a single exact time, coarser slots are scanned.
     #[must_use]
     pub fn peek(&self) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        let mut best: Option<u64> = None;
-        for level in 0..LEVELS {
-            if self.occupied[level] == 0 {
-                continue;
-            }
-            let slot = self.occupied[level].trailing_zeros() as usize;
-            let candidate = if level == 0 {
-                (self.base & !SLOT_MASK) | slot as u64
-            } else {
-                self.slots[level * SLOTS + slot]
-                    .iter()
-                    .map(|&(t, _)| t)
-                    .min()
-                    .expect("occupancy bit set for empty slot")
-            };
-            best = Some(best.map_or(candidate, |b| b.min(candidate)));
-        }
-        best
+        (self.len > 0).then_some(self.min)
+    }
+
+    /// Recomputes the earliest stored timestamp (`u64::MAX` when empty):
+    /// within one level every entry shares the base's digits above that
+    /// level (anything else would be `< base`), so the first occupied slot
+    /// of each level holds that level's minimum.
+    fn scan_min(&self) -> u64 {
+        (0..LEVELS)
+            .filter(|&level| self.occupied[level] != 0)
+            .map(|level| {
+                let slot = self.occupied[level].trailing_zeros() as usize;
+                self.slot_min[level * SLOTS + slot]
+            })
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// Removes every entry scheduled for the earliest pending timestamp,
@@ -183,6 +187,7 @@ impl<T> TimingWheel<T> {
             }
             let index = level * SLOTS + slot;
             let mut entries = std::mem::take(&mut self.slots[index]);
+            self.slot_min[index] = u64::MAX;
             self.occupied[level] &= !(1 << slot);
             self.len -= entries.len();
             for (t, item) in entries.drain(..) {
@@ -199,6 +204,7 @@ impl<T> TimingWheel<T> {
                 self.slots[index] = entries;
             }
         }
+        self.min = self.scan_min();
         Some(time)
     }
 }

@@ -19,7 +19,7 @@ use castanet_netsim::process::CollectorProcess;
 use castanet_netsim::time::{SimDuration, SimTime};
 use castanet_rtl::cycle::{attach_cycle_dut, CycleDut, PortDecl};
 use castanet_rtl::dut::{AtmSwitchRtl, SwitchRtlConfig};
-use castanet_rtl::sim::Simulator;
+use castanet_rtl::sim::{SimCounters, Simulator};
 use coverify::scenarios::{
     compare_switch_output, switch_cosim, switch_cosim_cycle, switch_on_board, SwitchScenarioConfig,
 };
@@ -40,6 +40,37 @@ fn large_mixed_workload_verifies_clean() {
     let report = compare_switch_output(&scenario.config, &scenario.collectors);
     assert!(report.passed(), "{report}");
     assert_eq!(report.matched, 800);
+}
+
+/// Pins the event kernel's work on a small switch run (the E12 bench
+/// configuration): a kernel change meant only to be faster must leave
+/// every count, including time steps and process runs, where it is.
+#[test]
+fn event_kernel_counts_are_pinned_on_a_small_switch_run() {
+    let config = SwitchScenarioConfig {
+        cells_per_source: 25,
+        clock_period: SimDuration::from_ns(20),
+        cell_gap: SimDuration::from_us(10),
+        mixed_traffic: false,
+        seed: 1998,
+        ..SwitchScenarioConfig::default()
+    };
+    let scenario = switch_cosim(config);
+    let mut coupling = scenario.coupling;
+    coupling.run(SimTime::from_secs(1)).expect("run");
+    assert_eq!(
+        coupling.follower().sim().counters(),
+        SimCounters {
+            transactions: 16_166,
+            events: 15_562,
+            delta_cycles: 13_206,
+            process_runs: 19_814,
+            time_steps: 6_679,
+        }
+    );
+    let report = compare_switch_output(&scenario.config, &scenario.collectors);
+    assert!(report.passed(), "{report}");
+    assert_eq!(report.matched, 100);
 }
 
 #[test]

@@ -755,6 +755,13 @@ fn timing_wheel_matches_binary_heap_reference() {
                     reference.push(Reverse((t, seq)));
                     seq += 1;
                 }
+                // `peek` is cached, so a push (even one at the current
+                // base) must lower it on the spot.
+                assert_eq!(
+                    wheel.peek(),
+                    reference.peek().map(|Reverse((t, _))| *t),
+                    "peek after a push burst"
+                );
             } else {
                 now = pop_step(&mut wheel, &mut reference, &mut out);
             }
@@ -770,6 +777,13 @@ fn timing_wheel_matches_binary_heap_reference() {
 
 fn gen_logic(g: &mut Gen) -> Logic {
     Logic::ALL[g.range_usize(0, 9)]
+}
+
+fn hash_of(v: &LogicVector) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
 }
 
 fn is_binary(l: Logic) -> bool {
@@ -810,12 +824,150 @@ fn packed_vector_matches_naive_model() {
         let lo = g.range_usize(0, width);
         let w = g.range_usize(1, width - lo + 1);
         assert_eq!(v.slice(lo, w).to_bits(), &model[lo..lo + w]);
+        assert_eq!(v.slice(lo, w), LogicVector::from_bits(&model[lo..lo + w]));
+        // Equality (and a hash consistent with it) is element-wise
+        // equality, whichever storage either side uses.
+        let mut other = model.clone();
+        if g.bool() {
+            let i = g.range_usize(0, width);
+            other[i] = gen_logic(g);
+        }
+        let w_other = LogicVector::from_bits(&other);
+        assert_eq!(v == w_other, model == other);
+        if model == other {
+            assert_eq!(hash_of(&v), hash_of(&w_other));
+        }
         // Concatenation across arbitrary (non-word-aligned) boundaries.
         let hi_model = g.vec_of(1, 130, gen_logic);
         let cat = v.concat_high(&LogicVector::from_bits(&hi_model));
         let mut cat_model = model.clone();
         cat_model.extend_from_slice(&hi_model);
         assert_eq!(cat.to_bits(), cat_model);
+    });
+}
+
+/// A random value for a `width`-bit signal: any of the nine states per
+/// bit, a binary value (`0`/`1`/`L`/`H`), all-`X`, or a released (all-`Z`)
+/// driver.
+fn gen_drive(g: &mut Gen, width: usize) -> LogicVector {
+    match g.range_usize(0, 4) {
+        0 => LogicVector::from_bits(&g.vec_of(width, width + 1, gen_logic)),
+        1 => LogicVector::from_bits(&g.vec_of(width, width + 1, |g| {
+            [Logic::Zero, Logic::One, Logic::L, Logic::H][g.range_usize(0, 4)]
+        })),
+        2 => LogicVector::filled(Logic::X, width),
+        _ => LogicVector::high_z(width),
+    }
+}
+
+/// The kernel's cached two-state reads (`read_u64`, `read_bit`, `rising`,
+/// `falling`) against the resolved value itself, on a live simulator:
+/// random multi-driver traffic over all nine states at widths 1..=80 (so
+/// the 64-bit inline boundary is crossed), checked from inside a probe
+/// process after every event and from outside after every time step.
+#[test]
+fn two_state_reads_match_the_resolved_value() {
+    use castanet_rtl::signal::SignalId;
+    use castanet_rtl::sim::{RtlCtx, RtlProcess, Simulator};
+
+    /// One driver slot: schedules its whole script at elaboration.
+    struct Script {
+        signal: SignalId,
+        steps: Vec<(u64, LogicVector)>,
+    }
+    impl RtlProcess for Script {
+        fn init(&mut self, ctx: &mut RtlCtx) {
+            for (at_ps, value) in self.steps.drain(..) {
+                ctx.assign_after(self.signal, value, SimDuration::from_picos(at_ps));
+            }
+        }
+        fn run(&mut self, _: &mut RtlCtx) {}
+    }
+
+    /// Sensitive to every signal; keeps the last value it saw of each,
+    /// which is the value before the most recent event.
+    struct Probe {
+        signals: Vec<SignalId>,
+        last: Vec<LogicVector>,
+    }
+    impl RtlProcess for Probe {
+        fn run(&mut self, ctx: &mut RtlCtx) {
+            for (&s, last) in self.signals.iter().zip(&mut self.last) {
+                let value = ctx.read(s).clone();
+                assert_eq!(ctx.read_u64(s), value.to_u64(), "read_u64 of {s}");
+                assert_eq!(ctx.read_bit(s), value.bit(0), "read_bit of {s}");
+                let event = ctx.event(s);
+                assert_eq!(event, value != *last, "event flag of {s}");
+                let (now, before) = (value.bit(0), last.bit(0));
+                assert_eq!(
+                    ctx.rising(s),
+                    event && now.is_one() && !before.is_one(),
+                    "rising of {s}: {before:?} -> {now:?}"
+                );
+                assert_eq!(
+                    ctx.falling(s),
+                    event && now.is_zero() && !before.is_zero(),
+                    "falling of {s}: {before:?} -> {now:?}"
+                );
+                *last = value;
+            }
+        }
+    }
+
+    cases("two_state_reads_match_the_resolved_value", |g| {
+        let mut sim = Simulator::new();
+        let mut signals = Vec::new();
+        for i in 0..g.range_usize(1, 5) {
+            let width = g.range_usize(1, 81);
+            let signal = sim.add_signal(format!("s{i}"), width);
+            // Every time point carries at most one transaction per signal,
+            // so the probe's last-seen value is the value before the most
+            // recent event. Slot 0 goes X -> 1 and then releases (Z), ahead
+            // of random traffic spread over every driver slot; the last
+            // slot stands for the external (poke) driver.
+            let drivers = g.range_usize(1, 4);
+            let mut scripts = vec![vec![
+                (500, LogicVector::filled(Logic::X, width)),
+                (1_000, LogicVector::from_bits(&vec![Logic::One; width])),
+                (2_000, LogicVector::high_z(width)),
+            ]];
+            scripts.resize_with(drivers + 1, Vec::new);
+            let mut times: Vec<u64> = (0..g.range_usize(0, 24))
+                .map(|_| 1_000 * g.range_u64(3, 40))
+                .collect();
+            times.sort_unstable();
+            times.dedup();
+            for at_ps in times {
+                let slot = g.range_usize(0, drivers + 1);
+                scripts[slot].push((at_ps, gen_drive(g, width)));
+            }
+            for (at_ps, value) in scripts.pop().expect("external slot") {
+                sim.poke(signal, value, SimTime::from_picos(at_ps))
+                    .expect("poke");
+            }
+            for steps in scripts {
+                sim.add_process(Box::new(Script { signal, steps }), &[]);
+            }
+            signals.push(signal);
+        }
+        let last = signals
+            .iter()
+            .map(|&s| LogicVector::uninitialized(sim.read(s).width()))
+            .collect();
+        sim.add_process(
+            Box::new(Probe {
+                signals: signals.clone(),
+                last,
+            }),
+            &signals,
+        );
+        while sim.step_time().expect("step") {
+            for &s in &signals {
+                let value = sim.read(s);
+                assert_eq!(sim.read_u64(s), value.to_u64(), "read_u64 of {s}");
+                assert_eq!(sim.read_bit(s), value.bit(0), "read_bit of {s}");
+            }
+        }
     });
 }
 
