@@ -2,7 +2,7 @@
 //!
 //! "We have used CASTANET for the functional verification of an ATM
 //! accounting unit" (§4); the charging-algorithm background is the authors'
-//! HLDVT'96 case study (reference [9]). The original ASIC is unpublished, so
+//! HLDVT'96 case study (reference \[9\]). The original ASIC is unpublished, so
 //! this reference model defines a concrete, hardware-implementable charging
 //! algorithm that the RTL twin in `castanet-rtl::dut` reproduces exactly:
 //!

@@ -10,7 +10,7 @@
 //! ([`accounting`]), AAL5 segmentation/reassembly ([`aal5`]), OAM F5
 //! loopback flows ([`oam`]), congestion discard policies ([`discard`]) and
 //! VP cross-connects ([`vpx`]); noisy lines with receive-side header
-//! error control live in [`line`], and a miniature signaling stack with
+//! error control live in [`line`](mod@line), and a miniature signaling stack with
 //! call admission control in [`signaling`].
 //!
 //! Everything here is an *algorithm reference model* at the network

@@ -850,20 +850,18 @@ mod tests {
         entity.add_egress(
             &mut sim,
             clk,
-            EgressSignals {
-                data: dut.outputs[0],
-                sync: dut.outputs[1],
-                valid: dut.outputs[2],
-            },
-        );
-        entity.add_egress(
-            &mut sim,
-            clk,
-            EgressSignals {
-                data: dut.outputs[3],
-                sync: dut.outputs[4],
-                valid: dut.outputs[5],
-            },
+            &[
+                EgressSignals {
+                    data: dut.outputs[0],
+                    sync: dut.outputs[1],
+                    valid: dut.outputs[2],
+                },
+                EgressSignals {
+                    data: dut.outputs[3],
+                    sync: dut.outputs[4],
+                    valid: dut.outputs[5],
+                },
+            ],
         );
         let follower = RtlCosim::new(sim, entity);
         (

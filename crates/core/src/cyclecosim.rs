@@ -586,11 +586,11 @@ mod tests {
         entity.add_egress(
             &mut sim,
             clk,
-            EgressSignals {
+            &[EgressSignals {
                 data: dut.outputs[3],
                 sync: dut.outputs[4],
                 valid: dut.outputs[5],
-            },
+            }],
         );
         let mut ev = RtlCosim::new(sim, entity);
         let mut ev_out = Vec::new();

@@ -10,7 +10,7 @@
 //! [`CosimEntity`] is that entity for byte-serial ATM DUT lines: incoming
 //! cell messages are conditioned into 53 clock-aligned pokes of the
 //! `atmdata`/`cellsync`/`enable` signals of an ingress line; egress lines
-//! are watched by stream monitors whose completed cells become response
+//! are watched by one stream monitor whose completed cells become response
 //! messages.
 
 use crate::convert::{cell_to_byte_ops_into, ByteOp};
@@ -24,6 +24,10 @@ use castanet_rtl::signal::SignalId;
 use castanet_rtl::sim::Simulator;
 use castanet_rtl::testbench::{CellStreamMonitor, MonitorHandle};
 use castanet_rtl::vector::LogicVector;
+use std::ops::Range;
+
+/// The egress-side signals of one DUT line.
+pub use castanet_rtl::testbench::EgressSignals;
 
 /// The ingress-side signals of one DUT line.
 #[derive(Debug, Clone, Copy)]
@@ -34,17 +38,6 @@ pub struct IngressSignals {
     pub sync: SignalId,
     /// Byte-valid qualifier.
     pub enable: SignalId,
-}
-
-/// The egress-side signals of one DUT line.
-#[derive(Debug, Clone, Copy)]
-pub struct EgressSignals {
-    /// The byte-wide data port.
-    pub data: SignalId,
-    /// Cell synchronization strobe.
-    pub sync: SignalId,
-    /// Byte-valid qualifier.
-    pub valid: SignalId,
 }
 
 #[derive(Debug)]
@@ -61,7 +54,9 @@ pub struct CosimEntity {
     clock_period: SimDuration,
     /// Time of the first rising clock edge.
     first_edge: SimTime,
-    /// Stimulus setup lead before an edge.
+    /// Stimulus setup lead before an edge: the clock's low phase,
+    /// `⌈period/2⌉`, so each poke lands on the falling edge before the
+    /// edge that samples it.
     setup: SimDuration,
     format: HeaderFormat,
     response_type: MessageTypeId,
@@ -88,8 +83,9 @@ impl std::fmt::Debug for CosimEntity {
 }
 
 impl CosimEntity {
-    /// Creates an entity for a DUT clocked by a [`Simulator::add_clock`]
-    /// clock of `clock_period` (first rising edge at `period / 2`).
+    /// Creates an entity for a DUT clocked by a [`Simulator::add_clock`] or
+    /// [`Simulator::add_gated_clock`] clock of `clock_period` (rising edges
+    /// at `⌊period/2⌋ + k·period`).
     /// Cells arriving back from the DUT are stamped as `response_type`
     /// messages.
     ///
@@ -109,7 +105,7 @@ impl CosimEntity {
         CosimEntity {
             clock_period,
             first_edge: SimTime::ZERO + clock_period / 2,
-            setup: clock_period / 4,
+            setup: clock_period - clock_period / 2,
             format,
             response_type,
             ingress: Vec::new(),
@@ -132,22 +128,24 @@ impl CosimEntity {
         self.ingress.len() - 1
     }
 
-    /// Registers an egress line: attaches a stream monitor to the given DUT
-    /// output signals. Returns its co-simulation port index.
+    /// Registers egress lines clocked by `clk`: attaches one stream
+    /// monitor sampling all of `lines` (one process run per rising edge,
+    /// however many lines). Returns their co-simulation port indices, in
+    /// `lines` order.
     pub fn add_egress(
         &mut self,
         sim: &mut Simulator,
         clk: SignalId,
-        signals: EgressSignals,
-    ) -> usize {
-        let (monitor, handle) =
-            CellStreamMonitor::new(clk, signals.data, signals.sync, signals.valid);
+        lines: &[EgressSignals],
+    ) -> Range<usize> {
+        let first = self.egress.len();
+        let (monitor, handles) = CellStreamMonitor::new(clk, lines);
         // The monitor samples on rising edges only; a rising-filtered
         // subscription halves its clock wake-ups.
         sim.add_process_rising(Box::new(monitor), &[clk], &[]);
-        self.egress.push(handle);
-        self.egress_signals.push(signals);
-        self.egress.len() - 1
+        self.egress.extend(handles);
+        self.egress_signals.extend_from_slice(lines);
+        first..self.egress.len()
     }
 
     /// The signal triples of every registered ingress line, in port order.
@@ -222,10 +220,23 @@ impl CosimEntity {
         let start = msg.stamp.max(next_free);
         cell_to_byte_ops_into(cell, self.format, &mut self.ops_scratch)?;
         let first_edge = edge_at_or_after_(self.first_edge, self.clock_period, start);
+        // Each byte is poked on the falling edge before the rising edge
+        // that samples it, so it shares the falling edge's time step
+        // instead of opening one of its own. That poke is never in the
+        // kernel's past under the serial or the parallel coupling: both
+        // deliver a message only after the kernel has run strictly below
+        // its stamp, and every kernel time step sits on the half-period
+        // grid — time zero, the rising edges and the falling edges (the
+        // clock's own edges, these pokes and the gated clock's busy
+        // handshake all land there). The latest grid instant below
+        // `first_edge` is the falling edge `setup` before it (time zero,
+        // for the first edge of an odd period), so `now <= poke_at`.
+        // Other stimulus keeps this true as long as it never lands inside
+        // a low phase.
         let mut last_edge = first_edge;
         for op in &self.ops_scratch {
             let edge = first_edge + self.clock_period * op.cycle;
-            let poke_at = edge - self.setup;
+            let poke_at = self.poke_time(edge);
             sim.poke(
                 signals.data,
                 LogicVector::from_u64(u64::from(op.data), 8),
@@ -236,23 +247,30 @@ impl CosimEntity {
         // Control signals only change at transitions (one event each, not
         // one per byte): sync pulses for the first octet, enable covers the
         // whole transfer.
-        let first_poke = first_edge - self.setup;
+        let first_poke = self.poke_time(first_edge);
         sim.poke_bit(signals.sync, Logic::One, first_poke)?;
         sim.poke_bit(
             signals.sync,
             Logic::Zero,
-            first_edge + self.clock_period - self.setup,
+            self.poke_time(first_edge + self.clock_period),
         )?;
         sim.poke_bit(signals.enable, Logic::One, first_poke)?;
         sim.poke_bit(
             signals.enable,
             Logic::Zero,
-            last_edge + self.clock_period - self.setup,
+            self.poke_time(last_edge + self.clock_period),
         )?;
         let port = &mut self.ingress[msg.port];
         port.next_free = last_edge + self.clock_period;
         port.cells_driven += 1;
         Ok(last_edge)
+    }
+
+    /// When stimulus for the rising edge at `edge` is driven: the falling
+    /// edge before it, or time zero for the first edge of an odd period,
+    /// which comes one picosecond before a full low phase has passed.
+    fn poke_time(&self, edge: SimTime) -> SimTime {
+        SimTime::from_picos(edge.as_picos().saturating_sub(self.setup.as_picos()))
     }
 
     /// Drains completed DUT output cells from every egress monitor into
@@ -444,16 +462,16 @@ mod tests {
         let enable = sim.add_signal("enable", 1);
         let mut entity = CosimEntity::new(PERIOD, HeaderFormat::Uni, MessageTypeId(7));
         entity.add_ingress(IngressSignals { data, sync, enable });
-        let port = entity.add_egress(
+        let ports = entity.add_egress(
             &mut sim,
             clk,
-            EgressSignals {
+            &[EgressSignals {
                 data,
                 sync,
                 valid: enable,
-            },
+            }],
         );
-        assert_eq!(port, 0);
+        assert_eq!(ports, 0..1);
 
         let msg = Message::cell(SimTime::ZERO, MessageTypeId(0), 0, cell(77));
         let last_edge = entity.deliver(&mut sim, &msg).unwrap();
@@ -466,5 +484,50 @@ mod tests {
         assert_eq!(responses[0].as_cell(), Some(&cell(77)));
         assert_eq!(responses[0].stamp, last_edge);
         assert_eq!(entity.responses_sent(), 1);
+    }
+
+    #[test]
+    fn egress_lines_completing_on_one_edge_come_back_in_port_order() {
+        // Two looped-back lines share one sampler process. Cells delivered
+        // at the same stamp complete on the same edge; the responses come
+        // back in port order, whatever order the cells were delivered in.
+        let mut sim = Simulator::new();
+        let clk = sim.add_clock("clk", PERIOD);
+        let mut entity = CosimEntity::new(PERIOD, HeaderFormat::Uni, MessageTypeId(7));
+        let mut lines = Vec::new();
+        for i in 0..2 {
+            let data = sim.add_signal(format!("data{i}"), 8);
+            let sync = sim.add_signal(format!("sync{i}"), 1);
+            let enable = sim.add_signal(format!("enable{i}"), 1);
+            entity.add_ingress(IngressSignals { data, sync, enable });
+            lines.push(EgressSignals {
+                data,
+                sync,
+                valid: enable,
+            });
+        }
+        let before = sim.netlist().processes.len();
+        assert_eq!(entity.add_egress(&mut sim, clk, &lines), 0..2);
+        assert_eq!(sim.netlist().processes.len(), before + 1, "one sampler");
+
+        let mut last_edge = SimTime::ZERO;
+        for (port, vci) in [(1, 51), (0, 50)] {
+            let msg = Message::cell(SimTime::ZERO, MessageTypeId(0), port, cell(vci));
+            last_edge = entity.deliver(&mut sim, &msg).unwrap();
+        }
+        sim.run_until(last_edge + PERIOD).unwrap();
+
+        let responses = entity.collect();
+        let got: Vec<(usize, SimTime, Option<&AtmCell>)> = responses
+            .iter()
+            .map(|m| (m.port, m.stamp, m.as_cell()))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (0, last_edge, Some(&cell(50))),
+                (1, last_edge, Some(&cell(51))),
+            ]
+        );
     }
 }

@@ -42,7 +42,7 @@
 //! Responses produced while the originator has already raced ahead arrive
 //! "behind" the network clock — that pipeline lag is counted in
 //! [`CouplingStats::deferred_responses`] and injected at the network's
-//! current time through the same [`inject_responses`] path the serial
+//! current time through the same `inject_responses` path the serial
 //! executive uses, which is sound under the feedforward assumption
 //! (responses feed monitors, never new stimulus). Because "the network's
 //! current time" depends on *where* in the stream a reply is absorbed,

@@ -8,7 +8,7 @@
 //!   `I_j`; each carries the originator's current time, so every arrival is
 //!   also a time update;
 //! * "upon receipt of a message with a time stamp `t_k` for input queue
-//!   `I_j` and `t_k > t_cur`, the [follower] is allowed to process all
+//!   `I_j` and `t_k > t_cur`, the \[follower\] is allowed to process all
 //!   events with a time stamp smaller than `t_k`, but not equal" — the
 //!   **grant horizon** is the largest originator stamp seen;
 //! * "the message at queue `I_j` remains queued until all other input

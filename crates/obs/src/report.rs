@@ -1,7 +1,7 @@
 //! The self-profiling report: per-phase wall-time breakdown.
 //!
 //! Spans recorded during a run — the protocol spans (`net_window`,
-//! `follower_advance`, …) and the telemetry-v2 [`Phase`] spans — are
+//! `follower_advance`, …) and the telemetry-v2 [`Phase`](crate::Phase) spans — are
 //! aggregated into one row per `(track, span name)`: how often the phase
 //! ran, how much wall time it cost, and what share of its track's wall
 //! extent that is. Sampled micro-phases (recorded once per

@@ -288,7 +288,9 @@ struct CycleDutProcess {
     /// the DUT needs clocking, `Zero` once it is provably quiescent.
     busy: Option<SignalId>,
     /// `false` once the wrapper has parked its clock; input activity
-    /// re-arms it.
+    /// re-arms it. The gated wrapper listens to its inputs only while
+    /// parked: with the clock running, every input is sampled on the next
+    /// rising edge anyway, so an input wake would be a no-op.
     armed: bool,
 }
 
@@ -296,19 +298,21 @@ impl RtlProcess for CycleDutProcess {
     fn init(&mut self, ctx: &mut RtlCtx) {
         if let Some(busy) = self.busy {
             ctx.assign_bit(busy, Logic::One);
+            ctx.set_any_sensitivity(false);
         }
     }
 
     fn run(&mut self, ctx: &mut RtlCtx) {
         if !ctx.rising(self.clk) {
-            // Gated attachments are also sensitive to their inputs: any
-            // activity while parked raises `busy`, which restarts the
-            // clock on its original edge grid — so the wake-up is
-            // invisible to the sampled-value semantics.
+            // Gated attachments listen to their inputs while parked: any
+            // activity raises `busy`, which restarts the clock on its
+            // original edge grid — so the wake-up is invisible to the
+            // sampled-value semantics.
             if !self.armed && self.inputs.iter().any(|&s| ctx.event(s)) {
                 self.armed = true;
                 if let Some(busy) = self.busy {
                     ctx.assign_bit(busy, Logic::One);
+                    ctx.set_any_sensitivity(false);
                 }
             }
             return;
@@ -349,6 +353,7 @@ impl RtlProcess for CycleDutProcess {
             {
                 self.armed = false;
                 ctx.assign_bit(busy, Logic::Zero);
+                ctx.set_any_sensitivity(true);
             }
         }
     }
@@ -479,7 +484,8 @@ pub fn attach_cycle_dut_gated(
         armed: true,
     };
     // Rising-only on the clock (falling edges are no-ops for the wrapper),
-    // any-edge on the inputs so activity can re-arm a parked clock.
+    // any-edge on the inputs so activity can re-arm a parked clock; the
+    // wrapper switches the input list off while its clock runs.
     sim.add_process_rising(Box::new(process), &[clk], &inputs);
     for &s in &inputs {
         sim.mark_external_input(s);

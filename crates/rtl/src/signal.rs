@@ -51,10 +51,16 @@ impl ProcId {
 pub(crate) struct SignalState {
     pub(crate) name: String,
     pub(crate) width: usize,
-    /// Driver contributions, one slot per driving process. Signals have a
-    /// handful of drivers at most (usually one), so a linear-scan vector
-    /// beats a `HashMap` on both lookup and iteration, and keeps the
-    /// resolution order deterministic.
+    /// The first process to drive the signal, `None` while undriven.
+    /// While it is the only driver, `drivers` stays empty and `value` *is*
+    /// its contribution, so the common single-driver `drive` is one inline
+    /// compare with no table walk and no clone.
+    sole: Option<ProcId>,
+    /// Driver contributions, one slot per driving process, filled only once
+    /// a second driver appears (the sole driver's contribution moves in as
+    /// the first slot). Signals have a handful of drivers at most, so a
+    /// linear-scan vector beats a `HashMap` on both lookup and iteration,
+    /// and keeps the resolution order (first-drive order) deterministic.
     drivers: Vec<(ProcId, LogicVector)>,
     /// Current resolved value.
     pub(crate) value: LogicVector,
@@ -76,6 +82,7 @@ impl SignalState {
         SignalState {
             name,
             width,
+            sole: None,
             drivers: Vec::new(),
             value: LogicVector::uninitialized(width),
             value_u64: None,
@@ -90,40 +97,55 @@ impl SignalState {
     /// value. Returns `true` when the resolved value changed (an event).
     pub(crate) fn drive(&mut self, driver: ProcId, contribution: LogicVector, at: SimTime) -> bool {
         debug_assert_eq!(contribution.width(), self.width);
+        if self.drivers.is_empty() {
+            match self.sole {
+                Some(sole) if sole != driver => {
+                    // A second driver joins: from here on the signal keeps
+                    // one slot per driver and resolves them.
+                    self.drivers.push((sole, self.value.clone()));
+                }
+                _ => {
+                    // The sole driver (or the first one): its contribution
+                    // is the resolved value. An unchanged contribution is
+                    // the common case on a clock edge, where most outputs
+                    // are re-driven with the value they already carry.
+                    self.sole = Some(driver);
+                    if contribution == self.value {
+                        return false;
+                    }
+                    self.commit(contribution, at);
+                    return true;
+                }
+            }
+        }
         if let Some(pos) = self.drivers.iter().position(|(d, _)| *d == driver) {
             if self.drivers[pos].1 == contribution {
-                // Unchanged contribution resolves to the unchanged value;
-                // skip the recompute entirely. This is the common case on
-                // a clock edge: most outputs are re-driven with the value
-                // they already carry.
+                // Unchanged contribution resolves to the unchanged value.
                 return false;
             }
             self.drivers[pos].1 = contribution;
         } else {
             self.drivers.push((driver, contribution));
         }
-        let resolved = if self.drivers.len() == 1 {
-            // Single driver (the overwhelmingly common topology): the
-            // contribution is the resolved value, no table walks.
-            self.drivers[0].1.clone()
-        } else {
-            let mut acc = self.drivers[0].1.clone();
-            for (_, d) in &self.drivers[1..] {
-                acc.resolve_assign(d);
-            }
-            acc
-        };
-        if resolved == self.value {
-            false
-        } else {
-            self.value_u64 = resolved.to_u64();
-            self.prev_bit0 = self.bit0;
-            self.bit0 = resolved.bit(0);
-            self.value = resolved;
-            self.last_event = Some(at);
-            self.event_count += 1;
-            true
+        let mut resolved = self.drivers[0].1.clone();
+        for (_, d) in &self.drivers[1..] {
+            resolved.resolve_assign(d);
         }
+        if resolved == self.value {
+            return false;
+        }
+        self.commit(resolved, at);
+        true
+    }
+
+    /// Installs a changed resolved value as an event at `at`.
+    fn commit(&mut self, resolved: LogicVector, at: SimTime) {
+        self.value_u64 = resolved.to_u64();
+        self.prev_bit0 = self.bit0;
+        self.bit0 = resolved.bit(0);
+        self.value = resolved;
+        self.last_event = Some(at);
+        self.event_count += 1;
     }
 
     /// `true` when the signal had an event at exactly `t`.

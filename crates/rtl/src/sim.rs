@@ -154,6 +154,10 @@ pub struct Simulator {
     wake: Vec<ProcId>,
     /// Dense per-process "already in `wake`" flags (reusable bitset).
     woken: Vec<bool>,
+    /// Dense per-process flags: the process has switched its any-edge
+    /// sensitivity list off ([`RtlCtx::set_any_sensitivity`]). Its
+    /// registered list in `proc_meta` is unchanged.
+    deaf: Vec<bool>,
     /// Scratch for `RtlCtx::staged`, reused across process activations.
     staged_scratch: Vec<(SignalId, LogicVector, SimDuration)>,
     /// Scratch for `RtlCtx::wakes`, reused across process activations.
@@ -224,6 +228,7 @@ impl Simulator {
             batch: Vec::new(),
             wake: Vec::new(),
             woken: Vec::new(),
+            deaf: Vec::new(),
             staged_scratch: Vec::new(),
             wakes_scratch: Vec::new(),
             next_seq: 0,
@@ -338,6 +343,7 @@ impl Simulator {
         let io = process.io();
         self.processes.push(Some(process));
         self.woken.push(false);
+        self.deaf.push(false);
         let mut any = Vec::new();
         for &s in sensitivity {
             let watchers = &mut self.watchers[s.0];
@@ -378,50 +384,42 @@ impl Simulator {
         id
     }
 
-    /// Adds a free-running clock: a signal toggling every `period / 2`,
-    /// starting low at time zero with its first rising edge at `period / 2`.
+    /// Adds a free-running clock: low at time zero, rising edges at
+    /// `⌊period/2⌋ + k·period`, each held high for `⌊period/2⌋` and low for
+    /// `⌈period/2⌉` (an odd-picosecond period keeps its exact length). The
+    /// generator runs once per period: it assigns the rising edge and
+    /// schedules the falling one as a delayed transaction.
     ///
     /// # Panics
     ///
     /// Panics if `period` is shorter than 2 ps (cannot split into half
     /// periods).
     pub fn add_clock(&mut self, name: impl Into<String>, period: SimDuration) -> SignalId {
-        let half = period / 2;
-        assert!(!half.is_zero(), "clock period too short");
+        let grid = ClockGrid::new(period);
         let clk = self.add_signal(name, 1);
         struct ClockGen {
             clk: SignalId,
-            half: SimDuration,
-            level: bool,
+            grid: ClockGrid,
         }
         impl RtlProcess for ClockGen {
             fn init(&mut self, ctx: &mut RtlCtx) {
                 ctx.assign_bit(self.clk, Logic::Zero);
-                ctx.wake_after(self.half);
+                ctx.wake_after(SimDuration::from_picos(self.grid.high));
             }
             fn run(&mut self, ctx: &mut RtlCtx) {
-                self.level = !self.level;
-                ctx.assign_bit(self.clk, Logic::from_bool(self.level));
-                ctx.wake_after(self.half);
+                self.grid.rise(ctx, self.clk);
             }
             fn io(&self) -> Option<ProcessIo> {
                 Some(ProcessIo::generator("clock_gen").writes([self.clk]))
             }
         }
-        self.add_process(
-            Box::new(ClockGen {
-                clk,
-                half,
-                level: false,
-            }),
-            &[],
-        );
+        self.add_process(Box::new(ClockGen { clk, grid }), &[]);
         self.clock_roots[clk.0] = true;
         clk
     }
 
     /// Adds a *gated* clock: same grid as [`Simulator::add_clock`] (low at
-    /// time zero, rising edges at odd multiples of `period / 2`), but the
+    /// time zero, rising edges at `⌊period/2⌋ + k·period`), but the
     /// generator parks — holding the line low and scheduling nothing —
     /// whenever the 1-bit `busy` signal is low at a would-be rising edge,
     /// and resumes on the next `busy` event. Resumed rising edges always
@@ -431,7 +429,8 @@ impl Simulator {
     /// is the event-driven kernel's idle-time optimization: with a DUT
     /// that reports quiescence (see [`crate::cycle::CycleDut::is_idle`]),
     /// long stimulus gaps cost zero simulation events instead of two per
-    /// clock period.
+    /// clock period. While it runs, the generator wakes once per period,
+    /// at each rising-due instant, which is where it decides to park.
     ///
     /// # Panics
     ///
@@ -442,76 +441,53 @@ impl Simulator {
         period: SimDuration,
         busy: SignalId,
     ) -> SignalId {
-        let half = period / 2;
-        assert!(!half.is_zero(), "clock period too short");
+        let grid = ClockGrid::new(period);
         let clk = self.add_signal(name, 1);
         struct GatedClockGen {
             clk: SignalId,
             busy: SignalId,
-            half: SimDuration,
-            half_ps: u64,
-            level: bool,
-            /// A grid wake is pending at `next_edge`.
-            scheduled: bool,
-            next_edge: u64,
+            grid: ClockGrid,
+            /// The rising-due instant of the pending grid wake; `None`
+            /// while parked.
+            due: Option<u64>,
         }
         impl GatedClockGen {
-            fn arm(&mut self, ctx: &mut RtlCtx, now: u64) {
-                self.next_edge = now + self.half_ps;
-                self.scheduled = true;
-                ctx.wake_after(self.half);
+            /// Rises at once when `now` is a rising edge of the grid, and
+            /// otherwise schedules the grid wake at the next one.
+            fn resume(&mut self, ctx: &mut RtlCtx, now: u64) {
+                let rise = self.grid.rise_at_or_after(now);
+                if rise == now {
+                    self.grid.rise(ctx, self.clk);
+                    self.due = Some(now + self.grid.period);
+                } else {
+                    self.due = Some(rise);
+                    ctx.wake_after(SimDuration::from_picos(rise - now));
+                }
             }
         }
         impl RtlProcess for GatedClockGen {
             fn init(&mut self, ctx: &mut RtlCtx) {
                 ctx.assign_bit(self.clk, Logic::Zero);
-                self.arm(ctx, ctx.now().as_picos());
+                let now = ctx.now().as_picos();
+                self.resume(ctx, now);
             }
             fn run(&mut self, ctx: &mut RtlCtx) {
                 let now = ctx.now().as_picos();
-                if self.scheduled {
-                    if now < self.next_edge {
-                        // A busy event while the grid wake is pending:
-                        // nothing to do, the wake will see the new level.
-                        return;
-                    }
-                    self.scheduled = false;
-                    if self.level {
-                        // Falling edges always complete so the parked
-                        // level is low; the park decision is taken at the
-                        // following rising edge.
-                        self.level = false;
-                        ctx.assign_bit(self.clk, Logic::Zero);
-                        self.arm(ctx, now);
-                    } else if ctx.read_bit(self.busy) == Logic::One {
-                        self.level = true;
-                        ctx.assign_bit(self.clk, Logic::One);
-                        self.arm(ctx, now);
-                    }
-                    // else: rising edge due but idle — park.
+                if self.due.is_some_and(|due| now < due) {
+                    // A busy event while the grid wake is pending: nothing
+                    // to do, the wake will see the new level.
                     return;
                 }
-                if ctx.read_bit(self.busy) != Logic::One {
-                    return;
-                }
-                // Restart from parked: resume at the next instant where
-                // the free-running clock would have a *rising* edge (odd
-                // half-multiples), keeping every sampling edge on grid.
-                debug_assert!(!self.level, "parked clock must be low");
-                let idx = now / self.half_ps;
-                let mut rise = idx + u64::from(!now.is_multiple_of(self.half_ps));
-                if rise.is_multiple_of(2) {
-                    rise += 1;
-                }
-                let rise_at = rise * self.half_ps;
-                if rise_at == now {
-                    self.level = true;
-                    ctx.assign_bit(self.clk, Logic::One);
-                    self.arm(ctx, now);
+                // The rising-due wake (the falling edge scheduled with the
+                // previous rise has completed, so the line is low), or a
+                // busy event while parked: rise on the grid while busy,
+                // park otherwise. A resumed clock lands on the next instant
+                // where the free-running clock would rise, keeping every
+                // sampling edge on grid.
+                if ctx.read_bit(self.busy) == Logic::One {
+                    self.resume(ctx, now);
                 } else {
-                    self.next_edge = rise_at;
-                    self.scheduled = true;
-                    ctx.wake_after(SimDuration::from_picos(rise_at - now));
+                    self.due = None;
                 }
             }
             fn io(&self) -> Option<ProcessIo> {
@@ -523,17 +499,14 @@ impl Simulator {
             }
         }
         // Rising-only: the generator restarts when `busy` goes high; a
-        // falling `busy` needs no action (the pending edge completes and
-        // the next rising-due wake parks by reading `busy` low).
+        // falling `busy` needs no action (the next rising-due wake parks
+        // by reading `busy` low).
         self.add_process_rising(
             Box::new(GatedClockGen {
                 clk,
                 busy,
-                half,
-                half_ps: half.as_picos(),
-                level: false,
-                scheduled: false,
-                next_edge: 0,
+                grid,
+                due: None,
             }),
             &[busy],
             &[],
@@ -833,7 +806,7 @@ impl Simulator {
                                 ));
                             }
                             for &p in &self.watchers[signal.0] {
-                                if !self.woken[p.0] {
+                                if !self.woken[p.0] && !self.deaf[p.0] {
                                     self.woken[p.0] = true;
                                     wake.push(p);
                                 }
@@ -955,6 +928,7 @@ impl Simulator {
                 signals: &self.signals,
                 staged: &mut staged,
                 wakes: &mut wakes,
+                deaf: &mut self.deaf[id.0],
             };
             if is_init {
                 proc_.init(&mut ctx);
@@ -992,6 +966,50 @@ impl Simulator {
     }
 }
 
+/// The edge grid of [`Simulator::add_clock`] and
+/// [`Simulator::add_gated_clock`], in picoseconds: rising edges at
+/// `high + k·period`, each followed by a falling edge `high` later, where
+/// `high = ⌊period/2⌋`. The low phase is the rest of the period,
+/// `⌈period/2⌉`, so the grid keeps the exact period even when it is odd.
+#[derive(Debug, Clone, Copy)]
+struct ClockGrid {
+    period: u64,
+    high: u64,
+}
+
+impl ClockGrid {
+    fn new(period: SimDuration) -> Self {
+        let period = period.as_picos();
+        assert!(period >= 2, "clock period too short");
+        ClockGrid {
+            period,
+            high: period / 2,
+        }
+    }
+
+    /// The first rising edge at or after `t`.
+    fn rise_at_or_after(self, t: u64) -> u64 {
+        if t <= self.high {
+            self.high
+        } else {
+            self.high + (t - self.high).div_ceil(self.period) * self.period
+        }
+    }
+
+    /// One whole period from a rising edge at `now`: the rising edge now,
+    /// the falling edge as a delayed transaction, and a wake at the next
+    /// rising-due instant.
+    fn rise(self, ctx: &mut RtlCtx, clk: SignalId) {
+        ctx.assign_bit(clk, Logic::One);
+        ctx.assign_after(
+            clk,
+            LogicVector::from(Logic::Zero),
+            SimDuration::from_picos(self.high),
+        );
+        ctx.wake_after(SimDuration::from_picos(self.period));
+    }
+}
+
 /// The API a process sees while running: signal reads, edge tests, staged
 /// assignments and wake-ups.
 pub struct RtlCtx<'a> {
@@ -1000,6 +1018,8 @@ pub struct RtlCtx<'a> {
     signals: &'a [SignalState],
     staged: &'a mut Vec<(SignalId, LogicVector, SimDuration)>,
     wakes: &'a mut Vec<SimDuration>,
+    /// This process's "any-edge list switched off" flag.
+    deaf: &'a mut bool,
 }
 
 impl std::fmt::Debug for RtlCtx<'_> {
@@ -1094,6 +1114,16 @@ impl RtlCtx<'_> {
     /// event (VHDL `wait for`).
     pub fn wake_after(&mut self, delay: SimDuration) {
         self.wakes.push(delay);
+    }
+
+    /// Switches this process's any-edge sensitivity list off (`false`) or
+    /// back on (`true`); it starts on. While it is off, events on those
+    /// signals do not wake the process. Its rising-edge subscriptions and
+    /// scheduled wake-ups are unaffected, and so is the registered list
+    /// that [`Simulator::netlist`] reports. The switch applies from the
+    /// next delta cycle; this activation has already been woken.
+    pub fn set_any_sensitivity(&mut self, on: bool) {
+        *self.deaf = !on;
     }
 }
 
@@ -1477,6 +1507,44 @@ mod tests {
     }
 
     #[test]
+    fn odd_period_clocks_keep_the_exact_period() {
+        // 21 ps: high for 10, low for 11, rising edges at 10 + 21·k on
+        // both generators, including a gated restart after a park.
+        let mut sim = Simulator::new();
+        let free = sim.add_clock("free", SimDuration::from_picos(21));
+        let busy = sim.add_signal("busy", 1);
+        let gated = sim.add_gated_clock("gated", SimDuration::from_picos(21), busy);
+        let recorders: Vec<_> = [free, gated]
+            .into_iter()
+            .map(|clk| {
+                let times = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+                sim.add_process(
+                    Box::new(EdgeRecorder {
+                        clk,
+                        times: times.clone(),
+                    }),
+                    &[clk],
+                );
+                times
+            })
+            .collect();
+        sim.poke_bit(busy, Logic::One, SimTime::ZERO).unwrap();
+        sim.poke_bit(busy, Logic::Zero, SimTime::from_picos(40))
+            .unwrap();
+        sim.poke_bit(busy, Logic::One, SimTime::from_picos(100))
+            .unwrap();
+        sim.run_until(SimTime::from_picos(160)).unwrap();
+        assert_eq!(
+            *recorders[0].lock().unwrap(),
+            vec![10, 31, 52, 73, 94, 115, 136, 157]
+        );
+        // Busy drops after the edge at 31: the edge due at 52 parks, and
+        // busy's return at 100 resumes on the grid at 115.
+        assert_eq!(*recorders[1].lock().unwrap(), vec![10, 31, 115, 136, 157]);
+        assert_eq!(sim.read_bit(free), sim.read_bit(gated));
+    }
+
+    #[test]
     fn rising_only_watchers_skip_falling_edges() {
         // A rising-subscribed process runs for 0->1 transitions only; an
         // any-subscribed process sees both.
@@ -1515,6 +1583,71 @@ mod tests {
         sim.run_until(SimTime::from_ns(100)).unwrap();
         assert_eq!(*rising_runs.lock().unwrap(), 2, "two rising edges");
         assert_eq!(*any_runs.lock().unwrap(), 4, "four events in total");
+    }
+
+    #[test]
+    fn switched_off_any_list_skips_wakes_until_switched_back_on() {
+        // The listener starts with its any-edge list (`a`) switched off
+        // and switches it back on at a rising edge of its other signal,
+        // `clk`. A second process's rising-edge subscription on `a` sees
+        // every rising edge of `a` throughout.
+        struct Listener {
+            clk: SignalId,
+            runs: std::sync::Arc<std::sync::Mutex<Vec<u64>>>,
+        }
+        impl RtlProcess for Listener {
+            fn init(&mut self, ctx: &mut RtlCtx) {
+                ctx.set_any_sensitivity(false);
+            }
+            fn run(&mut self, ctx: &mut RtlCtx) {
+                self.runs.lock().unwrap().push(ctx.now().as_picos() / 1000);
+                if ctx.rising(self.clk) {
+                    ctx.set_any_sensitivity(true);
+                }
+            }
+        }
+        let mut sim = Simulator::new();
+        let a = sim.add_signal("a", 1);
+        let clk = sim.add_signal("clk", 1);
+        let listener_runs = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let listener = sim.add_process_rising(
+            Box::new(Listener {
+                clk,
+                runs: listener_runs.clone(),
+            }),
+            &[clk],
+            &[a],
+        );
+        let (edges, rising_a) = {
+            let times = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+            let p = sim.add_process_rising(
+                Box::new(EdgeRecorder {
+                    clk: a,
+                    times: times.clone(),
+                }),
+                &[a],
+                &[],
+            );
+            (times, p)
+        };
+        for (t_ns, signal, level) in [
+            (10, a, Logic::One),
+            (20, a, Logic::Zero),
+            (30, clk, Logic::One),
+            (40, a, Logic::One),
+            (50, a, Logic::Zero),
+        ] {
+            sim.poke_bit(signal, level, SimTime::from_ns(t_ns)).unwrap();
+        }
+        sim.run_to_quiescence().unwrap();
+        assert_eq!(*listener_runs.lock().unwrap(), vec![30, 40, 50]);
+        let ns: Vec<u64> = edges.lock().unwrap().iter().map(|t| t / 1000).collect();
+        assert_eq!(ns, vec![10, 40], "rising edges of `a`");
+        // The registered lists are static: the netlist still shows them.
+        let net = sim.netlist();
+        assert_eq!(net.processes[listener.0].sensitivity_any, vec![a]);
+        assert_eq!(net.processes[listener.0].sensitivity_rising, vec![clk]);
+        assert_eq!(net.processes[rising_a.0].sensitivity_rising, vec![a]);
     }
 
     #[test]

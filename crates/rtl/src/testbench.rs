@@ -123,13 +123,28 @@ impl RtlProcess for CellStreamDriver {
     }
 }
 
-/// Collects completed cells from an egress line (data/sync/valid signals),
-/// exposing them through a shared handle.
+/// The signals of one byte-serial egress line.
+#[derive(Debug, Clone, Copy)]
+pub struct EgressSignals {
+    /// The byte-wide data port.
+    pub data: SignalId,
+    /// Cell synchronization strobe.
+    pub sync: SignalId,
+    /// Byte-valid qualifier.
+    pub valid: SignalId,
+}
+
+/// Collects completed cells from one or more egress lines clocked by the
+/// same `clk`, exposing each line's cells through its own shared handle.
+/// One rising edge runs the process once, however many lines it samples.
 pub struct CellStreamMonitor {
     clk: SignalId,
-    data: SignalId,
-    sync: SignalId,
-    valid: SignalId,
+    lines: Vec<LineTap>,
+}
+
+/// The shift register of one monitored line.
+struct LineTap {
+    signals: EgressSignals,
     shift: [u8; CELL_OCTETS],
     index: usize,
     in_cell: bool,
@@ -139,8 +154,7 @@ pub struct CellStreamMonitor {
 impl std::fmt::Debug for CellStreamMonitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CellStreamMonitor")
-            .field("in_cell", &self.in_cell)
-            .field("index", &self.index)
+            .field("lines", &self.lines.len())
             .finish()
     }
 }
@@ -148,7 +162,7 @@ impl std::fmt::Debug for CellStreamMonitor {
 /// A captured cell: arrival time plus the 53 raw octets.
 type CapturedCell = (SimTime, [u8; CELL_OCTETS]);
 
-/// Shared view onto the cells a [`CellStreamMonitor`] captured.
+/// Shared view onto the cells a [`CellStreamMonitor`] captured on one line.
 #[derive(Debug, Clone, Default)]
 pub struct MonitorHandle {
     cells: Arc<Mutex<Vec<CapturedCell>>>,
@@ -205,42 +219,38 @@ impl MonitorHandle {
 }
 
 impl CellStreamMonitor {
-    /// Creates a monitor and its handle.
+    /// Creates a monitor of `lines` and one handle per line, index-aligned
+    /// with `lines`.
     #[must_use]
-    pub fn new(
-        clk: SignalId,
-        data: SignalId,
-        sync: SignalId,
-        valid: SignalId,
-    ) -> (Self, MonitorHandle) {
-        let handle = MonitorHandle::default();
-        (
-            CellStreamMonitor {
-                clk,
-                data,
-                sync,
-                valid,
+    pub fn new(clk: SignalId, lines: &[EgressSignals]) -> (Self, Vec<MonitorHandle>) {
+        let lines: Vec<LineTap> = lines
+            .iter()
+            .map(|&signals| LineTap {
+                signals,
                 shift: [0; CELL_OCTETS],
                 index: 0,
                 in_cell: false,
-                out: handle.clone(),
-            },
-            handle,
-        )
+                out: MonitorHandle::default(),
+            })
+            .collect();
+        let handles = lines.iter().map(|l| l.out.clone()).collect();
+        (CellStreamMonitor { clk, lines }, handles)
     }
 }
 
-impl RtlProcess for CellStreamMonitor {
-    fn run(&mut self, ctx: &mut RtlCtx) {
-        if !ctx.rising(self.clk) || !ctx.read_bit(self.valid).is_one() {
+impl LineTap {
+    /// Samples the line on a rising edge at `ctx.now()`.
+    fn sample(&mut self, ctx: &RtlCtx) {
+        let EgressSignals { data, sync, valid } = self.signals;
+        if !ctx.read_bit(valid).is_one() {
             return;
         }
-        if ctx.read_bit(self.sync).is_one() {
+        if ctx.read_bit(sync).is_one() {
             self.index = 0;
             self.in_cell = true;
         }
         if self.in_cell {
-            self.shift[self.index] = ctx.read_u64(self.data).unwrap_or(0) as u8;
+            self.shift[self.index] = ctx.read_u64(data).unwrap_or(0) as u8;
             self.index += 1;
             if self.index == CELL_OCTETS {
                 self.index = 0;
@@ -251,11 +261,27 @@ impl RtlProcess for CellStreamMonitor {
             }
         }
     }
+}
+
+impl RtlProcess for CellStreamMonitor {
+    fn run(&mut self, ctx: &mut RtlCtx) {
+        if !ctx.rising(self.clk) {
+            return;
+        }
+        for line in &mut self.lines {
+            line.sample(ctx);
+        }
+    }
 
     fn io(&self) -> Option<ProcessIo> {
+        let lines = self
+            .lines
+            .iter()
+            .flat_map(|l| [l.signals.data, l.signals.sync, l.signals.valid]);
         Some(
             ProcessIo::clocked("cell_stream_monitor", self.clk)
-                .reads([self.clk, self.data, self.sync, self.valid]),
+                .reads([self.clk])
+                .reads(lines),
         )
     }
 }
@@ -469,14 +495,18 @@ impl RegressionTestbench {
                 cells,
             );
             sim.add_process(Box::new(driver), &[clk]);
-            let (mon, handle) = CellStreamMonitor::new(
+            // One monitor process per port: the pure-RTL baseline keeps
+            // the per-line cost of a hand-written bench.
+            let (mon, handles) = CellStreamMonitor::new(
                 clk,
-                attached.outputs[3 * i],
-                attached.outputs[3 * i + 1],
-                attached.outputs[3 * i + 2],
+                &[EgressSignals {
+                    data: attached.outputs[3 * i],
+                    sync: attached.outputs[3 * i + 1],
+                    valid: attached.outputs[3 * i + 2],
+                }],
             );
             sim.add_process(Box::new(mon), &[clk]);
-            monitors.push(handle);
+            monitors.extend(handles);
         }
         RegressionTestbench {
             sim,

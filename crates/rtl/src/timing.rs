@@ -287,12 +287,13 @@ mod tests {
 
     #[test]
     fn entity_driven_stimulus_meets_timing() {
-        // The co-simulation entity pokes a quarter period before each edge;
-        // with setup < period/4 this must be violation-free.
+        // The co-simulation entity pokes on the falling edge, half a
+        // period before each rising edge; with setup and hold both under
+        // half a period this must be violation-free.
         let (mut sim, d, report) = fixture(2, 1);
         for k in 0..20u64 {
-            // Pokes at edge - 2.5 ns (quarter period), edges at 5+10k.
-            let poke = SimTime::from_picos((5 + 10 * k) * 1000 - 2_500);
+            // Pokes at edge - 5 ns (the falling edge), edges at 5+10k.
+            let poke = SimTime::from_ns(10 * k);
             sim.poke(d, LogicVector::from_u64(k % 256, 8), poke)
                 .unwrap();
         }

@@ -1,7 +1,7 @@
 //! # castanet-testboard — the hardware test board model
 //!
 //! A from-scratch substitute for the RAVEN hardware test board the DATE'98
-//! CASTANET paper uses for functional chip verification (§3.3, ref. [16]):
+//! CASTANET paper uses for functional chip verification (§3.3, ref. \[16\]):
 //!
 //! * [`lane`] — 16 byte lanes / 128 I/O pins, each configurable in
 //!   direction and speed; 20 MHz maximum board clock;

@@ -270,17 +270,16 @@ pub fn switch_cosim(config: SwitchScenarioConfig) -> SwitchCosim {
             enable: dut.inputs[3 * i + 2],
         });
     }
-    for i in 0..config.ports {
-        entity.add_egress(
-            &mut sim,
-            clk,
-            EgressSignals {
-                data: dut.outputs[3 * i],
-                sync: dut.outputs[3 * i + 1],
-                valid: dut.outputs[3 * i + 2],
-            },
-        );
-    }
+    // One egress sampler for every line: a busy clock costs one monitor
+    // run, not one per port.
+    let egress: Vec<EgressSignals> = (0..config.ports)
+        .map(|i| EgressSignals {
+            data: dut.outputs[3 * i],
+            sync: dut.outputs[3 * i + 1],
+            valid: dut.outputs[3 * i + 2],
+        })
+        .collect();
+    entity.add_egress(&mut sim, clk, &egress);
     let follower = RtlCosim::new(sim, entity);
 
     SwitchCosim {
@@ -340,7 +339,7 @@ pub fn switch_cosim_cycle(config: SwitchScenarioConfig) -> SwitchCosimCycle {
 
 /// The parallel-executor variant: the same network model, workload and
 /// cycle-engine follower as [`switch_cosim_cycle`], but hosted on
-/// [`ParallelCoupling`] so the two engines run on separate threads.
+/// [`castanet::ParallelCoupling`] so the two engines run on separate threads.
 pub struct SwitchCosimParallel {
     /// The parallel coupled simulation, ready to run.
     pub coupling: castanet::ParallelCoupling<castanet::CycleCosim>,

@@ -45,6 +45,20 @@ fn large_mixed_workload_verifies_clean() {
 /// Pins the event kernel's work on a small switch run (the E12 bench
 /// configuration): a kernel change meant only to be faster must leave
 /// every count, including time steps and process runs, where it is.
+///
+/// Transactions and events are what every clocked observer samples and
+/// have not moved since they were first pinned (16 166 and 15 562). Three
+/// counts were moved on purpose, by cutting kernel work per busy clock:
+/// - `process_runs` 19 814 → 8 033: one egress sampler for all four lines
+///   instead of four monitors (3 runs per busy clock), the gated wrapper
+///   listening to its inputs only while parked (no input wakes while the
+///   clock runs), and one clock-generator run per period instead of one
+///   per edge (the falling edge is a delayed transaction);
+/// - `delta_cycles` 13 206 → 9 230: the falling edge no longer needs the
+///   generator's wake delta, and stimulus poked on the falling edge
+///   shares that edge's delta;
+/// - `time_steps` 6 679 → 5 354: stimulus shares the falling-edge time
+///   step instead of opening its own a quarter period before each edge.
 #[test]
 fn event_kernel_counts_are_pinned_on_a_small_switch_run() {
     let config = SwitchScenarioConfig {
@@ -63,14 +77,38 @@ fn event_kernel_counts_are_pinned_on_a_small_switch_run() {
         SimCounters {
             transactions: 16_166,
             events: 15_562,
-            delta_cycles: 13_206,
-            process_runs: 19_814,
-            time_steps: 6_679,
+            delta_cycles: 9_230,
+            process_runs: 8_033,
+            time_steps: 5_354,
         }
     );
     let report = compare_switch_output(&scenario.config, &scenario.collectors);
     assert!(report.passed(), "{report}");
     assert_eq!(report.matched, 100);
+}
+
+/// An odd-picosecond DUT clock keeps its exact period on the event
+/// follower: the generators' rising edges sit at `⌊p/2⌋ + k·p`, the grid
+/// the entity pokes against, so no cell is lost (a period one picosecond
+/// long) and no stimulus lands in the kernel's past (one picosecond
+/// short), exactly as on the cycle follower.
+#[test]
+fn odd_picosecond_clock_periods_match_every_cell_on_the_event_follower() {
+    for period_ps in [20_001, 19_999] {
+        let config = SwitchScenarioConfig {
+            cells_per_source: 50,
+            clock_period: SimDuration::from_picos(period_ps),
+            ..SwitchScenarioConfig::default()
+        };
+        let scenario = switch_cosim(config);
+        let mut coupling = scenario.coupling;
+        coupling
+            .run(SimTime::from_ms(100))
+            .unwrap_or_else(|e| panic!("{period_ps} ps: {e}"));
+        let report = compare_switch_output(&scenario.config, &scenario.collectors);
+        assert!(report.passed(), "{period_ps} ps: {report}");
+        assert_eq!(report.matched, 200, "{period_ps} ps");
+    }
 }
 
 #[test]
@@ -200,11 +238,11 @@ fn seeded_payload_bug_is_detected_by_the_comparator() {
     entity.add_egress(
         &mut sim,
         clk,
-        EgressSignals {
+        &[EgressSignals {
             data: attached.outputs[3],
             sync: attached.outputs[4],
             valid: attached.outputs[5],
-        },
+        }],
     );
     // The entity reports egress as port 0; rewire the interface response
     // port accordingly: interface output 1 is wired; entity egress port 0

@@ -971,6 +971,107 @@ fn two_state_reads_match_the_resolved_value() {
     });
 }
 
+/// A signal's resolved value and event count through a sole-driver
+/// phase, a second (and possibly a third, external) driver joining, and a
+/// tri-state release, against the driver-table model: one slot per
+/// driver holding its latest contribution, resolved on every transaction.
+#[test]
+fn sole_driver_signals_match_the_driver_model() {
+    use castanet_rtl::signal::SignalId;
+    use castanet_rtl::sim::{RtlCtx, RtlProcess, Simulator};
+
+    struct Script {
+        signal: SignalId,
+        steps: Vec<(u64, LogicVector)>,
+    }
+    impl RtlProcess for Script {
+        fn init(&mut self, ctx: &mut RtlCtx) {
+            for (at_ps, value) in self.steps.drain(..) {
+                ctx.assign_after(self.signal, value, SimDuration::from_picos(at_ps));
+            }
+        }
+        fn run(&mut self, _: &mut RtlCtx) {}
+    }
+
+    cases("sole_driver_signals_match_the_driver_model", |g| {
+        let width = g.range_usize(1, 81);
+        // Driver 0 is alone until `join`; driver 1 joins there; the
+        // external slot (driver 2) may join later. One driver releases the
+        // bus (Z) after the join. Times are in ns.
+        let join = g.range_u64(2, 12);
+        let mut scripts: Vec<Vec<(u64, LogicVector)>> = vec![Vec::new(); 3];
+        for t in 1..join {
+            if t == 1 || g.bool() {
+                scripts[0].push((t, gen_drive(g, width)));
+            }
+        }
+        scripts[1].push((join, gen_drive(g, width)));
+        let release = g.range_u64(join + 1, join + 6);
+        let releaser = g.range_usize(0, 2);
+        for t in join + 1..join + 12 {
+            for (slot, script) in scripts.iter_mut().enumerate() {
+                if slot == releaser && t == release {
+                    script.push((t, LogicVector::high_z(width)));
+                } else if g.range_usize(0, 3) == 0 {
+                    script.push((t, gen_drive(g, width)));
+                }
+            }
+        }
+
+        // Either process may be the sole driver: the first registered one
+        // or the second.
+        if g.bool() {
+            scripts.swap(0, 1);
+        }
+        let mut sim = Simulator::new();
+        let signal = sim.add_signal("bus", width);
+        for (t, value) in &scripts[2] {
+            let at = SimTime::from_ns(*t);
+            sim.poke(signal, value.clone(), at).expect("poke");
+        }
+        for script in &scripts[..2] {
+            let steps = script.iter().map(|(t, v)| (1_000 * t, v.clone())).collect();
+            sim.add_process(Box::new(Script { signal, steps }), &[]);
+        }
+
+        // The model: every driver's latest contribution, in first-drive
+        // order, resolved after each transaction.
+        let mut table: Vec<(usize, LogicVector)> = Vec::new();
+        let mut resolved = LogicVector::uninitialized(width);
+        let mut events = 0;
+        let mut times: Vec<u64> = scripts.iter().flatten().map(|&(t, _)| t).collect();
+        times.sort_unstable();
+        times.dedup();
+        for t in times {
+            // Pokes were scheduled first, so they apply first at a shared
+            // instant; then the processes in registration order.
+            for slot in [2, 0, 1] {
+                for (_, value) in scripts[slot].iter().filter(|(at, _)| *at == t) {
+                    match table.iter_mut().find(|(d, _)| *d == slot) {
+                        Some(entry) => entry.1 = value.clone(),
+                        None => table.push((slot, value.clone())),
+                    }
+                    let mut next = table[0].1.clone();
+                    for (_, d) in &table[1..] {
+                        next.resolve_assign(d);
+                    }
+                    if next != resolved {
+                        events += 1;
+                        resolved = next;
+                    }
+                }
+            }
+            assert!(sim.step_time().expect("step"));
+            assert_eq!(sim.now(), SimTime::from_ns(t));
+            assert_eq!(sim.read(signal), &resolved, "value at {t} ns");
+            assert_eq!(sim.read_u64(signal), resolved.to_u64(), "u64 at {t} ns");
+            let info = sim.signal_info(signal);
+            assert_eq!(info.event_count, events, "events at {t} ns");
+        }
+        assert!(!sim.step_time().expect("drained"));
+    });
+}
+
 /// Word-wise resolution against the element-wise reference, plus the
 /// algebra the IEEE 1164 table promises (commutativity, and agreement of
 /// the in-place form with the pure form).

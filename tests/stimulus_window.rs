@@ -108,17 +108,14 @@ fn event_follower() -> RtlCosim {
             enable: dut.inputs[3 * line + 2],
         });
     }
-    for line in 0..LINES {
-        entity.add_egress(
-            &mut sim,
-            dut.clk,
-            EgressSignals {
-                data: dut.outputs[3 * line],
-                sync: dut.outputs[3 * line + 1],
-                valid: dut.outputs[3 * line + 2],
-            },
-        );
-    }
+    let egress: Vec<EgressSignals> = (0..LINES)
+        .map(|line| EgressSignals {
+            data: dut.outputs[3 * line],
+            sync: dut.outputs[3 * line + 1],
+            valid: dut.outputs[3 * line + 2],
+        })
+        .collect();
+    entity.add_egress(&mut sim, dut.clk, &egress);
     RtlCosim::new(sim, entity)
 }
 

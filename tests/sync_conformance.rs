@@ -150,17 +150,14 @@ fn fresh_event_follower(cell_type: MessageTypeId) -> RtlCosim {
             enable: dut.inputs[3 * i + 2],
         });
     }
-    for i in 0..2 {
-        entity.add_egress(
-            &mut sim,
-            clk,
-            EgressSignals {
-                data: dut.outputs[3 * i],
-                sync: dut.outputs[3 * i + 1],
-                valid: dut.outputs[3 * i + 2],
-            },
-        );
-    }
+    let egress: Vec<EgressSignals> = (0..2)
+        .map(|i| EgressSignals {
+            data: dut.outputs[3 * i],
+            sync: dut.outputs[3 * i + 1],
+            valid: dut.outputs[3 * i + 2],
+        })
+        .collect();
+    entity.add_egress(&mut sim, clk, &egress);
     RtlCosim::new(sim, entity)
 }
 
