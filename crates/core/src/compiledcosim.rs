@@ -26,17 +26,10 @@ use crate::error::CastanetError;
 use crate::message::{Message, MessagePayload, MessageTypeId};
 use crate::stimulus::{clock_at_or_after, skip_idle, StimulusWindow};
 use castanet_atm::addr::HeaderFormat;
-use castanet_atm::cell::{AtmCell, CELL_OCTETS};
+use castanet_atm::cell::AtmCell;
 use castanet_netsim::time::{SimDuration, SimTime};
 use castanet_obs::{Counter, Gauge, Phase, Telemetry, Track};
 use castanet_rtl::compiled::LaneBank;
-
-#[derive(Clone)]
-struct IngressLane {
-    idx: IngressIndices,
-    /// Per-lane first clock free for the next cell's first byte.
-    next_free_clock: Vec<u64>,
-}
 
 #[derive(Clone)]
 struct EgressLane {
@@ -52,9 +45,8 @@ pub struct CompiledCosim {
     bank: LaneBank,
     clock_period: SimDuration,
     clocks_done: u64,
-    /// Per-lane input words for clocks `clocks_done..`.
+    /// Per-lane delivered cells; every window's clock is `clocks_done`.
     stimulus: Vec<StimulusWindow>,
-    ingress: Vec<IngressLane>,
     egress: Vec<EgressLane>,
     response_type: MessageTypeId,
     format: HeaderFormat,
@@ -105,7 +97,6 @@ impl CompiledCosim {
             bank,
             clock_period,
             clocks_done: 0,
-            ingress: Vec::new(),
             egress: Vec::new(),
             response_type,
             format,
@@ -129,12 +120,11 @@ impl CompiledCosim {
     /// As [`crate::CycleCosim::add_ingress`], against the lane bank's
     /// input ports.
     pub fn add_ingress(&mut self, idx: IngressIndices) -> Result<usize, CastanetError> {
-        idx.check(self.bank.input_ports())?;
-        self.ingress.push(IngressLane {
-            idx,
-            next_free_clock: vec![0; self.bank.lanes()],
-        });
-        Ok(self.ingress.len() - 1)
+        idx.check(self.bank.input_ports(), self.stimulus[0].pins())?;
+        for window in &mut self.stimulus {
+            window.add_line(idx);
+        }
+        Ok(self.stimulus[0].lines() - 1)
     }
 
     /// Registers an egress line; returns its co-simulation port index.
@@ -209,7 +199,7 @@ impl CompiledCosim {
         stamp: SimTime,
         cell: &AtmCell,
     ) -> Result<(), CastanetError> {
-        if port >= self.ingress.len() {
+        if port >= self.stimulus[0].lines() {
             return Err(CastanetError::UnknownPort { port });
         }
         let lanes = self.bank.lanes();
@@ -217,13 +207,8 @@ impl CompiledCosim {
             return Err(CastanetError::UnknownLane { lane, lanes });
         }
         let wire = cell.encode(self.format)?;
-        let line = &mut self.ingress[port];
-        let start = clock_at_or_after(stamp, self.clock_period)
-            .max(line.next_free_clock[lane])
-            .max(self.clocks_done);
-        let offset = (start - self.clocks_done) as usize;
-        self.stimulus[lane].put_cell(offset, line.idx, &wire);
-        line.next_free_clock[lane] = start + CELL_OCTETS as u64;
+        let earliest = clock_at_or_after(stamp, self.clock_period);
+        self.stimulus[lane].put_cell(port, earliest, &wire);
         Ok(())
     }
 
@@ -551,5 +536,36 @@ mod tests {
             cosim.seed_cell(0, 2, SimTime::ZERO, &cell(40)),
             Err(CastanetError::UnknownPort { port: 2 })
         ));
+    }
+
+    #[test]
+    fn ingress_lines_on_shared_pins_are_rejected() {
+        let mut cosim = fixture(2);
+        let rejected = |r: Result<usize, CastanetError>| matches!(r, Err(CastanetError::Preflight(f)) if f.len() == 1 && f[0].starts_with("CAST152"));
+        // Ports 6..=11 are the switch's free configuration inputs; 7 is
+        // 8 bits wide. A line whose data pin is also its sync pin:
+        assert!(rejected(cosim.add_ingress(IngressIndices {
+            data: 7,
+            sync: 7,
+            enable: 6,
+        })));
+        // A line that shares line 0's sync pin:
+        assert!(rejected(cosim.add_ingress(IngressIndices {
+            data: 7,
+            sync: 1,
+            enable: 6,
+        })));
+        // Nothing was registered by the rejected calls, in any lane.
+        assert!(matches!(
+            cosim.seed_cell(1, 2, SimTime::ZERO, &cell(40)),
+            Err(CastanetError::UnknownPort { port: 2 })
+        ));
+        let free = IngressIndices {
+            data: 7,
+            sync: 6,
+            enable: 9,
+        };
+        assert_eq!(cosim.add_ingress(free).unwrap(), 2);
+        assert!(rejected(cosim.add_ingress(free)));
     }
 }

@@ -7,7 +7,8 @@
 //! call per clock, with **idle skipping** — when no stimulus is pending and
 //! the DUT reports quiescence ([`castanet_rtl::cycle::CycleDut::is_idle`]),
 //! whole stretches of simulated time advance in O(1). Delivered cells wait
-//! in a flat stimulus window and the DUT writes into the engine's own output
+//! in the stimulus window as cells, expanded to pin values only at the
+//! clock that samples them, and the DUT writes into the engine's own output
 //! buffer, so an evaluated clock allocates nothing unless it completes a
 //! cell. The E1/E7 benches compare this follower against the event-driven
 //! [`crate::RtlCosim`] on identical workloads.
@@ -18,7 +19,6 @@ use crate::error::CastanetError;
 use crate::message::{Message, MessagePayload, MessageTypeId};
 use crate::stimulus::{clock_at_or_after, skip_idle, StimulusWindow};
 use castanet_atm::addr::HeaderFormat;
-use castanet_atm::cell::CELL_OCTETS;
 use castanet_netsim::time::{SimDuration, SimTime};
 use castanet_obs::{Gauge, Phase, Telemetry, Track};
 use castanet_rtl::cycle::{CycleSim, PortDecl};
@@ -46,14 +46,22 @@ pub struct EgressIndices {
 }
 
 impl IngressIndices {
-    /// Checks the pins against the DUT's input ports.
-    pub(crate) fn check(&self, ports: &[PortDecl]) -> Result<(), CastanetError> {
+    /// Checks the pins against the DUT's input ports and against the
+    /// pins of the ingress lines already `registered`.
+    pub(crate) fn check(
+        &self,
+        ports: &[PortDecl],
+        registered: impl Iterator<Item = IngressIndices>,
+    ) -> Result<(), CastanetError> {
         let pins = [
             ("data", self.data),
             ("sync", self.sync),
             ("enable", self.enable),
         ];
-        check_line("ingress", pins, ports)
+        let driven: Vec<usize> = registered
+            .flat_map(|l| [l.data, l.sync, l.enable])
+            .collect();
+        check_line("ingress", pins, ports, Some(&driven))
     }
 }
 
@@ -65,39 +73,56 @@ impl EgressIndices {
             ("sync", self.sync),
             ("valid", self.valid),
         ];
-        check_line("egress", pins, ports)
+        check_line("egress", pins, ports, None)
     }
 }
 
 /// Rejects a line whose pin index is past the DUT's port list (`CAST150`)
 /// or whose data pin is narrower than a byte (`CAST151`). Strobes need one
-/// bit, which every declared port has.
+/// bit, which every declared port has. `driven` is `Some` for a line the
+/// follower drives, holding the pins other lines already drive: each pin
+/// of such a line must be its own and no other line's (`CAST152`), or the
+/// pin's value would depend on which line was driven last.
 fn check_line(
     line: &str,
     pins: [(&str, usize); 3],
     ports: &[PortDecl],
+    driven: Option<&[usize]>,
 ) -> Result<(), CastanetError> {
-    for (role, index) in pins {
-        let finding = match ports.get(index) {
-            None => format!(
+    let misfit = pins
+        .iter()
+        .find_map(|&(role, index)| match ports.get(index) {
+            None => Some(format!(
                 "CAST150: {line} {role} pin index {index} out of range ({} ports on the DUT)",
                 ports.len()
-            ),
-            Some(p) if role == "data" && p.width < 8 => format!(
+            )),
+            Some(p) if role == "data" && p.width < 8 => Some(format!(
                 "CAST151: {line} data pin '{}' is {} bits wide, needs 8",
                 p.name, p.width
-            ),
-            Some(_) => continue,
-        };
-        return Err(CastanetError::Preflight(vec![finding]));
+            )),
+            Some(_) => None,
+        });
+    let shared = || {
+        let driven = driven?;
+        pins.iter().enumerate().find_map(|(k, &(role, index))| {
+            let name = &ports[index].name;
+            if let Some((twin, _)) = pins[..k].iter().find(|&&(_, other)| other == index) {
+                Some(format!(
+                    "CAST152: {line} {role} pin '{name}' is also the line's {twin} pin"
+                ))
+            } else if driven.contains(&index) {
+                Some(format!(
+                    "CAST152: {line} {role} pin '{name}' is already driven by another {line} line"
+                ))
+            } else {
+                None
+            }
+        })
+    };
+    match misfit.or_else(shared) {
+        Some(finding) => Err(CastanetError::Preflight(vec![finding])),
+        None => Ok(()),
     }
-    Ok(())
-}
-
-#[derive(Clone)]
-struct IngressLine {
-    idx: IngressIndices,
-    next_free_clock: u64,
 }
 
 #[derive(Clone)]
@@ -110,10 +135,9 @@ struct EgressLine {
 pub struct CycleCosim {
     sim: CycleSim,
     clock_period: SimDuration,
-    clocks_done: u64,
-    /// Input words for clocks `clocks_done..`.
+    /// Delivered cells per ingress line; its clock is the next one to
+    /// evaluate.
     stimulus: StimulusWindow,
-    ingress: Vec<IngressLine>,
     egress: Vec<EgressLine>,
     response_type: MessageTypeId,
     format: HeaderFormat,
@@ -137,7 +161,7 @@ pub struct CycleCosim {
 impl std::fmt::Debug for CycleCosim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CycleCosim")
-            .field("clocks_done", &self.clocks_done)
+            .field("clocks_done", &self.stimulus.now())
             .field("skipped", &self.skipped)
             .finish()
     }
@@ -156,8 +180,6 @@ impl CycleCosim {
             stimulus: StimulusWindow::new(sim.input_ports().len()),
             sim,
             clock_period,
-            clocks_done: 0,
-            ingress: Vec::new(),
             egress: Vec::new(),
             response_type,
             format,
@@ -175,15 +197,12 @@ impl CycleCosim {
     /// # Errors
     ///
     /// [`CastanetError::Preflight`] with one `CAST150` finding for a pin
-    /// index past the DUT's input ports, or `CAST151` for a data pin
-    /// narrower than 8 bits.
+    /// index past the DUT's input ports, `CAST151` for a data pin
+    /// narrower than 8 bits, or `CAST152` for a pin the line uses twice or
+    /// shares with an ingress line registered before.
     pub fn add_ingress(&mut self, idx: IngressIndices) -> Result<usize, CastanetError> {
-        idx.check(self.sim.input_ports())?;
-        self.ingress.push(IngressLine {
-            idx,
-            next_free_clock: 0,
-        });
-        Ok(self.ingress.len() - 1)
+        idx.check(self.sim.input_ports(), self.stimulus.pins())?;
+        Ok(self.stimulus.add_line(idx))
     }
 
     /// Registers an egress line; returns its co-simulation port index.
@@ -224,7 +243,7 @@ impl CycleCosim {
         &self.sim
     }
 
-    /// Evaluates clock `clocks_done`, appending the cells it completes to
+    /// Evaluates the window's clock, appending the cells it completes to
     /// `responses`.
     fn run_clock(&mut self, responses: &mut Vec<Message>) -> Result<(), CastanetError> {
         // `cycle.eval` is a per-clock micro-phase: sampled 1-in-N, so the
@@ -244,8 +263,7 @@ impl CycleCosim {
         };
         let outs = self.sim.step(self.stimulus.front())?;
         self.stimulus.pop_front();
-        self.clocks_done += 1;
-        let stamp = SimTime::from_picos(self.clocks_done * self.clock_period.as_picos());
+        let stamp = SimTime::from_picos(self.stimulus.now() * self.clock_period.as_picos());
         if sampled {
             self.phase_stamp = self.tel.record_phase(
                 Track::Follower,
@@ -293,15 +311,14 @@ impl CycleCosim {
         // cached span stamp no longer abuts the next evaluation.
         self.phase_stamp = 0;
         let mut collected = Vec::new();
-        while self.clocks_done < target {
+        while self.stimulus.now() < target {
             // Idle skip: the DUT quiescent — jump straight to the next
             // stimulus clock (or the horizon).
             if self.sim.dut().is_idle() {
-                let remaining = target - self.clocks_done;
+                let remaining = target - self.stimulus.now();
                 let jump = skip_idle(std::slice::from_mut(&mut self.stimulus), remaining);
                 if jump > 0 {
                     self.skipped += jump;
-                    self.clocks_done += jump;
                     self.phase_stamp = 0;
                     continue;
                 }
@@ -329,17 +346,12 @@ impl CoupledSimulator for CycleCosim {
                 msg.payload.kind()
             )));
         };
-        if msg.port >= self.ingress.len() {
+        if msg.port >= self.stimulus.lines() {
             return Err(CastanetError::UnknownPort { port: msg.port });
         }
         let wire = cell.encode(self.format)?;
-        let line = &mut self.ingress[msg.port];
-        let start = clock_at_or_after(msg.stamp, self.clock_period)
-            .max(line.next_free_clock)
-            .max(self.clocks_done);
-        let offset = (start - self.clocks_done) as usize;
-        self.stimulus.put_cell(offset, line.idx, &wire);
-        line.next_free_clock = start + CELL_OCTETS as u64;
+        let earliest = clock_at_or_after(msg.stamp, self.clock_period);
+        self.stimulus.put_cell(msg.port, earliest, &wire);
         self.phase_stamp = 0;
         Ok(())
     }
@@ -356,7 +368,7 @@ impl CoupledSimulator for CycleCosim {
     }
 
     fn now(&self) -> SimTime {
-        SimTime::from_picos(self.clocks_done * self.clock_period.as_picos())
+        SimTime::from_picos(self.stimulus.now() * self.clock_period.as_picos())
     }
 
     fn set_telemetry(&mut self, tel: &Telemetry) {
@@ -522,7 +534,64 @@ mod tests {
         assert_eq!(finding(cosim.add_egress(egress(0, 9))), "CAST150");
         assert_eq!(finding(cosim.add_ingress(ingress(1, 2))), "CAST151");
         assert_eq!(finding(cosim.add_egress(egress(1, 2))), "CAST151");
-        assert_eq!(cosim.add_ingress(ingress(0, 2)).unwrap(), 2);
+        // Nothing was registered by the rejected calls: the next line on
+        // free pins (the configuration inputs) is line 2.
+        let free = IngressIndices {
+            data: 7,
+            sync: 6,
+            enable: 9,
+        };
+        assert_eq!(cosim.add_ingress(free).unwrap(), 2);
+    }
+
+    #[test]
+    fn ingress_lines_on_shared_pins_are_rejected() {
+        let mut cosim = fixture();
+        let rejected = |r: Result<usize, CastanetError>| match r {
+            Err(CastanetError::Preflight(f)) if f.len() == 1 && f[0].starts_with("CAST152") => {
+                f[0].clone()
+            }
+            other => panic!("expected one CAST152 finding, got {other:?}"),
+        };
+        // Ports 6..=11 are the switch's free configuration inputs; 6 is a
+        // 1-bit strobe, 7 is 8 bits wide.
+        let own = rejected(cosim.add_ingress(IngressIndices {
+            data: 7,
+            sync: 6,
+            enable: 6,
+        }));
+        assert!(
+            own.contains("enable pin 'cfg_valid' is also the line's sync pin"),
+            "{own}"
+        );
+        // Line 1 already drives port 5 (`rx_en1`).
+        let shared = rejected(cosim.add_ingress(IngressIndices {
+            data: 7,
+            sync: 6,
+            enable: 5,
+        }));
+        assert!(shared.contains("'rx_en1' is already driven"), "{shared}");
+        // Egress lines only read their pins: sharing one is allowed.
+        assert_eq!(
+            cosim
+                .add_egress(EgressIndices {
+                    data: 3,
+                    sync: 4,
+                    valid: 5,
+                })
+                .unwrap(),
+            2
+        );
+        let free = IngressIndices {
+            data: 7,
+            sync: 6,
+            enable: 9,
+        };
+        assert_eq!(cosim.add_ingress(free).unwrap(), 2);
+        assert_eq!(
+            rejected(cosim.add_ingress(free)),
+            "CAST152: ingress data pin 'cfg_in_vpi' is already driven by another ingress line"
+        );
     }
 
     #[test]

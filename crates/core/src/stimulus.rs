@@ -1,14 +1,26 @@
-//! The cycle followers' stimulus window: the DUT input words of every
-//! clock still to come, in one flat ring.
+//! The cycle followers' stimulus window: delivered cells queued per
+//! ingress line, expanded to pin values only at the clock that samples
+//! them.
 //!
 //! A delivered cell becomes 53 consecutive clocks of pin values on one
-//! ingress line. [`StimulusWindow`] holds those values for the clocks
-//! `now..now + len()`, one stride of input-port words per clock, plus a
-//! per-clock "has stimulus" mark. Every unmarked slot holds zeros (idle
-//! lines), so [`front`](StimulusWindow::front) is the next clock's input
-//! vector as it stands, stimulated or not. The ring doubles when a cell
-//! lands past its end and never shrinks: once it has reached the deepest
-//! look-ahead a run needs, filling and draining it allocates nothing.
+//! ingress line. [`StimulusWindow`] keeps it as a cell — its first clock
+//! and its 53 wire octets — in its line's queue until then.
+//! [`front`](StimulusWindow::front) is the input vector of clock `now`,
+//! built from the line heads: a line with a cell under way drives its
+//! octet (data, sync on the first octet, enable), every other line reads
+//! zeros (idle). [`pop_front`](StimulusWindow::pop_front) moves to the
+//! next clock, retiring a finished cell and driving the next one's first
+//! octet on that same clock, so back-to-back cells leave no idle gap.
+//!
+//! A line carries one cell at a time, so the window owns each line's next
+//! free clock and [`put_cell`](StimulusWindow::put_cell) starts a cell no
+//! earlier than the end of the line's previous one: a line's cells never
+//! overlap. A cell costs its 53 octets however far ahead it is stamped,
+//! and the queues are reused once they reach a run's deepest backlog, so
+//! filling and draining a warmed-up window allocates nothing. The window
+//! also keeps the earliest first clock of any line's head: until then no
+//! pin changes, so an idle clock costs one comparison and the idle-skip
+//! distance is one subtraction.
 //!
 //! [`crate::CycleCosim`] keeps one window and [`crate::CompiledCosim`] one
 //! per lane. Both place a delivered cell with [`clock_at_or_after`] and
@@ -18,6 +30,7 @@
 use crate::cyclecosim::IngressIndices;
 use castanet_atm::cell::CELL_OCTETS;
 use castanet_netsim::time::{SimDuration, SimTime};
+use std::collections::VecDeque;
 
 /// The first clock, counted from 0, whose inputs are sampled at or after
 /// `t` on a DUT clocked every `period`.
@@ -29,144 +42,174 @@ pub(crate) fn clock_at_or_after(t: SimTime, period: SimDuration) -> u64 {
     ps.div_ceil(period) - 1
 }
 
-/// Per-clock DUT input words for the clocks from `now` on.
+/// `Line::first` of a line with no cell.
+const NONE: u64 = u64::MAX;
+
+/// One ingress line: its pins and the cells still to drive onto them.
+#[derive(Debug)]
+struct Line {
+    pins: IngressIndices,
+    /// First clock of `head`, or [`NONE`].
+    first: u64,
+    /// The octets of the cell on the pins, or of the next one to go on.
+    head: [u8; CELL_OCTETS],
+    /// `(first clock, octets)` of the cells behind `head`, in clock order.
+    queue: VecDeque<(u64, [u8; CELL_OCTETS])>,
+    /// First clock free for the next cell's first octet.
+    next_free: u64,
+}
+
+impl Line {
+    /// Moves the line's pins in `words` on to clock `now`. A line owns its
+    /// pins (registration rejects shared ones, `CAST152`), so only the
+    /// values that change are written: the data octet every clock of a
+    /// cell, the strobes at its edges.
+    fn drive(&mut self, words: &mut [u64], now: u64) {
+        if now < self.first {
+            return; // No cell under way: the pins read idle.
+        }
+        let k = now - self.first;
+        if k < CELL_OCTETS as u64 {
+            words[self.pins.data] = u64::from(self.head[k as usize]);
+            if k <= 1 {
+                words[self.pins.sync] = u64::from(k == 0);
+                words[self.pins.enable] = 1;
+            }
+            return;
+        }
+        self.retire(words, now);
+    }
+
+    /// Retires the cell that ended on the clock before `now` and starts
+    /// the next one if it follows back to back.
+    #[cold]
+    fn retire(&mut self, words: &mut [u64], now: u64) {
+        self.next_head();
+        let on = self.first == now;
+        words[self.pins.data] = if on { u64::from(self.head[0]) } else { 0 };
+        words[self.pins.sync] = u64::from(on);
+        words[self.pins.enable] = u64::from(on);
+    }
+
+    /// Moves the first queued cell (or none) into `head`.
+    fn next_head(&mut self) {
+        (self.first, self.head) = self.queue.pop_front().unwrap_or((NONE, [0; CELL_OCTETS]));
+    }
+}
+
+/// Delivered cells per ingress line, and the DUT input words of clock
+/// `now` built from them.
 #[derive(Debug)]
 pub(crate) struct StimulusWindow {
-    /// Input ports per clock.
-    stride: usize,
-    /// `capacity × stride` words; ring slot `s` is
-    /// `words[s * stride..(s + 1) * stride]`.
-    words: Vec<u64>,
-    /// Per ring slot: does that clock carry stimulus?
-    marked: Vec<bool>,
-    /// Ring slot of clock `now`.
-    head: usize,
-    /// Clocks from `now` up to the last one ever stimulated.
-    len: usize,
-    /// Marked slots in the window.
-    pending: usize,
+    /// The clock [`front`](Self::front) belongs to, counted from 0.
+    now: u64,
+    /// The input words of clock `now`.
+    front: Vec<u64>,
+    lines: Vec<Line>,
+    /// The earliest `first` of any line, or [`NONE`]: before it, no pin
+    /// changes.
+    wake: u64,
 }
 
 impl StimulusWindow {
-    /// Smallest ring (clocks) once a cell arrives: one cell and change.
-    const MIN_CLOCKS: usize = 64;
-
-    /// An empty window for a DUT with `stride` input ports. It holds one
-    /// idle slot, so [`front`](Self::front) needs no branch, and grows on
-    /// the first cell: a follower that never sees traffic (most lanes of a
-    /// bank, until seeded) costs one small allocation.
+    /// An empty window for a DUT with `stride` input ports, at clock 0.
     pub(crate) fn new(stride: usize) -> Self {
         StimulusWindow {
-            stride,
-            words: vec![0; stride],
-            marked: vec![false],
-            head: 0,
-            len: 0,
-            pending: 0,
+            now: 0,
+            front: vec![0; stride],
+            lines: Vec::new(),
+            wake: NONE,
         }
     }
 
-    /// Ring slot of the clock `offset` clocks from now (`offset` below
-    /// the power-of-two capacity).
-    fn slot(&self, offset: usize) -> usize {
-        (self.head + offset) & (self.marked.len() - 1)
+    /// Registers an ingress line on `pins`; returns its line number. The
+    /// caller has checked the pins (`IngressIndices::check`).
+    pub(crate) fn add_line(&mut self, pins: IngressIndices) -> usize {
+        self.lines.push(Line {
+            pins,
+            first: NONE,
+            head: [0; CELL_OCTETS],
+            queue: VecDeque::new(),
+            next_free: 0,
+        });
+        self.lines.len() - 1
     }
 
-    /// The input words of the clock `offset` clocks from now, marked as
-    /// stimulated; a clock not stimulated before reads as all zeros.
-    fn slot_mut(&mut self, offset: usize) -> &mut [u64] {
-        if offset >= self.marked.len() {
-            self.grow(offset + 1);
-        }
-        let slot = self.slot(offset);
-        if !self.marked[slot] {
-            self.marked[slot] = true;
-            self.pending += 1;
-        }
-        self.len = self.len.max(offset + 1);
-        &mut self.words[slot * self.stride..(slot + 1) * self.stride]
+    /// The clock [`front`](Self::front) belongs to: clocks retired so far.
+    pub(crate) fn now(&self) -> u64 {
+        self.now
     }
 
-    /// Drives the octets of `wire` onto ingress line `line`, one per clock
-    /// from the clock `offset` clocks from now: data, sync on the first
-    /// octet, enable on all of them.
-    pub(crate) fn put_cell(
-        &mut self,
-        offset: usize,
-        line: IngressIndices,
-        wire: &[u8; CELL_OCTETS],
-    ) {
-        for (k, &byte) in wire.iter().enumerate() {
-            let slot = self.slot_mut(offset + k);
-            slot[line.data] = u64::from(byte);
-            slot[line.sync] = u64::from(k == 0);
-            slot[line.enable] = 1;
-        }
+    /// The pins of every registered line, in line order.
+    pub(crate) fn pins(&self) -> impl Iterator<Item = IngressIndices> + '_ {
+        self.lines.iter().map(|l| l.pins)
     }
 
-    /// Re-lays the ring out from slot 0 with room for `clocks` clocks.
-    fn grow(&mut self, clocks: usize) {
-        let capacity = clocks
-            .next_power_of_two()
-            .max(2 * self.marked.len())
-            .max(Self::MIN_CLOCKS);
-        let mut words = vec![0; capacity * self.stride];
-        let mut marked = vec![false; capacity];
-        for offset in 0..self.len {
-            let slot = self.slot(offset);
-            if self.marked[slot] {
-                marked[offset] = true;
-                words[offset * self.stride..(offset + 1) * self.stride]
-                    .copy_from_slice(&self.words[slot * self.stride..(slot + 1) * self.stride]);
+    /// Registered ingress lines.
+    pub(crate) fn lines(&self) -> usize {
+        self.lines.len()
+    }
+
+    /// Queues `wire` on line `line` (a registered line number), one octet
+    /// per clock from the first clock at or after `earliest` at which the
+    /// line is free and which is not yet past. Returns that clock.
+    pub(crate) fn put_cell(&mut self, line: usize, earliest: u64, wire: &[u8; CELL_OCTETS]) -> u64 {
+        let now = self.now;
+        let l = &mut self.lines[line];
+        let start = earliest.max(l.next_free).max(now);
+        l.queue.push_back((start, *wire));
+        l.next_free = start + CELL_OCTETS as u64;
+        if l.first == NONE {
+            l.next_head();
+            self.wake = self.wake.min(start);
+            if start == now {
+                l.drive(&mut self.front, now);
             }
         }
-        self.words = words;
-        self.marked = marked;
-        self.head = 0;
+        start
     }
 
     /// The input words of clock `now`: its stimulus, or all zeros.
     pub(crate) fn front(&self) -> &[u64] {
-        &self.words[self.head * self.stride..(self.head + 1) * self.stride]
+        &self.front
     }
 
     /// Retires clock `now` once it has been evaluated.
     pub(crate) fn pop_front(&mut self) {
-        if self.marked[self.head] {
-            self.marked[self.head] = false;
-            self.pending -= 1;
-            self.words[self.head * self.stride..(self.head + 1) * self.stride].fill(0);
+        self.advance(1);
+    }
+
+    /// Moves `clocks` clocks on and drives the pins of the new `now`.
+    fn advance(&mut self, clocks: u64) {
+        self.now += clocks;
+        if self.now < self.wake {
+            return;
         }
-        self.head = self.slot(1);
-        self.len = self.len.saturating_sub(1);
-    }
-
-    /// Retires `clocks` clocks that carry no stimulus.
-    fn skip(&mut self, clocks: u64) {
-        debug_assert!(self.next_stimulus().is_none_or(|off| off as u64 >= clocks));
-        let ring = self.marked.len();
-        self.head = (self.head + (clocks % ring as u64) as usize) & (ring - 1);
-        self.len = self
-            .len
-            .saturating_sub(usize::try_from(clocks).unwrap_or(usize::MAX));
-    }
-
-    /// Offset from now of the first stimulated clock, if any.
-    fn next_stimulus(&self) -> Option<usize> {
-        if self.pending == 0 {
-            return None;
+        let mut wake = NONE;
+        for line in &mut self.lines {
+            line.drive(&mut self.front, self.now);
+            wake = wake.min(line.first);
         }
-        (0..self.len).find(|&offset| self.marked[self.slot(offset)])
+        self.wake = wake;
     }
 
-    /// `true` while any clock in the window carries stimulus.
+    /// Clocks from now to the first stimulated one, if any.
+    fn next_stimulus(&self) -> Option<u64> {
+        (self.wake != NONE).then(|| self.wake.saturating_sub(self.now))
+    }
+
+    /// `true` while any line has a cell under way or waiting.
     pub(crate) fn has_stimulus(&self) -> bool {
-        self.pending > 0
+        self.wake != NONE
     }
 
     /// Clocks from now up to the last stimulated one.
     pub(crate) fn len(&self) -> usize {
-        self.len
+        self.lines
+            .iter()
+            .map(|l| l.next_free.saturating_sub(self.now) as usize)
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -179,9 +222,11 @@ pub(crate) fn skip_idle(windows: &mut [StimulusWindow], remaining: u64) -> u64 {
         .iter()
         .filter_map(StimulusWindow::next_stimulus)
         .min()
-        .map_or(remaining, |offset| remaining.min(offset as u64));
-    for w in windows {
-        w.skip(jump);
+        .map_or(remaining, |offset| remaining.min(offset));
+    if jump > 0 {
+        for w in windows {
+            w.advance(jump);
+        }
     }
     jump
 }
@@ -190,64 +235,160 @@ pub(crate) fn skip_idle(windows: &mut [StimulusWindow], remaining: u64) -> u64 {
 mod tests {
     use super::*;
 
-    #[test]
-    fn unmarked_clocks_read_as_zero_and_popped_slots_are_cleared() {
-        let mut w = StimulusWindow::new(3);
-        w.slot_mut(1).copy_from_slice(&[7, 1, 1]);
-        assert_eq!((w.len(), w.next_stimulus()), (2, Some(1)));
-        assert_eq!(w.front(), [0, 0, 0]);
-        w.pop_front();
-        assert_eq!(w.front(), [7, 1, 1]);
-        w.pop_front();
-        assert!(!w.has_stimulus());
-        assert_eq!((w.len(), w.front()), (0, &[0, 0, 0][..]));
-        // Popping an empty window keeps yielding idle clocks.
-        for _ in 0..200 {
-            w.pop_front();
-            assert_eq!(w.front(), [0, 0, 0]);
+    /// Line `n` on pins `3n` (data), `3n + 1` (sync), `3n + 2` (enable).
+    fn window(lines: usize) -> StimulusWindow {
+        let mut w = StimulusWindow::new(3 * lines);
+        for n in 0..lines {
+            let line = w.add_line(IngressIndices {
+                data: 3 * n,
+                sync: 3 * n + 1,
+                enable: 3 * n + 2,
+            });
+            assert_eq!(line, n);
         }
+        w
+    }
+
+    /// A cell whose octet `k` is `tag + k`.
+    fn wire(tag: u8) -> [u8; CELL_OCTETS] {
+        std::array::from_fn(|k| tag.wrapping_add(k as u8))
+    }
+
+    /// The `[data, sync, enable]` pins of line `n` at the front.
+    fn pins(w: &StimulusWindow, n: usize) -> [u64; 3] {
+        w.front()[3 * n..3 * n + 3].try_into().unwrap()
+    }
+
+    /// `[data, sync, enable]` of octet `k` of `wire(tag)`.
+    fn octet(tag: u8, k: usize) -> [u64; 3] {
+        [u64::from(wire(tag)[k]), u64::from(k == 0), 1]
+    }
+
+    const IDLE: [u64; 3] = [0, 0, 0];
+
+    #[test]
+    fn back_to_back_cells_leave_no_idle_clock() {
+        let mut w = window(1);
+        assert_eq!(w.put_cell(0, 5, &wire(10)), 5);
+        // Stamped at the same clock, the second cell starts where the
+        // first one ends.
+        assert_eq!(w.put_cell(0, 5, &wire(100)), 58);
+        assert_eq!(skip_idle(std::slice::from_mut(&mut w), 1000), 5);
+        for k in 0..CELL_OCTETS {
+            assert_eq!(pins(&w, 0), octet(10, k), "first cell, octet {k}");
+            w.pop_front();
+        }
+        assert_eq!(pins(&w, 0), octet(100, 0), "no idle clock between");
+        assert_eq!(w.now, 58);
     }
 
     #[test]
-    fn growth_keeps_pending_clocks_in_order_across_a_wrapped_ring() {
-        let mut w = StimulusWindow::new(2);
-        // Grow to the smallest ring, then move the head near its end so
-        // the next cell wraps.
-        w.slot_mut(1);
+    fn a_cell_placed_at_offset_zero_shows_at_once() {
+        let mut w = window(2);
+        w.put_cell(0, 100, &wire(1));
         w.pop_front();
         w.pop_front();
-        w.skip(58);
-        for k in 0..10 {
-            w.slot_mut(k)[0] = k as u64 + 1;
-        }
-        // A cell stamped far ahead while the first ones are still pending.
-        w.slot_mut(1000)[1] = 9;
-        assert_eq!(w.len(), 1001);
-        for k in 0..10 {
-            assert_eq!(w.front(), [k + 1, 0]);
+        assert_eq!(w.put_cell(1, 0, &wire(7)), 2, "a past clock means now");
+        assert_eq!(pins(&w, 1), octet(7, 0));
+        assert_eq!(pins(&w, 0), IDLE);
+        assert_eq!((w.len(), w.next_stimulus()), (153 - 2, Some(0)));
+        w.pop_front();
+        assert_eq!((pins(&w, 0), pins(&w, 1)), (IDLE, octet(7, 1)));
+    }
+
+    #[test]
+    fn an_idle_skip_lands_exactly_on_a_first_octet() {
+        let mut w = window(2);
+        w.put_cell(0, 40, &wire(3));
+        assert_eq!(w.next_stimulus(), Some(40));
+        // A cell queued later on the other line but due earlier.
+        w.put_cell(1, 25, &wire(9));
+        assert_eq!(w.next_stimulus(), Some(25));
+        assert_eq!(skip_idle(std::slice::from_mut(&mut w), 10), 10);
+        assert_eq!(w.front(), [0; 6]);
+        assert_eq!(skip_idle(std::slice::from_mut(&mut w), 100), 15);
+        assert_eq!((w.now, pins(&w, 0), pins(&w, 1)), (25, IDLE, octet(9, 0)));
+        // A cell under way stops every further skip.
+        assert_eq!(skip_idle(std::slice::from_mut(&mut w), 100), 0);
+        for _ in 25..40 {
             w.pop_front();
         }
-        assert_eq!(w.next_stimulus(), Some(990));
-        assert_eq!(skip_idle(std::slice::from_mut(&mut w), 5000), 990);
-        assert_eq!(w.front(), [0, 9]);
-        w.pop_front();
-        assert_eq!(skip_idle(std::slice::from_mut(&mut w), 5000), 5000);
+        assert_eq!(skip_idle(std::slice::from_mut(&mut w), 100), 0);
+        assert_eq!((pins(&w, 0), pins(&w, 1)), (octet(3, 0), octet(9, 15)));
+    }
+
+    #[test]
+    fn two_lines_with_overlapping_cells_drive_their_own_pins() {
+        let mut w = window(2);
+        w.put_cell(0, 0, &wire(1));
+        for clock in 0..140 {
+            match clock {
+                // Queued while line 0 is busy and line 1 idle.
+                10 => assert_eq!(w.put_cell(1, 20, &wire(50)), 20),
+                // Queued while both are busy: line 1 chains it.
+                30 => assert_eq!(w.put_cell(1, 0, &wire(90)), 73),
+                _ => {}
+            }
+            let on = |first: usize| (first..first + CELL_OCTETS).contains(&clock);
+            let line0 = if on(0) { octet(1, clock) } else { IDLE };
+            let line1 = match clock {
+                c if on(20) => octet(50, c - 20),
+                c if on(73) => octet(90, c - 73),
+                _ => IDLE,
+            };
+            assert_eq!((pins(&w, 0), pins(&w, 1)), (line0, line1), "clock {clock}");
+            w.pop_front();
+        }
+        assert!(!w.has_stimulus());
+    }
+
+    #[test]
+    fn next_free_clock_chains_after_a_drained_queue() {
+        let mut w = window(1);
+        assert_eq!(w.put_cell(0, 0, &wire(1)), 0);
+        for _ in 0..60 {
+            w.pop_front();
+        }
+        assert!(!w.has_stimulus());
         assert_eq!(w.len(), 0);
+        // The line has been free since clock 53: a cell stamped earlier
+        // starts now, one stamped later at its own clock.
+        assert_eq!(w.put_cell(0, 10, &wire(2)), 60);
+        assert_eq!(w.put_cell(0, 200, &wire(3)), 200);
+        assert_eq!(w.put_cell(0, 150, &wire(4)), 253);
+        assert_eq!(w.len(), 253 + CELL_OCTETS - 60);
+    }
+
+    #[test]
+    fn idle_lines_read_zero_after_their_last_octet() {
+        let mut w = window(2);
+        w.put_cell(0, 0, &wire(0xF0));
+        w.put_cell(1, 0, &wire(0x0F));
+        for _ in 0..CELL_OCTETS - 1 {
+            w.pop_front();
+        }
+        assert_eq!(pins(&w, 0), octet(0xF0, CELL_OCTETS - 1));
+        w.pop_front();
+        assert_eq!(w.front(), [0; 6]);
+        assert!(!w.has_stimulus());
+        // Popping an empty window keeps yielding idle clocks.
+        for _ in 0..200 {
+            w.pop_front();
+            assert_eq!(w.front(), [0; 6]);
+        }
+        assert_eq!(skip_idle(std::slice::from_mut(&mut w), 5000), 5000);
     }
 
     #[test]
     fn skip_idle_stops_at_the_earliest_stimulus_of_any_window() {
-        let mut lanes = [
-            StimulusWindow::new(1),
-            StimulusWindow::new(1),
-            StimulusWindow::new(1),
-        ];
-        lanes[1].slot_mut(40)[0] = 1;
-        lanes[2].slot_mut(25)[0] = 2;
+        let mut lanes = [window(1), window(1), window(1)];
+        lanes[1].put_cell(0, 40, &wire(1));
+        lanes[2].put_cell(0, 25, &wire(2));
         assert_eq!(skip_idle(&mut lanes, 10), 10);
         assert_eq!(skip_idle(&mut lanes, 100), 15);
-        assert_eq!(lanes[2].front(), [2]);
+        assert_eq!(pins(&lanes[2], 0), octet(2, 0));
         assert_eq!(lanes[1].next_stimulus(), Some(15));
         assert_eq!(skip_idle(&mut lanes, 100), 0);
+        assert!(lanes.iter().all(|w| w.now == 25));
     }
 }

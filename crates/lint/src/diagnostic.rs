@@ -245,6 +245,11 @@ pub const CODES: &[(&str, Severity, &str)] = &[
         Severity::Error,
         "cycle/compiled follower line data pin narrower than 8 bits (add_ingress/add_egress reject it)",
     ),
+    (
+        "CAST152",
+        Severity::Error,
+        "cycle/compiled follower ingress line pin used twice, or shared with another ingress line (add_ingress rejects it)",
+    ),
 ];
 
 /// Looks up the registered severity and summary of `code`.

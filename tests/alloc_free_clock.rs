@@ -1,9 +1,10 @@
 //! Heap traffic on the DUT clock path. Once a follower has warmed up, an
 //! evaluated clock must not touch the allocator unless it completes a
-//! cell: the DUT writes into pins its caller owns and stimulus waits in a
-//! preallocated window. The test counts the allocator calls made on its
-//! own thread, so tests running beside it in the same process do not
-//! disturb the counts.
+//! cell: the DUT writes into pins its caller owns and stimulus waits, as
+//! cells, in queues that have reached their working size. A cell's
+//! footprint is its octets, not the clocks up to its stamp. The test
+//! counts the allocator calls and bytes made on its own thread, so tests
+//! running beside it in the same process do not disturb the counts.
 
 // A `GlobalAlloc` impl is `unsafe` by definition; this counting shim over
 // `System` is the only unsafe code in the workspace.
@@ -24,11 +25,14 @@ struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+/// Counts one allocator call asking for `bytes` bytes.
+fn count_one(bytes: usize) {
     // `try_with`: the allocator also runs while thread-locals are torn down.
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, so
@@ -37,19 +41,19 @@ fn count_one() {
 // which neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: forwarded; see the impl.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: forwarded; see the impl.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         // SAFETY: forwarded; `ptr` came from this allocator, i.e. `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -69,6 +73,14 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// Bytes asked of the allocator (`alloc`, `alloc_zeroed`, and the new
+/// size of each `realloc`) on this thread while `f` runs.
+fn allocated_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (out, BYTES.with(Cell::get) - before)
 }
 
 /// Cells per ingress line in one burst.
@@ -205,4 +217,76 @@ fn lane_bank_busy_clocks_allocate_nothing() {
     assert_eq!(valid, warm);
     assert_eq!(valid as u64, BURST * 53 * config.ports as u64);
     assert_eq!(allocs, 0, "{} busy lane-bank clocks", clocks.len());
+}
+
+#[test]
+fn a_cell_stamped_far_ahead_costs_its_octets_not_the_gap() {
+    let config = SwitchScenarioConfig::default();
+    let (_net, mut follower) = scenarios::switch_cosim_cycle(config).coupling.into_parts();
+    let period_ps = config.clock_period.as_picos();
+    // 10 ms is 500 000 clocks at the scenario's 20 ns clock.
+    let stamp = SimTime::from_ms(10);
+    let cell = AtmCell::user_data(config.in_conn(0), [0x5A; 48]);
+    let ((), bytes) = allocated_bytes(|| {
+        follower
+            .deliver(Message::cell(stamp, MessageTypeId(0), 0, cell.clone()))
+            .expect("deliver");
+    });
+    assert!(bytes < 64 << 10, "deliver allocated {bytes} bytes");
+
+    let responses = follower
+        .advance_batch(SimTime::from_picos(stamp.as_picos() + 4 * 53 * period_ps))
+        .expect("advance");
+    assert_eq!(responses.len(), 1);
+    assert_eq!(responses[0].port, config.out_port(0));
+    let out = responses[0].as_cell().expect("a cell");
+    assert_eq!((out.id(), out.payload), (config.out_conn(0), cell.payload));
+    assert!(follower.clocks_skipped() > 490_000);
+}
+
+#[test]
+fn warmed_up_lanes_seed_cells_in_place() {
+    let config = SwitchScenarioConfig::default();
+    let lanes = 8;
+    let period_ps = config.clock_period.as_picos();
+    let (_net, mut follower) = scenarios::switch_cosim_compiled(config, lanes)
+        .coupling
+        .into_parts();
+    let seed_burst = |follower: &mut castanet::CompiledCosim| {
+        let now = follower.now();
+        for lane in 0..lanes {
+            for k in 0..BURST {
+                for line in 0..config.ports {
+                    let cell = AtmCell::user_data(config.in_conn(line), [k as u8; 48]);
+                    follower.seed_cell(lane, line, now, &cell).expect("seed");
+                }
+            }
+        }
+    };
+    let drain = |follower: &mut castanet::CompiledCosim| {
+        let horizon = follower.now().as_picos() + (BURST + 4) * 53 * period_ps;
+        follower
+            .advance_batch(SimTime::from_picos(horizon))
+            .expect("advance");
+    };
+    let emitted = |follower: &castanet::CompiledCosim| {
+        (0..lanes)
+            .map(|lane| {
+                (0..config.ports)
+                    .map(|port| follower.lane_cells(port, lane).len())
+                    .sum::<usize>()
+            })
+            .collect::<Vec<_>>()
+    };
+    let per_lane = BURST as usize * config.ports;
+
+    // Warm-up: every lane's line queues reach a burst's depth.
+    seed_burst(&mut follower);
+    drain(&mut follower);
+    assert_eq!(emitted(&follower), vec![per_lane; lanes]);
+
+    let ((), allocs) = allocations(|| seed_burst(&mut follower));
+    assert_eq!(allocs, 0, "warmed-up lane windows store cells in place");
+    drain(&mut follower);
+    assert_eq!(emitted(&follower), vec![2 * per_lane; lanes]);
 }

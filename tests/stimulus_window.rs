@@ -1,8 +1,14 @@
-//! The cycle followers' stimulus window under traffic that wraps, grows
-//! and idle-skips it, checked against the event-driven follower on the
-//! same DUT. The window stores the input words of every clock still to
-//! come; a mistake in its ring arithmetic shows up as a corrupted or
-//! shifted cell, or as a clock evaluated or skipped that should not be.
+//! The cycle followers' stimulus window under traffic that queues cells
+//! back to back, far ahead and on several lines at once, and idle-skips
+//! between them, checked against the event-driven follower on the same
+//! DUT. The window queues each delivered cell on its ingress line and
+//! expands it to pin words one clock at a time; a mistake in that
+//! expansion (a cell started a clock early or late, an octet dropped at a
+//! cell boundary, a line left driven after its last octet, a skip that
+//! overshoots a first octet) shows up as a corrupted or shifted cell, or
+//! as a clock evaluated or skipped that should not be. The first test's
+//! name dates from an earlier window, a ring of per-clock input words
+//! that this script wrapped and grew.
 
 use castanet::coupling::{CoupledSimulator, RtlCosim};
 use castanet::cyclecosim::{CycleCosim, EgressIndices, IngressIndices};
@@ -137,16 +143,16 @@ fn script() -> Vec<Step> {
     let us = SimTime::from_us;
     let ns = SimTime::from_ns;
     vec![
-        // A cell on line 0; the ring head moves off slot 0.
+        // A cell on line 0 at clock 0: it shows at once.
         Step {
             deliver: vec![(SimTime::ZERO, 0, 1)],
             advance_to: ns(600),
         },
-        // A cell 21 clocks after the end of the first one outgrows the
-        // 64-clock ring while the first still wraps past its end: the ring
-        // grows with a gap between live slots. Then back-to-back cells on
-        // all four lines, and one stamped 2 000 clocks ahead: it grows
-        // again.
+        // A cell 21 clocks after the end of the first one (clock 74),
+        // with an idle gap before it. Then three back-to-back cells on
+        // each of the four lines, stamped together, so each line chains
+        // its next free clock, and one stamped 2 000 clocks ahead behind
+        // them on line 0.
         Step {
             deliver: [(ns(1500), 1, 5)]
                 .into_iter()
@@ -155,19 +161,20 @@ fn script() -> Vec<Step> {
                 .collect(),
             advance_to: us(6),
         },
-        // The bursts have drained; the far cell is still pending. The
-        // idle skip must jump across the partly filled window to it.
+        // The bursts have drained; the far cell is still queued. The
+        // idle skip must stop at the line-2 cell, then run to the
+        // horizon, one microsecond short of the far cell.
         Step {
             deliver: vec![(us(20), 2, 20)],
             advance_to: us(39),
         },
-        // More cells behind and beside the far one.
+        // More cells behind and beside the far one: line 1 overlaps it
+        // in time, line 3 chains two.
         Step {
             deliver: vec![(us(40), 1, 30), (us(41), 3, 31), (us(41), 3, 32)],
             advance_to: us(80),
         },
-        // Back-to-back cells across the end of the (now 2 048-clock) ring,
-        // then a long idle tail.
+        // Back-to-back cells on every line, then a long idle tail.
         Step {
             deliver: (0..LINES)
                 .flat_map(|line| (0..2).map(move |k| (us(81), line, 40 + k)))
@@ -220,8 +227,8 @@ fn wrapped_grown_and_skipped_window_matches_the_event_driven_follower() {
     }
     assert_eq!(cells_per_port(&cycle_trace), cells_per_port(&event_trace));
 
-    // Counts of the per-clock `Vec` window this one replaced, on the same
-    // script.
+    // Counts of the per-clock `Vec` window two designs back, on the same
+    // script: neither the ring nor the per-line queues moved them.
     assert_eq!(
         (cycle.clocks_evaluated(), cycle.clocks_skipped()),
         (EVALUATED, SKIPPED)
