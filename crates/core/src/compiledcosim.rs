@@ -216,14 +216,20 @@ impl CompiledCosim {
     /// lane 0 completes to `responses`.
     fn run_clock(&mut self, responses: &mut Vec<Message>) {
         // One sampling decision covers the clock's three micro-phases —
-        // pack (drive each lane's stimulus onto its pins), the lane bank's
-        // clock edge, and unpack (reassemble egress cells) — so a sampled
-        // clock yields one complete pack/eval/unpack triple.
+        // the bank's edge on every window's front row, pack (move the
+        // windows on) and unpack (reassemble egress cells).
         let sampled = self.tel.micro_gate();
         let t_ps = (self.clocks_done + 1) * self.clock_period.as_picos();
         let mut mark = if sampled { self.tel.now_ns() } else { 0 };
-        for (lane, window) in self.stimulus.iter_mut().enumerate() {
-            self.bank.set_inputs(lane, window.front());
+        self.bank
+            .clock_edge(self.stimulus.iter().map(StimulusWindow::front));
+        self.obs_fallback_evals.inc();
+        if sampled {
+            mark = self
+                .tel
+                .record_phase(Track::Follower, t_ps, Phase::CompiledFallbackEval, mark);
+        }
+        for window in &mut self.stimulus {
             window.pop_front();
         }
         if sampled {
@@ -231,46 +237,36 @@ impl CompiledCosim {
                 .tel
                 .record_phase(Track::Follower, t_ps, Phase::CompiledPack, mark);
         }
-        self.bank.clock_edge();
-        self.obs_fallback_evals.inc();
-        if sampled {
-            mark = self
-                .tel
-                .record_phase(Track::Follower, t_ps, Phase::CompiledFallbackEval, mark);
-        }
         self.clocks_done += 1;
         let stamp = SimTime::from_picos(self.clocks_done * self.clock_period.as_picos());
-        for (port, line) in self.egress.iter_mut().enumerate() {
-            for lane in 0..self.bank.lanes() {
-                if self.bank.output(lane, line.idx.valid) != 1 {
+        // Lane by lane, each output row fetched once; lane 0's responses
+        // keep port order.
+        for lane in 0..self.bank.lanes() {
+            let outs = self.bank.outputs(lane);
+            for (port, line) in self.egress.iter_mut().enumerate() {
+                if outs[line.idx.valid] != 1 {
                     continue;
                 }
-                let data = self.bank.output(lane, line.idx.data) as u8;
-                let sync = self.bank.output(lane, line.idx.sync) == 1;
-                match line.assemblers[lane].push(data, sync) {
+                let data = outs[line.idx.data] as u8;
+                let sync = outs[line.idx.sync] == 1;
+                let payload = match line.assemblers[lane].push(data, sync) {
+                    Ok(None) => continue,
                     Ok(Some(cell)) => {
                         line.traces[lane].push(cell.clone());
-                        if lane == 0 {
-                            responses.push(Message {
-                                stamp,
-                                type_id: self.response_type,
-                                port,
-                                payload: MessagePayload::Cell(cell),
-                            });
-                        }
+                        MessagePayload::Cell(cell)
                     }
-                    Ok(None) => {}
                     Err(_) => {
                         self.undecodable += 1;
-                        if lane == 0 {
-                            responses.push(Message {
-                                stamp,
-                                type_id: self.response_type,
-                                port,
-                                payload: MessagePayload::Raw(vec![data]),
-                            });
-                        }
+                        MessagePayload::Raw(vec![data])
                     }
+                };
+                if lane == 0 {
+                    responses.push(Message {
+                        stamp,
+                        type_id: self.response_type,
+                        port,
+                        payload,
+                    });
                 }
             }
         }

@@ -102,8 +102,8 @@ pub fn cell_to_byte_ops_into(
 pub struct ByteStreamAssembler {
     format: HeaderFormat,
     buffer: [u8; CELL_OCTETS],
+    /// Octets of the cell in flight; [`CELL_OCTETS`] outside a cell.
     index: usize,
-    in_cell: bool,
     assembled: u64,
     hec_rejects: u64,
 }
@@ -115,8 +115,7 @@ impl ByteStreamAssembler {
         ByteStreamAssembler {
             format,
             buffer: [0; CELL_OCTETS],
-            index: 0,
-            in_cell: false,
+            index: CELL_OCTETS,
             assembled: 0,
             hec_rejects: 0,
         }
@@ -128,21 +127,26 @@ impl ByteStreamAssembler {
     ///
     /// Returns [`CastanetError::Atm`] when a completed cell fails its HEC
     /// check (the byte stream was corrupted between DUT and entity).
+    #[inline]
     pub fn push(&mut self, data: u8, sync: bool) -> Result<Option<AtmCell>, CastanetError> {
         if sync {
             self.index = 0;
-            self.in_cell = true;
         }
-        if !self.in_cell {
-            return Ok(None);
-        }
-        self.buffer[self.index] = data;
+        let Some(slot) = self.buffer.get_mut(self.index) else {
+            return Ok(None); // Outside a cell: wait for the next sync.
+        };
+        *slot = data;
         self.index += 1;
         if self.index < CELL_OCTETS {
             return Ok(None);
         }
-        self.index = 0;
-        self.in_cell = false;
+        self.finish()
+    }
+
+    /// Decodes the cell whose 53rd octet was just stored; the assembler is
+    /// then outside a cell until the next sync.
+    #[cold]
+    fn finish(&mut self) -> Result<Option<AtmCell>, CastanetError> {
         match AtmCell::decode(&self.buffer, self.format) {
             Ok(cell) => {
                 self.assembled += 1;
@@ -158,11 +162,7 @@ impl ByteStreamAssembler {
     /// Octets of the cell currently in flight.
     #[must_use]
     pub fn pending(&self) -> usize {
-        if self.in_cell {
-            self.index
-        } else {
-            0
-        }
+        self.index % CELL_OCTETS
     }
 
     /// Cells assembled so far.

@@ -278,24 +278,20 @@ impl CycleCosim {
             }
             let data = outs[line.idx.data] as u8;
             let sync = outs[line.idx.sync] == 1;
-            match line.assembler.push(data, sync) {
-                Ok(Some(cell)) => responses.push(Message {
-                    stamp,
-                    type_id: self.response_type,
-                    port,
-                    payload: MessagePayload::Cell(cell),
-                }),
-                Ok(None) => {}
+            let payload = match line.assembler.push(data, sync) {
+                Ok(None) => continue,
+                Ok(Some(cell)) => MessagePayload::Cell(cell),
                 Err(_) => {
                     self.undecodable += 1;
-                    responses.push(Message {
-                        stamp,
-                        type_id: self.response_type,
-                        port,
-                        payload: MessagePayload::Raw(vec![data]),
-                    });
+                    MessagePayload::Raw(vec![data])
                 }
-            }
+            };
+            responses.push(Message {
+                stamp,
+                type_id: self.response_type,
+                port,
+                payload,
+            });
         }
         Ok(())
     }

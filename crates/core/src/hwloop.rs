@@ -240,24 +240,20 @@ impl BoardCosim {
                 }
                 let data = self.map.decode_outport(line.ports.data, frame)? as u8;
                 let sync = self.map.decode_outport(line.ports.sync, frame)? == 1;
-                match line.assembler.push(data, sync) {
-                    Ok(Some(cell)) => out.push(Message {
-                        stamp,
-                        type_id: self.response_type,
-                        port,
-                        payload: MessagePayload::Cell(cell),
-                    }),
-                    Ok(None) => {}
+                let payload = match line.assembler.push(data, sync) {
+                    Ok(None) => continue,
+                    Ok(Some(cell)) => MessagePayload::Cell(cell),
                     Err(_) => {
                         self.undecodable += 1;
-                        out.push(Message {
-                            stamp,
-                            type_id: self.response_type,
-                            port,
-                            payload: MessagePayload::Raw(vec![data]),
-                        });
+                        MessagePayload::Raw(vec![data])
                     }
-                }
+                };
+                out.push(Message {
+                    stamp,
+                    type_id: self.response_type,
+                    port,
+                    payload,
+                });
             }
         }
         self.clocks_done += clocks;

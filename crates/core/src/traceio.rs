@@ -167,10 +167,15 @@ pub fn read_trace<R: BufRead>(
         if hex.len() != CELL_OCTETS * 2 {
             return Err(err("cell hex must be 106 characters"));
         }
+        // Byte-wise, ASCII hex digits only: a multi-byte character or a
+        // sign is a malformed line, not a panic or a number.
+        let digit = |c: u8| char::from(c).to_digit(16);
         let mut wire = [0u8; CELL_OCTETS];
-        for (i, byte) in wire.iter_mut().enumerate() {
-            *byte = u8::from_str_radix(&hex[2 * i..2 * i + 2], 16)
-                .map_err(|_| err("invalid hex digit"))?;
+        for (byte, pair) in wire.iter_mut().zip(hex.as_bytes().chunks_exact(2)) {
+            let (Some(hi), Some(lo)) = (digit(pair[0]), digit(pair[1])) else {
+                return Err(err("invalid hex digit"));
+            };
+            *byte = (hi << 4 | lo) as u8;
         }
         let cell = AtmCell::decode(&wire, format)?;
         out.push(TraceRecord {
@@ -264,10 +269,15 @@ mod tests {
             "S 1 0 zz".to_string(),
             format!("S 1 0 {}", "aa".repeat(10)),
             format!("S 1 0 {} extra", "aa".repeat(53)),
+            // 106 bytes with a two-byte character straddling a digit pair.
+            format!("S 1 0 a\u{e9}{}", "0".repeat(103)),
+            // A signed pair, which integer parsing would accept.
+            format!("S 1 0 +f{}", "00".repeat(52)),
         ] {
             let text = format!("{TRACE_HEADER}\n{bad}\n");
             let err = read_trace(std::io::Cursor::new(text), HeaderFormat::Uni).unwrap_err();
             let msg = err.to_string();
+            assert!(matches!(err, CastanetError::Codec(_)), "{bad:?} -> {msg}");
             assert!(msg.contains("line 2"), "{bad:?} -> {msg}");
         }
     }

@@ -58,7 +58,8 @@ pub enum Phase {
     CycleEval,
     /// Compiled backend: one behavioral `LaneBank` clock edge.
     CompiledFallbackEval,
-    /// Compiled backend: driving each lane's stimulus onto its input pins.
+    /// Compiled backend: moving each lane's stimulus window to the next
+    /// clock (the bank's edge samples the windows' rows in place).
     CompiledPack,
     /// Compiled backend: reading each lane's egress pins back into cells.
     CompiledUnpack,

@@ -1,25 +1,26 @@
 //! Lane batching for behavioural DUTs: up to [`LANES`] replicated
 //! [`CycleDut`] instances stepped together as one [`LaneBank`].
 //!
-//! Each lane is an independent scenario instance of the same design. The
-//! bank holds one `u64` per lane per pin and steps every lane's DUT on
-//! each clock edge, so the coupling layer (`CompiledCosim` in
-//! `castanet-core`) can drive N seeds through N instances with one idle
-//! test and one clock loop.
+//! Each lane is an independent scenario instance of the same design. On
+//! each clock edge the caller hands the bank one input row per lane, and
+//! every lane's DUT samples its row in place, so the coupling layer
+//! (`CompiledCosim` in `castanet-core`) can drive N seeds through N
+//! instances with one idle test and one clock loop.
 
-use crate::cycle::{CycleDut, PortDecl};
+use crate::cycle::{check_widths, CycleDut, PortDecl};
 use std::fmt;
 
 /// Maximum number of scenario lanes in one [`LaneBank`].
 pub const LANES: usize = 64;
 
 /// Up to [`LANES`] replicated behavioural [`CycleDut`] instances behind
-/// one per-lane pin store.
+/// one per-lane output store.
 ///
-/// Pin values are kept lane-major, one `u64` per port: lane `k`'s inputs
-/// are exactly what its DUT samples on the next edge, and its outputs are
-/// what that DUT wrote on the last one, truncated to the declared port
-/// width. Every pin powers on as `0`.
+/// The bank keeps no input pins: like [`crate::cycle::CycleSim::step`],
+/// [`LaneBank::clock_edge`] takes each lane's input row for that edge
+/// only. Outputs are kept lane-major, one `u64` per port: lane `k`'s row
+/// is what its DUT wrote on the last edge, truncated to the declared port
+/// widths. Every output powers on as `0`.
 pub struct LaneBank {
     duts: Vec<Box<dyn CycleDut>>,
     in_ports: Vec<PortDecl>,
@@ -27,8 +28,6 @@ pub struct LaneBank {
     /// Width masks of the input and output ports, index-aligned.
     in_masks: Vec<u64>,
     out_masks: Vec<u64>,
-    /// `inputs[lane * in_ports.len() + port]`.
-    inputs: Vec<u64>,
     /// `outputs[lane * out_ports.len() + port]`.
     outputs: Vec<u64>,
     cycles: u64,
@@ -65,7 +64,6 @@ impl LaneBank {
         }
         let lanes = duts.len();
         LaneBank {
-            inputs: vec![0; lanes * in_ports.len()],
             outputs: vec![0; lanes * out_ports.len()],
             in_masks: in_ports.iter().map(PortDecl::mask).collect(),
             out_masks: out_ports.iter().map(PortDecl::mask).collect(),
@@ -118,56 +116,39 @@ impl LaneBank {
         self.duts.iter().all(|d| d.is_idle())
     }
 
-    /// Drives input port `port` of lane `lane` with `value`.
-    pub fn set_input(&mut self, lane: usize, port: usize, value: u64) {
-        assert!(lane < self.duts.len(), "lane out of range");
-        let decl = &self.in_ports[port];
-        assert_eq!(value & !decl.mask(), 0, "value exceeds {} bits", decl.width);
-        self.inputs[lane * self.in_ports.len() + port] = value;
-    }
-
-    /// Drives every input port of lane `lane` from `values`.
-    pub fn set_inputs(&mut self, lane: usize, values: &[u64]) {
-        let n_in = self.in_ports.len();
-        assert_eq!(values.len(), n_in, "input port count");
-        assert!(lane < self.duts.len(), "lane out of range");
-        for (port, (&v, mask)) in values.iter().zip(&self.in_masks).enumerate() {
-            assert_eq!(
-                v & !mask,
-                0,
-                "value exceeds {} bits",
-                self.in_ports[port].width
-            );
-        }
-        self.inputs[lane * n_in..(lane + 1) * n_in].copy_from_slice(values);
-    }
-
-    /// The value driven on input port `port` of lane `lane`.
+    /// Lane `lane`'s output row after the latest clock edge, one word per
+    /// output port.
     #[must_use]
-    pub fn input(&self, lane: usize, port: usize) -> u64 {
-        assert!(port < self.in_ports.len(), "input port out of range");
-        self.inputs[lane * self.in_ports.len() + port]
+    pub fn outputs(&self, lane: usize) -> &[u64] {
+        let n_out = self.out_ports.len();
+        &self.outputs[lane * n_out..(lane + 1) * n_out]
     }
 
-    /// Output port `port` of lane `lane` after the latest clock edge.
-    #[must_use]
-    pub fn output(&self, lane: usize, port: usize) -> u64 {
-        assert!(port < self.out_ports.len(), "output port out of range");
-        self.outputs[lane * self.out_ports.len() + port]
-    }
-
-    /// One clock edge on every lane: each lane's DUT samples its input
-    /// pins and writes straight into its own output pin row, which is then
-    /// masked to the declared port widths in place.
-    pub fn clock_edge(&mut self) {
+    /// One clock edge on every lane: lane `k`'s DUT samples the `k`-th of
+    /// `rows` (one word per input port) and writes straight into its own
+    /// output row, which is then masked to the declared port widths in
+    /// place.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `rows` holds exactly one row per lane, each with one
+    /// word per input port, and every word fits its port's width.
+    pub fn clock_edge<'a>(&mut self, rows: impl IntoIterator<Item = &'a [u64]>) {
         let (n_in, n_out) = (self.in_ports.len(), self.out_ports.len());
+        let mut rows = rows.into_iter();
         for (lane, dut) in self.duts.iter_mut().enumerate() {
+            let row = rows.next().expect("one input row per lane");
+            assert_eq!(row.len(), n_in, "input port count");
+            if let Err(port) = check_widths(row, &self.in_masks) {
+                panic!("value exceeds {} bits", self.in_ports[port].width);
+            }
             let pins = &mut self.outputs[lane * n_out..(lane + 1) * n_out];
-            dut.clock_edge(&self.inputs[lane * n_in..(lane + 1) * n_in], pins);
+            dut.clock_edge(row, pins);
             for (pin, mask) in pins.iter_mut().zip(&self.out_masks) {
                 *pin &= mask;
             }
         }
+        assert!(rows.next().is_none(), "one input row per lane");
         self.cycles += 1;
     }
 }
@@ -208,18 +189,32 @@ mod tests {
         let mut bank = LaneBank::new(duts);
         assert_eq!(bank.lanes(), 8);
         assert!(bank.idle());
+        let rows: Vec<[u64; 1]> = (1..=8).map(|k| [k]).collect();
         for clockno in 1..=3u64 {
-            for lane in 0..8 {
-                bank.set_input(lane, 0, lane as u64 + 1);
-            }
-            bank.clock_edge();
+            bank.clock_edge(rows.iter().map(|r| &r[..]));
             for lane in 0..8u64 {
-                assert_eq!(bank.output(lane as usize, 0), clockno * (lane + 1));
+                assert_eq!(bank.outputs(lane as usize), [clockno * (lane + 1)]);
             }
         }
         assert_eq!(bank.cycles(), 3);
-        // The driven inputs read back per lane.
-        assert_eq!(bank.input(5, 0), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "value exceeds 4 bits")]
+    fn lane_bank_checks_widths_on_every_lane() {
+        let duts: Vec<Box<dyn CycleDut>> =
+            (0..8).map(|_| Box::new(Accum::default()) as _).collect();
+        let mut bank = LaneBank::new(duts);
+        // Lanes 0..5 fit; lane 5 drives a fifth bit on its 4-bit pin.
+        let rows: Vec<[u64; 1]> = (0..8).map(|k| [if k == 5 { 0x10 } else { 0xF }]).collect();
+        bank.clock_edge(rows.iter().map(|r| &r[..]));
+    }
+
+    #[test]
+    #[should_panic(expected = "one input row per lane")]
+    fn lane_bank_wants_a_row_for_every_lane() {
+        let mut bank = LaneBank::new(vec![Box::new(Accum::default()), Box::new(Accum::default())]);
+        bank.clock_edge([&[1u64][..]]);
     }
 
     #[test]

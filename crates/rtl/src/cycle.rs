@@ -53,6 +53,31 @@ impl PortDecl {
     }
 }
 
+/// The width check both cycle engines run on every row they clock: `Err`
+/// names the first port whose word has a bit above its mask. A row that
+/// fits costs one branch-free OR over its words and one test.
+#[inline]
+pub(crate) fn check_widths(words: &[u64], masks: &[u64]) -> Result<(), usize> {
+    if words
+        .iter()
+        .zip(masks)
+        .fold(0, |acc, (w, m)| acc | (w & !m))
+        == 0
+    {
+        return Ok(());
+    }
+    Err(first_over_width(words, masks))
+}
+
+#[cold]
+fn first_over_width(words: &[u64], masks: &[u64]) -> usize {
+    words
+        .iter()
+        .zip(masks)
+        .position(|(w, m)| w & !m != 0)
+        .expect("an over-width word")
+}
+
 /// A cycle-accurate, pin-level hardware model: state advances only on
 /// rising clock edges. This is the contract shared by the cycle-based
 /// engine, the event-driven wrapper and the hardware test board (whose
@@ -186,13 +211,11 @@ impl CycleSim {
                 got: inputs.len(),
             });
         }
-        for ((word, mask), port) in inputs.iter().zip(&self.in_masks).zip(&self.inputs) {
-            if word & !mask != 0 {
-                return Err(RtlError::WidthMismatch {
-                    expected: port.width,
-                    got: 64 - word.leading_zeros() as usize,
-                });
-            }
+        if let Err(port) = check_widths(inputs, &self.in_masks) {
+            return Err(RtlError::WidthMismatch {
+                expected: self.inputs[port].width,
+                got: 64 - inputs[port].leading_zeros() as usize,
+            });
         }
         self.cycles += 1;
         self.dut.clock_edge(inputs, &mut self.out);
@@ -562,6 +585,14 @@ mod tests {
         assert!(matches!(
             sim.step(&[256, 0]),
             Err(RtlError::WidthMismatch { expected: 8, .. })
+        ));
+        // The over-width word on a later, narrower port is named by its width.
+        assert!(matches!(
+            sim.step(&[255, 2]),
+            Err(RtlError::WidthMismatch {
+                expected: 1,
+                got: 2
+            })
         ));
         assert_eq!(sim.cycles(), 0, "failed steps must not count");
     }

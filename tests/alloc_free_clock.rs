@@ -202,12 +202,9 @@ fn lane_bank_busy_clocks_allocate_nothing() {
     let run = |bank: &mut LaneBank| {
         let mut valid = 0;
         for words in &clocks {
-            for lane in 0..bank.lanes() {
-                bank.set_inputs(lane, words);
-            }
-            bank.clock_edge();
+            bank.clock_edge(std::iter::repeat_n(&words[..], bank.lanes()));
             valid += (0..config.ports)
-                .filter(|&line| bank.output(0, 3 * line + 2) == 1)
+                .filter(|&line| bank.outputs(0)[3 * line + 2] == 1)
                 .count();
         }
         valid

@@ -184,10 +184,38 @@ fn script() -> Vec<Step> {
     ]
 }
 
+/// Lane `lane`'s variant of the script: every cell `7·lane` ns later, on
+/// the line `lane` places on, and retagged, so each lane of a bank carries
+/// its own load. Lane 0's is the script itself.
+fn lane_script(lane: usize) -> Vec<Step> {
+    let shift = 7_000 * lane as u64;
+    script()
+        .into_iter()
+        .map(|step| Step {
+            deliver: step
+                .deliver
+                .into_iter()
+                .map(|(at, line, tag)| {
+                    let at = SimTime::from_picos(at.as_picos() + shift);
+                    (at, (line + lane) % LINES, tag.wrapping_add(lane as u8))
+                })
+                .collect(),
+            advance_to: step.advance_to,
+        })
+        .collect()
+}
+
 /// Plays the script; returns every response as `(stamp, port, cell)`.
 fn play(follower: &mut impl CoupledSimulator) -> Vec<(SimTime, usize, AtmCell)> {
+    play_steps(follower, script())
+}
+
+fn play_steps(
+    follower: &mut impl CoupledSimulator,
+    steps: Vec<Step>,
+) -> Vec<(SimTime, usize, AtmCell)> {
     let mut out = Vec::new();
-    for step in script() {
+    for step in steps {
         for (at, line, tag) in step.deliver {
             let msg = Message::cell(at, MessageTypeId(0), line, cell(line, tag));
             follower.deliver(msg).expect("deliver");
@@ -253,5 +281,42 @@ fn compiled_lane_zero_equals_the_cycle_follower() {
     );
     for line in 0..LINES {
         assert!(compiled.lane_cells(line, 1).is_empty());
+    }
+}
+
+#[test]
+fn every_loaded_lane_equals_the_cycle_follower_on_its_traffic() {
+    const LANES: usize = castanet_rtl::compiled::LANES;
+    let scripts: Vec<Vec<Step>> = (0..LANES).map(lane_script).collect();
+    let mut compiled = compiled_follower(LANES);
+    let mut lane0_trace = Vec::new();
+    for k in 0..scripts[0].len() {
+        for (lane, script) in scripts.iter().enumerate() {
+            for &(at, line, tag) in &script[k].deliver {
+                compiled
+                    .seed_cell(lane, line, at, &cell(line, tag))
+                    .expect("seed");
+            }
+        }
+        for m in compiled
+            .advance_batch(scripts[0][k].advance_to)
+            .expect("advance")
+        {
+            lane0_trace.push((m.stamp, m.port, m.as_cell().expect("cell").clone()));
+        }
+    }
+
+    for lane in 0..LANES {
+        let mut cycle = cycle_follower();
+        let trace = play_steps(&mut cycle, lane_script(lane));
+        assert_eq!(trace.len(), 27, "lane {lane}: every cell comes out");
+        let lane_cells: Vec<Vec<AtmCell>> = (0..LINES)
+            .map(|port| compiled.lane_cells(port, lane).to_vec())
+            .collect();
+        assert_eq!(lane_cells, cells_per_port(&trace), "lane {lane}");
+        if lane == 0 {
+            // The coupled lane's responses, stamps and order included.
+            assert_eq!(lane0_trace, trace);
+        }
     }
 }
