@@ -8,10 +8,10 @@
 //! switch reference model with a global control unit ([`switch`]), the
 //! accounting-unit charging algorithm of the paper's case study
 //! ([`accounting`]), AAL5 segmentation/reassembly ([`aal5`]), OAM F5
-//! loopback flows ([`oam`]), congestion discard policies ([`discard`]) and
-//! VP cross-connects ([`vpx`]); noisy lines with receive-side header
-//! error control live in [`line`](mod@line), and a miniature signaling stack with
-//! call admission control in [`signaling`].
+//! loopback flows ([`oam`]) and congestion discard policies ([`discard`]);
+//! noisy lines with receive-side header error control live in
+//! [`line`](mod@line), and a miniature signaling stack with call admission
+//! control in [`signaling`].
 //!
 //! Everything here is an *algorithm reference model* at the network
 //! simulator's level of abstraction; the clock-level twins live in
@@ -48,7 +48,6 @@ pub mod oam;
 pub mod signaling;
 pub mod switch;
 pub mod traffic;
-pub mod vpx;
 
 pub use addr::{HeaderFormat, Vci, Vpi, VpiVci};
 pub use cell::{AtmCell, CellHeader, PayloadType, CELL_BITS, CELL_OCTETS, PAYLOAD_OCTETS};

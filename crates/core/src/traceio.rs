@@ -283,6 +283,51 @@ mod tests {
     }
 
     #[test]
+    fn every_truncation_is_a_short_trace_or_names_the_cut_line() {
+        let records = vec![
+            rec(Direction::Stimulus, 10, 0, 40),
+            rec(Direction::Response, 12, 1, 41),
+            rec(Direction::Stimulus, 20, 3, 42),
+        ];
+        let mut w = TraceWriter::new(Vec::new(), HeaderFormat::Uni).unwrap();
+        for r in &records {
+            w.write(r).unwrap();
+        }
+        let bytes = w.finish().unwrap();
+        // (first byte, newline byte) of each record line.
+        let mut spans = Vec::new();
+        let mut start = TRACE_HEADER.len() + 1;
+        for (i, &b) in bytes.iter().enumerate().skip(start) {
+            if b == b'\n' {
+                spans.push((start, i));
+                start = i + 1;
+            }
+        }
+        assert_eq!(spans.len(), records.len());
+        for cut in 0..=bytes.len() {
+            let got = read_trace(std::io::Cursor::new(&bytes[..cut]), HeaderFormat::Uni);
+            let cut_line = spans.iter().position(|&(s, e)| s < cut && cut < e);
+            match got {
+                Ok(read) => {
+                    assert!(cut >= TRACE_HEADER.len(), "cut {cut}: header accepted");
+                    assert_eq!(cut_line, None, "cut {cut}: a cut record was accepted");
+                    let whole = spans.iter().filter(|&&(_, e)| e <= cut).count();
+                    assert_eq!(read, records[..whole], "cut {cut}");
+                }
+                Err(CastanetError::Codec(msg)) => {
+                    let want = match cut_line {
+                        Some(i) => format!("line {}:", i + 2),
+                        None if cut == 0 => "empty trace".to_string(),
+                        None => "bad trace header".to_string(),
+                    };
+                    assert!(msg.contains(&want), "cut {cut}: {msg:?}, want {want:?}");
+                }
+                Err(e) => panic!("cut {cut}: {e}"),
+            }
+        }
+    }
+
+    #[test]
     fn corrupted_cell_hex_fails_hec() {
         let mut w = TraceWriter::new(Vec::new(), HeaderFormat::Uni).unwrap();
         w.write(&rec(Direction::Stimulus, 1, 0, 40)).unwrap();

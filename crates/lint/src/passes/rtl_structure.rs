@@ -15,15 +15,10 @@
 //! | `CAST131` | warning | read-but-undriven signal |
 //! | `CAST140` | error | gated-clock busy combinationally fed from its own domain |
 //! | `CAST141` | error | gated-clock busy line has no driver |
-//!
-//! On a loop-free netlist, [`levelization_report`] builds the topo-ordered
-//! combinational levels (cone widths, fanout stats) that
-//! `castanet-lint --rtl` prints.
 
 use crate::diagnostic::{Diagnostic, Severity};
 use castanet_rtl::netlist::{NetlistGraph, StructuralFinding};
 use castanet_rtl::sim::Simulator;
-use std::fmt::Write as _;
 
 /// Maps a structural finding to its stable diagnostic code.
 #[must_use]
@@ -97,152 +92,6 @@ pub fn check_rtl_structure(sim: &Simulator) -> Vec<Diagnostic> {
     check_netlist(&sim.netlist())
 }
 
-/// A levelization report over the loop-free combinational subgraph, plus
-/// the coverage counts the acceptance gate needs.
-#[derive(Debug, Clone)]
-pub struct LevelReport {
-    /// Per-level rows: `(level, processes, cone_bits, max_fanout, mean_fanout)`.
-    pub rows: Vec<(usize, usize, usize, usize, f64)>,
-    /// Combinational processes covered by the schedule.
-    pub combinational: usize,
-    /// Clocked processes (evaluated per clock edge, outside the levels).
-    pub clocked: usize,
-    /// Generator processes.
-    pub generators: usize,
-    /// Opaque processes the schedule cannot place.
-    pub opaque: usize,
-    /// Labels of the opaque processes, for the report.
-    pub opaque_labels: Vec<String>,
-}
-
-impl LevelReport {
-    /// Fraction of analyzable (non-generator) processes the levelized
-    /// schedule plus the clocked set covers; opaque processes count
-    /// against coverage.
-    #[must_use]
-    pub fn coverage(&self) -> f64 {
-        let placed = self.combinational + self.clocked;
-        let total = placed + self.opaque;
-        if total == 0 {
-            1.0
-        } else {
-            placed as f64 / total as f64
-        }
-    }
-}
-
-/// Levelizes the netlist and assembles the report.
-///
-/// # Errors
-///
-/// Returns the `CAST100` diagnostics of the combinational loops when the
-/// zero-delay subgraph is not a DAG (levelization is undefined then).
-pub fn levelization_report(net: &NetlistGraph) -> Result<LevelReport, Vec<Diagnostic>> {
-    match net.levelize() {
-        Ok(lev) => {
-            let stats = net.level_stats(&lev);
-            Ok(LevelReport {
-                rows: stats
-                    .iter()
-                    .map(|s| {
-                        (
-                            s.level,
-                            s.processes,
-                            s.cone_bits,
-                            s.max_fanout,
-                            s.mean_fanout,
-                        )
-                    })
-                    .collect(),
-                combinational: lev.combinational_count(),
-                clocked: lev.clocked.len(),
-                generators: lev.generators.len(),
-                opaque: lev.opaque.len(),
-                opaque_labels: lev
-                    .opaque
-                    .iter()
-                    .map(|&p| net.processes[p.index()].label(p.index()))
-                    .collect(),
-            })
-        }
-        Err(_) => {
-            let loops: Vec<Diagnostic> = check_netlist(net)
-                .into_iter()
-                .filter(|d| d.code == "CAST100")
-                .collect();
-            Err(loops)
-        }
-    }
-}
-
-/// Renders a [`LevelReport`] as an aligned text table.
-#[must_use]
-pub fn render_levelization_human(report: &LevelReport) -> String {
-    let mut out = String::from("levelization report (combinational schedule)\n");
-    let _ = writeln!(
-        out,
-        "{:>5} {:>9} {:>9} {:>10} {:>11}",
-        "level", "processes", "cone_bits", "max_fanout", "mean_fanout"
-    );
-    for &(level, processes, cone_bits, max_fanout, mean_fanout) in &report.rows {
-        let _ = writeln!(
-            out,
-            "{level:>5} {processes:>9} {cone_bits:>9} {max_fanout:>10} {mean_fanout:>11.2}"
-        );
-    }
-    let _ = writeln!(
-        out,
-        "coverage: {} combinational in {} levels, {} clocked, {} generators, {} opaque ({:.0}%)",
-        report.combinational,
-        report.rows.len(),
-        report.clocked,
-        report.generators,
-        report.opaque,
-        report.coverage() * 100.0
-    );
-    if !report.opaque_labels.is_empty() {
-        let _ = writeln!(
-            out,
-            "opaque (unplaced): {}",
-            report.opaque_labels.join(", ")
-        );
-    }
-    out
-}
-
-/// Renders a [`LevelReport`] as a JSON document:
-/// `{"levels": [{"level": N, "processes": N, "cone_bits": N, "max_fanout": N,
-/// "mean_fanout": F}], "combinational": N, "clocked": N, "generators": N,
-/// "opaque": N, "coverage": F}`.
-#[must_use]
-pub fn render_levelization_json(report: &LevelReport) -> String {
-    let mut out = String::from("{\n  \"levels\": [");
-    for (i, &(level, processes, cone_bits, max_fanout, mean_fanout)) in
-        report.rows.iter().enumerate()
-    {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        let _ = write!(
-            out,
-            "    {{\"level\": {level}, \"processes\": {processes}, \"cone_bits\": {cone_bits}, \
-             \"max_fanout\": {max_fanout}, \"mean_fanout\": {mean_fanout:.4}}}"
-        );
-    }
-    if !report.rows.is_empty() {
-        out.push_str("\n  ");
-    }
-    let _ = write!(
-        out,
-        "],\n  \"combinational\": {},\n  \"clocked\": {},\n  \"generators\": {},\n  \
-         \"opaque\": {},\n  \"coverage\": {:.4}\n}}",
-        report.combinational,
-        report.clocked,
-        report.generators,
-        report.opaque,
-        report.coverage()
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,25 +135,14 @@ mod tests {
     }
 
     #[test]
-    fn clean_netlist_yields_no_diagnostics_and_a_report() {
+    fn clean_netlist_yields_no_diagnostics() {
         let sim = clean_sim();
         let diags = check_rtl_structure(&sim);
         assert!(diags.is_empty(), "{diags:?}");
-        let report = levelization_report(&sim.netlist()).expect("loop-free");
-        assert_eq!(report.rows.len(), 2);
-        assert_eq!(report.combinational, 2);
-        assert_eq!(report.clocked, 1);
-        assert!((report.coverage() - 1.0).abs() < f64::EPSILON);
-        let human = render_levelization_human(&report);
-        assert!(human.contains("levelization report"), "{human}");
-        assert!(human.contains("100%"), "{human}");
-        let json = render_levelization_json(&report);
-        assert!(json.contains("\"combinational\": 2"), "{json}");
-        assert!(json.contains("\"coverage\": 1.0000"), "{json}");
     }
 
     #[test]
-    fn loop_turns_levelization_into_cast100() {
+    fn loop_yields_cast100_naming_both_processes() {
         let mut sim = Simulator::new();
         let a = sim.add_signal("a", 1);
         let b = sim.add_signal("b", 1);
@@ -312,12 +150,10 @@ mod tests {
         comb(&mut sim, "bwd", &[b], &[a]);
         let net = sim.netlist();
         let diags = check_netlist(&net);
-        assert!(diags.iter().any(|d| d.code == "CAST100"), "{diags:?}");
-        let err = levelization_report(&net).unwrap_err();
-        assert!(err.iter().all(|d| d.code == "CAST100"));
-        assert!(!err.is_empty());
+        let loops: Vec<_> = diags.iter().filter(|d| d.code == "CAST100").collect();
+        assert!(!loops.is_empty(), "{diags:?}");
         // The cycle path names both processes.
-        assert!(err[0].message.contains("fwd") && err[0].message.contains("bwd"));
+        assert!(loops[0].message.contains("fwd") && loops[0].message.contains("bwd"));
     }
 
     #[test]

@@ -94,10 +94,6 @@ impl EventKind {
     }
 }
 
-/// Unique handle of a scheduled event, usable for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventId(pub(crate) u64);
-
 /// A scheduled event: time stamp, tie-breaking sequence number, payload.
 #[derive(Debug)]
 pub struct Event {
@@ -117,12 +113,6 @@ impl Event {
     #[must_use]
     pub fn kind(&self) -> &EventKind {
         &self.kind
-    }
-
-    /// Identifier assigned at scheduling time.
-    #[must_use]
-    pub fn id(&self) -> EventId {
-        EventId(self.seq)
     }
 }
 

@@ -7,7 +7,7 @@
 //! inter-node *links*.
 
 use crate::error::NetsimError;
-use crate::event::{EventId, EventKind, ModuleId, NodeId, PortId};
+use crate::event::{EventKind, ModuleId, NodeId, PortId};
 use crate::link::LinkParams;
 use crate::packet::Packet;
 use crate::process::Process;
@@ -363,7 +363,7 @@ impl Kernel {
         port: PortId,
         packet: Packet,
         at: SimTime,
-    ) -> Result<EventId, NetsimError> {
+    ) -> Result<(), NetsimError> {
         let mut packet = packet;
         packet.stamp_creation(self.events.now());
         self.events
@@ -388,7 +388,7 @@ impl Kernel {
         module: ModuleId,
         code: u32,
         at: SimTime,
-    ) -> Result<EventId, NetsimError> {
+    ) -> Result<(), NetsimError> {
         self.events
             .schedule(at, EventKind::Interrupt { module, code })
             .map_err(NetsimError::from)
@@ -399,7 +399,7 @@ impl Kernel {
     /// # Errors
     ///
     /// Returns [`NetsimError::ScheduleInPast`] if `at` precedes current time.
-    pub fn schedule_stop(&mut self, at: SimTime) -> Result<EventId, NetsimError> {
+    pub fn schedule_stop(&mut self, at: SimTime) -> Result<(), NetsimError> {
         self.events
             .schedule(at, EventKind::Stop)
             .map_err(NetsimError::from)
@@ -672,7 +672,7 @@ impl Ctx<'_> {
     /// # Errors
     ///
     /// Propagates scheduling errors (cannot occur for non-negative delays).
-    pub fn schedule_self(&mut self, delay: SimDuration, code: u32) -> Result<EventId, NetsimError> {
+    pub fn schedule_self(&mut self, delay: SimDuration, code: u32) -> Result<(), NetsimError> {
         let at = self.events.now() + delay;
         self.events
             .schedule(
@@ -683,12 +683,6 @@ impl Ctx<'_> {
                 },
             )
             .map_err(NetsimError::from)
-    }
-
-    /// Cancels a previously scheduled event (lazy; executing an event that
-    /// was already popped is unaffected).
-    pub fn cancel(&mut self, id: EventId) {
-        self.events.cancel(id);
     }
 
     /// Asks the kernel to stop after the current event completes.

@@ -5,9 +5,10 @@
 //! Hardware Design"* couples to a VHDL simulator. It provides the three
 //! modelling domains the paper names:
 //!
-//! * **network domain** ([`network`]) — topology of nodes and links;
-//! * **node domain** ([`kernel`], [`queue`]) — modules with processing,
-//!   queueing and communication interfaces;
+//! * **network domain** ([`kernel`]) — nodes, and the streams and links
+//!   that connect their modules;
+//! * **node domain** ([`kernel`]) — modules with processing and
+//!   communication interfaces;
 //! * **process domain** ([`process`]) — behaviour as communicating extended
 //!   FSMs.
 //!
@@ -60,17 +61,15 @@ pub mod error;
 pub mod event;
 pub mod kernel;
 pub mod link;
-pub mod network;
 pub mod packet;
 pub mod process;
-pub mod queue;
 pub mod random;
 pub mod scheduler;
 pub mod stats;
 pub mod time;
 
 pub use error::NetsimError;
-pub use event::{EventId, ModuleId, NodeId, PortId};
+pub use event::{ModuleId, NodeId, PortId};
 pub use kernel::{Ctx, Kernel, StopReason};
 pub use link::LinkParams;
 pub use packet::Packet;

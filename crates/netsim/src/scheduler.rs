@@ -9,9 +9,9 @@
 //! may be generated for any future time, or the current time, but never for
 //! past times".
 
-use crate::event::{Event, EventId, EventKind};
+use crate::event::{Event, EventKind};
 use crate::time::SimTime;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// Error returned when an event is scheduled before the scheduler's current
 /// time, which would violate causality.
@@ -55,7 +55,6 @@ impl std::error::Error for ScheduleInPastError {}
 #[derive(Debug, Default)]
 pub struct EventList {
     heap: BinaryHeap<std::cmp::Reverse<Event>>,
-    cancelled: HashSet<EventId>,
     next_seq: u64,
     now: SimTime,
     scheduled_total: u64,
@@ -76,10 +75,10 @@ impl EventList {
         self.now
     }
 
-    /// Number of pending (non-cancelled) events.
+    /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len()
     }
 
     /// `true` when no events are pending.
@@ -107,11 +106,7 @@ impl EventList {
     ///
     /// Returns [`ScheduleInPastError`] if `at` precedes the current time.
     /// Scheduling *at* the current time is allowed, matching the paper's rule.
-    pub fn schedule(
-        &mut self,
-        at: SimTime,
-        kind: EventKind,
-    ) -> Result<EventId, ScheduleInPastError> {
+    pub fn schedule(&mut self, at: SimTime, kind: EventKind) -> Result<(), ScheduleInPastError> {
         if at < self.now {
             return Err(ScheduleInPastError {
                 requested: at,
@@ -126,28 +121,18 @@ impl EventList {
             seq,
             kind,
         }));
-        Ok(EventId(seq))
-    }
-
-    /// Cancels a previously scheduled event. Cancelling an already-executed
-    /// or unknown event is a no-op (lazy deletion).
-    pub fn cancel(&mut self, id: EventId) {
-        if id.0 < self.next_seq {
-            self.cancelled.insert(id);
-        }
+        Ok(())
     }
 
     /// Time stamp of the earliest pending event, without removing it.
     #[must_use]
-    pub fn next_time(&mut self) -> Option<SimTime> {
-        self.skip_cancelled();
+    pub fn next_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|std::cmp::Reverse(ev)| ev.time)
     }
 
     /// Removes and returns the earliest pending event, advancing the current
     /// time to its time stamp.
     pub fn pop(&mut self) -> Option<Event> {
-        self.skip_cancelled();
         let std::cmp::Reverse(ev) = self.heap.pop()?;
         debug_assert!(
             ev.time >= self.now,
@@ -156,17 +141,6 @@ impl EventList {
         self.now = ev.time;
         self.executed_total += 1;
         Some(ev)
-    }
-
-    /// Discards cancelled entries sitting at the top of the heap.
-    fn skip_cancelled(&mut self) {
-        while let Some(std::cmp::Reverse(ev)) = self.heap.peek() {
-            if self.cancelled.remove(&EventId(ev.seq)) {
-                self.heap.pop();
-            } else {
-                break;
-            }
-        }
     }
 }
 
@@ -231,25 +205,6 @@ mod tests {
         assert_eq!(err.now, SimTime::from_ns(10));
         // Scheduling at the current time is allowed.
         assert!(list.schedule(SimTime::from_ns(10), interrupt(0, 2)).is_ok());
-    }
-
-    #[test]
-    fn cancel_removes_event() {
-        let mut list = EventList::new();
-        let id = list.schedule(SimTime::from_ns(1), interrupt(0, 1)).unwrap();
-        list.schedule(SimTime::from_ns(2), interrupt(0, 2)).unwrap();
-        list.cancel(id);
-        assert_eq!(list.len(), 1);
-        let ev = list.pop().unwrap();
-        assert_eq!(code_of(&ev), 2);
-        assert!(list.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_unknown_is_noop() {
-        let mut list = EventList::new();
-        list.cancel(EventId(42));
-        assert!(list.is_empty());
     }
 
     #[test]

@@ -12,12 +12,10 @@
 //!   [`cycle::attach_cycle_dut`];
 //! * [`compiled`] — [`compiled::LaneBank`], up to 64 replicated
 //!   behavioural DUT instances stepped together as scenario lanes;
-//! * [`comp`] — a library of RTL building blocks (flip-flops, counters,
-//!   FIFOs) written as event-driven processes;
 //! * [`netlist`] — netlist introspection: the signal→process→signal
 //!   dataflow graph, structural checks (combinational loops, multi-driver
-//!   conflicts, sensitivity completeness, gated-clock safety) and the
-//!   levelization report behind `castanet-lint --rtl`;
+//!   conflicts, sensitivity completeness, gated-clock safety) behind
+//!   `castanet-lint --rtl`;
 //! * [`dut`] — the paper's ATM hardware: byte-serial cell receiver and
 //!   transmitter (Fig. 4), the 4-port switch with global control unit (the
 //!   headline workload) and the accounting unit of the §4 case study;
@@ -52,7 +50,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod comp;
 pub mod compiled;
 pub mod cycle;
 pub mod dut;

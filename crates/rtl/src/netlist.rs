@@ -10,23 +10,17 @@
 //! [`NetlistGraph`] of signal→process→signal edges, tagged with clock/reset
 //! domains, external pin marks and gated-clock busy links.
 //!
-//! Two consumers build on the graph:
-//!
-//! * [`NetlistGraph::analyze`] — the structural lint checks behind the
-//!   `CAST1xx` diagnostic family: combinational loops (SCC over the
-//!   zero-delay subgraph), multi-driver conflicts, sensitivity-list
-//!   completeness, dead/undriven signals and gated-clock feedback hazards.
-//!   A DUT with any of these defects simulates *differently* from its
-//!   synthesized netlist — the sim/synth mismatch the co-verification flow
-//!   must rule out before system-level simulation starts.
-//! * [`NetlistGraph::levelize`] — the topo-ordered combinational levels
-//!   (cone widths, fanout) that `castanet-lint --rtl` reports, showing how
-//!   much of a design a level-by-level evaluator could cover.
+//! [`NetlistGraph::analyze`] runs the structural lint checks behind the
+//! `CAST1xx` diagnostic family on the graph: combinational loops (SCC over
+//! the zero-delay subgraph), multi-driver conflicts, sensitivity-list
+//! completeness, dead/undriven signals and gated-clock feedback hazards. A
+//! DUT with any of these defects simulates *differently* from its
+//! synthesized netlist — the sim/synth mismatch the co-verification flow
+//! must rule out before system-level simulation starts.
 //!
 //! Processes that do not implement [`crate::sim::RtlProcess::io`] are
-//! *opaque*: the analyses skip them (no false findings from guessed read
-//! sets) and the levelization reports them separately, so coverage gaps are
-//! visible instead of silent.
+//! *opaque*: the analyses skip them, so no finding comes from a guessed
+//! read set.
 
 use crate::signal::{ProcId, SignalId};
 use std::collections::HashMap;
@@ -37,7 +31,7 @@ use std::fmt;
 pub enum ProcessKind {
     /// Zero-delay logic: an event on any read input re-evaluates the
     /// outputs within the same delta cycle. These processes form the
-    /// combinational subgraph that must be loop-free and levelizable.
+    /// combinational subgraph that must be loop-free.
     Combinational,
     /// Edge-triggered logic: state changes only on rising edges of the
     /// given clock. Clocked writes break combinational cycles.
@@ -332,45 +326,6 @@ impl StructuralFinding {
             | StructuralFinding::UndrivenSignal { .. } => StructuralSeverity::Warning,
             StructuralFinding::UnreadSensitivity { .. } => StructuralSeverity::Info,
         }
-    }
-}
-
-/// The levelized combinational schedule of a loop-free netlist.
-#[derive(Debug, Clone)]
-pub struct Levelization {
-    /// Combinational processes per level: level 0 reads only sequential,
-    /// generator-driven or external signals; level `k` reads at least one
-    /// signal driven at level `k-1`.
-    pub levels: Vec<Vec<ProcId>>,
-    /// Clocked processes (evaluated once per clock edge, after the
-    /// combinational settle).
-    pub clocked: Vec<ProcId>,
-    /// Generator processes (self-scheduled stimulus).
-    pub generators: Vec<ProcId>,
-    /// Opaque processes the schedule cannot place.
-    pub opaque: Vec<ProcId>,
-}
-
-/// Per-level statistics of a [`Levelization`], for the report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LevelStats {
-    /// Level index.
-    pub level: usize,
-    /// Processes evaluated at this level.
-    pub processes: usize,
-    /// Total width (bits) of all signals written at this level.
-    pub cone_bits: usize,
-    /// Highest reader fan-out of any signal written at this level.
-    pub max_fanout: usize,
-    /// Mean reader fan-out across signals written at this level.
-    pub mean_fanout: f64,
-}
-
-impl Levelization {
-    /// Number of combinational processes covered by the schedule.
-    #[must_use]
-    pub fn combinational_count(&self) -> usize {
-        self.levels.iter().map(Vec::len).sum()
     }
 }
 
@@ -835,123 +790,6 @@ impl NetlistGraph {
         None
     }
 
-    // ------------------------------------------------------------------
-    // Levelization
-    // ------------------------------------------------------------------
-
-    /// Topo-sorts the combinational processes into evaluation levels
-    /// (Kahn's algorithm over the zero-delay subgraph). Clocked, generator
-    /// and opaque processes are returned alongside, unlevelled.
-    ///
-    /// # Errors
-    ///
-    /// Returns the processes stuck on combinational cycles when the
-    /// zero-delay subgraph is not a DAG.
-    pub fn levelize(&self) -> Result<Levelization, Vec<ProcId>> {
-        let n = self.processes.len();
-        let mut clocked = Vec::new();
-        let mut generators = Vec::new();
-        let mut opaque = Vec::new();
-        let mut comb = Vec::new();
-        for idx in 0..n {
-            let pid = ProcId(idx);
-            match self.kind(pid) {
-                Some(ProcessKind::Combinational) => comb.push(pid),
-                Some(ProcessKind::Clocked { .. }) => clocked.push(pid),
-                Some(ProcessKind::Generator) => generators.push(pid),
-                None => opaque.push(pid),
-            }
-        }
-        // In-degree: number of distinct comb predecessor processes.
-        let mut indegree = vec![0usize; n];
-        let mut preds_of: Vec<Vec<ProcId>> = vec![Vec::new(); n];
-        for &p in &comb {
-            for (q, _) in self.comb_successors(p) {
-                if !preds_of[q.0].contains(&p) {
-                    preds_of[q.0].push(p);
-                    indegree[q.0] += 1;
-                }
-            }
-        }
-        let mut level_of = vec![0usize; n];
-        let mut ready: Vec<ProcId> = comb
-            .iter()
-            .copied()
-            .filter(|p| indegree[p.0] == 0)
-            .collect();
-        let mut placed = 0usize;
-        let mut levels: Vec<Vec<ProcId>> = Vec::new();
-        while !ready.is_empty() {
-            let mut next_ready = Vec::new();
-            for &p in &ready {
-                let lvl = preds_of[p.0]
-                    .iter()
-                    .map(|q| level_of[q.0] + 1)
-                    .max()
-                    .unwrap_or(0);
-                level_of[p.0] = lvl;
-                if levels.len() <= lvl {
-                    levels.resize(lvl + 1, Vec::new());
-                }
-                levels[lvl].push(p);
-                placed += 1;
-                for (q, _) in self.comb_successors(p) {
-                    if q != p {
-                        indegree[q.0] -= 1;
-                        if indegree[q.0] == 0 {
-                            next_ready.push(q);
-                        }
-                    }
-                }
-            }
-            ready = next_ready;
-        }
-        if placed != comb.len() {
-            let stuck: Vec<ProcId> = comb.iter().copied().filter(|p| indegree[p.0] > 0).collect();
-            return Err(stuck);
-        }
-        Ok(Levelization {
-            levels,
-            clocked,
-            generators,
-            opaque,
-        })
-    }
-
-    /// Per-level statistics of a levelization, for the report.
-    #[must_use]
-    pub fn level_stats(&self, lev: &Levelization) -> Vec<LevelStats> {
-        lev.levels
-            .iter()
-            .enumerate()
-            .map(|(i, procs)| {
-                let mut cone_bits = 0usize;
-                let mut fanouts: Vec<usize> = Vec::new();
-                for &p in procs {
-                    if let Some(io) = &self.processes[p.0].io {
-                        for &w in &io.writes {
-                            cone_bits += self.signals[w.index()].width;
-                            fanouts.push(self.readers(w).len());
-                        }
-                    }
-                }
-                let max_fanout = fanouts.iter().copied().max().unwrap_or(0);
-                let mean_fanout = if fanouts.is_empty() {
-                    0.0
-                } else {
-                    fanouts.iter().sum::<usize>() as f64 / fanouts.len() as f64
-                };
-                LevelStats {
-                    level: i,
-                    processes: procs.len(),
-                    cone_bits,
-                    max_fanout,
-                    mean_fanout,
-                }
-            })
-            .collect()
-    }
-
     /// Formats a finding for people, resolving ids to names. This is the
     /// text the core preflight and the lint pass both present.
     #[must_use]
@@ -1134,7 +972,7 @@ mod tests {
     }
 
     #[test]
-    fn clean_pipeline_has_no_findings_and_levelizes() {
+    fn clean_pipeline_has_no_findings() {
         // in -> comb a -> t1 -> comb b -> t2 -> reg (clocked) -> out.
         let mut sim = Simulator::new();
         let clk = sim.add_clock("clk", castanet_netsim::time::SimDuration::from_ns(10));
@@ -1150,12 +988,6 @@ mod tests {
         let net = sim.netlist();
         let findings = net.analyze();
         assert!(findings.is_empty(), "clean netlist flagged: {findings:?}");
-        let lev = net.levelize().expect("loop-free");
-        assert_eq!(lev.levels.len(), 2);
-        assert_eq!(lev.combinational_count(), 2);
-        assert_eq!(lev.clocked.len(), 1);
-        assert_eq!(lev.generators.len(), 1, "clock generator");
-        assert!(lev.opaque.is_empty());
         // Domain tag: `out` is registered on clk.
         assert_eq!(net.domain(out), Some(clk));
     }
@@ -1172,7 +1004,6 @@ mod tests {
         let loops = net.combinational_loops();
         assert_eq!(loops.len(), 1);
         assert_eq!(loops[0].len(), 2, "both processes on the path");
-        assert!(net.levelize().is_err());
         let findings = net.analyze();
         assert!(findings
             .iter()
@@ -1188,7 +1019,6 @@ mod tests {
         sim2.mark_external_output(b2);
         let net2 = sim2.netlist();
         assert!(net2.combinational_loops().is_empty());
-        assert!(net2.levelize().is_ok());
     }
 
     #[test]
@@ -1396,7 +1226,7 @@ mod tests {
     }
 
     #[test]
-    fn opaque_processes_are_skipped_but_reported_in_levelization() {
+    fn opaque_processes_are_skipped() {
         struct Opaque;
         impl RtlProcess for Opaque {
             fn run(&mut self, _ctx: &mut RtlCtx) {}
@@ -1406,33 +1236,7 @@ mod tests {
         sim.add_process(Box::new(Opaque), &[a]);
         let net = sim.netlist();
         assert!(net.analyze().is_empty(), "no guessing about opaque reads");
-        let lev = net.levelize().expect("no comb processes at all");
-        assert_eq!(lev.opaque.len(), 1);
-        assert_eq!(lev.combinational_count(), 0);
-    }
-
-    #[test]
-    fn level_stats_cone_widths_and_fanout() {
-        let mut sim = Simulator::new();
-        let a = sim.add_signal("a", 8);
-        let t = sim.add_signal("t", 8);
-        let y1 = sim.add_signal("y1", 4);
-        let y2 = sim.add_signal("y2", 4);
-        sim.mark_external_input(a);
-        sim.mark_external_output(y1);
-        sim.mark_external_output(y2);
-        comb(&mut sim, "stage0", &[a], &[t]);
-        comb(&mut sim, "s1a", &[t], &[y1]);
-        comb(&mut sim, "s1b", &[t], &[y2]);
-        let net = sim.netlist();
-        let lev = net.levelize().unwrap();
-        let stats = net.level_stats(&lev);
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].processes, 1);
-        assert_eq!(stats[0].cone_bits, 8);
-        assert_eq!(stats[0].max_fanout, 2, "t feeds two readers");
-        assert_eq!(stats[1].processes, 2);
-        assert_eq!(stats[1].cone_bits, 8, "two 4-bit cones");
+        assert_eq!(net.processes.iter().filter(|p| p.is_opaque()).count(), 1);
     }
 
     #[test]
@@ -1472,8 +1276,8 @@ mod tests {
     #[test]
     fn level_order_evaluation_matches_event_kernel() {
         use castanet_netsim::time::SimTime;
-        // A 3-level xor/inv cone evaluated by the kernel must agree with a
-        // hand evaluation in level order.
+        // A two-stage xor cone evaluated by the kernel must agree with a
+        // hand evaluation in dataflow order.
         struct Xor2 {
             a: SignalId,
             b: SignalId,
@@ -1510,13 +1314,11 @@ mod tests {
         sim.add_process(Box::new(Xor2 { a: t1, b: c, y: t2 }), &[t1, c]);
         let net = sim.netlist();
         assert!(net.analyze().is_empty());
-        let lev = net.levelize().unwrap();
-        assert_eq!(lev.levels.len(), 2);
         sim.poke_bit(a, Logic::One, SimTime::ZERO).unwrap();
         sim.poke_bit(b, Logic::Zero, SimTime::ZERO).unwrap();
         sim.poke_bit(c, Logic::One, SimTime::ZERO).unwrap();
         sim.run_to_quiescence().unwrap();
-        // level-order: t1 = a^b = 1, t2 = t1^c = 0.
+        // dataflow order: t1 = a^b = 1, t2 = t1^c = 0.
         assert_eq!(sim.read_bit(t2), Logic::Zero);
     }
 }

@@ -548,7 +548,7 @@ impl Simulator {
     /// declared via [`RtlProcess::io`]) read/write sets, every signal with
     /// its external-pin / trace / clock-root marks, and the gated-clock
     /// busy links. Input to [`NetlistGraph::analyze`] (the `CAST1xx`
-    /// structural checks) and [`NetlistGraph::levelize`].
+    /// structural checks).
     #[must_use]
     pub fn netlist(&self) -> NetlistGraph {
         let signals = self

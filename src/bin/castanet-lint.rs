@@ -14,13 +14,10 @@
 //! --format human (default) or json
 //! --codes  print the diagnostic-code registry and exit
 //! --rtl    run the RTL structural passes (CAST1xx) on the RTL-backed
-//!          targets and print their levelization reports
+//!          targets and print their findings per target
 //! --report-out PATH  with --rtl: also write the JSON report to PATH
 //! ```
 
-use castanet_lint::passes::rtl_structure::{
-    levelization_report, render_levelization_human, render_levelization_json,
-};
 use castanet_lint::{
     check_coupling, check_coupling_setup, has_errors, passes, render_human, render_json,
     sort_diagnostics, Diagnostic, CODES,
@@ -129,8 +126,8 @@ fn indent_json(doc: &str, pad: &str) -> String {
     doc.replace('\n', &format!("\n{pad}"))
 }
 
-/// The `--rtl` mode: structural findings plus the levelization report for
-/// each RTL-backed target, human or JSON, optionally saved as an artifact.
+/// The `--rtl` mode: the structural findings of each RTL-backed target,
+/// human or JSON, optionally saved as an artifact.
 fn run_rtl(targets: &[String], format: Format, report_out: Option<&str>) -> ! {
     let expanded: Vec<&str> = if targets.is_empty() || targets.iter().any(|t| t == "examples") {
         vec!["switch", "accounting"]
@@ -148,30 +145,17 @@ fn run_rtl(targets: &[String], format: Format, report_out: Option<&str>) -> ! {
             d.location = format!("{target}.{}", d.location);
         }
         sort_diagnostics(&mut diags);
-        let report = levelization_report(&net);
-        failed |= has_errors(&diags) || report.is_err();
+        failed |= has_errors(&diags);
 
         let _ = writeln!(human, "== rtl target: {target} ==");
         human.push_str(&render_human(&diags));
-        match &report {
-            Ok(rep) => human.push_str(&render_levelization_human(rep)),
-            Err(loops) => {
-                human.push_str("levelization undefined: combinational loops present\n");
-                human.push_str(&render_human(loops));
-            }
-        }
         human.push('\n');
 
         json.push_str(if i == 0 { "\n" } else { ",\n" });
         let _ = write!(
             json,
-            "    {{\n      \"target\": \"{target}\",\n      \"findings\": {},\n      \
-             \"levelization\": {}\n    }}",
+            "    {{\n      \"target\": \"{target}\",\n      \"findings\": {}\n    }}",
             indent_json(&render_json(&diags), "      "),
-            match &report {
-                Ok(rep) => indent_json(&render_levelization_json(rep), "      "),
-                Err(_) => "null".to_string(),
-            }
         );
     }
     json.push_str("\n  ]\n}");
