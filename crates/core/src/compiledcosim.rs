@@ -1,4 +1,5 @@
-//! The lane-batched cycle follower: up to 64 scenario lanes per clock.
+//! The lane-batched cycle follower: up to 64 scenario lanes, each clocked
+//! through the advance window on its own.
 //!
 //! [`CompiledCosim`] couples a [`LaneBank`] — replicated DUT instances,
 //! one `u64` per lane per pin (see [`castanet_rtl::compiled`]) — as a
@@ -12,12 +13,29 @@
 //! traces read back with [`CompiledCosim::lane_cells`] — the N-seeds →
 //! N-lanes → N-traces sweep the scenario layer exposes.
 //!
-//! Idle skipping is preserved across lanes: a clock may be skipped only
-//! when *every* lane's DUT is quiescent and *no* lane has pending
-//! stimulus, so per-lane traces are invariant to how other lanes are
-//! loaded (a skipped clock is provably a no-op in every lane). With
-//! traffic on lane 0 only, the evaluated/skipped counters match the
-//! cycle-based follower exactly — the conformance suite pins this.
+//! Lanes share no state, so the follower runs them *lane-major*: each lane
+//! keeps what [`crate::CycleCosim`] keeps for its one DUT (a stimulus
+//! window, egress assemblers) and runs the same loop through the whole
+//! window — idle-skipping its own window while its DUT is idle, clocking
+//! it otherwise. An idle or finished lane costs one skip per window.
+//! [`CoupledSimulator::advance_batch`] spreads the lanes that have work in
+//! the window over one scoped thread per core the host reports, the
+//! calling thread running the chunk that holds lane 0;
+//! [`CoupledSimulator::advance_until`] runs lane 0 up to its first
+//! response, then the other lanes up to the same clock, all on the calling
+//! thread.
+//!
+//! The counters still describe one clock shared by every lane. A skipped
+//! clock is a provable no-op in its lane ([`CycleDut::is_idle`] with inert
+//! inputs), so a clock the lanes once evaluated together is exactly a
+//! clock at which some lane is busy: each lane records the runs of clocks
+//! it evaluated, and their union is added to
+//! [`CompiledCosim::clocks_evaluated`] and to `compiled.fallback_evals`;
+//! the rest of the window is [`CompiledCosim::clocks_skipped`]. With
+//! traffic on lane 0 only, the counters match the cycle-based follower
+//! exactly — the conformance suite pins this.
+//!
+//! [`CycleDut::is_idle`]: castanet_rtl::cycle::CycleDut::is_idle
 
 use crate::convert::ByteStreamAssembler;
 use crate::coupling::CoupledSimulator;
@@ -29,33 +47,194 @@ use castanet_atm::addr::HeaderFormat;
 use castanet_atm::cell::AtmCell;
 use castanet_netsim::time::{SimDuration, SimTime};
 use castanet_obs::{Counter, Gauge, Phase, Telemetry, Track};
-use castanet_rtl::compiled::LaneBank;
+use castanet_rtl::compiled::{Lane, LaneBank};
+use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
-#[derive(Clone)]
-struct EgressLane {
-    idx: EgressIndices,
-    /// Per-lane cell reassembly state.
+/// What [`crate::CycleCosim`] keeps for its one DUT, kept per lane.
+struct LaneState {
+    /// Delivered cells; its clock is the lane's next one to evaluate.
+    stimulus: StimulusWindow,
+    /// Per egress line: cell reassembly state.
     assemblers: Vec<ByteStreamAssembler>,
-    /// Per-lane egress traces (every completed cell, lane 0 included).
+    /// Per egress line: every completed cell (lane 0 included).
     traces: Vec<Vec<AtmCell>>,
+    undecodable: u64,
+    /// `[start, end)` runs of the clocks evaluated in the latest sweep.
+    runs: Vec<(u64, u64)>,
 }
 
-/// The lane-batched coupled follower with bank-wide idle skipping.
+/// What every lane of one sweep reads.
+struct Sweep<'a> {
+    /// Clock to run each lane up to (exclusive).
+    target: u64,
+    period_ps: u64,
+    egress: &'a [EgressIndices],
+    response_type: MessageTypeId,
+    tel: &'a Telemetry,
+}
+
+impl LaneState {
+    /// Runs the lane from its window's clock up to `sweep.target`:
+    /// idle-skips while its DUT is idle, clocks it otherwise. With
+    /// `responses` (lane 0, handed an empty `Vec`), appends the cells the
+    /// lane completes and, if `stop_at_first`, stops after the first clock
+    /// that completes one.
+    fn run(
+        &mut self,
+        dut: &mut Lane<'_>,
+        sweep: &Sweep<'_>,
+        mut responses: Option<&mut Vec<Message>>,
+        stop_at_first: bool,
+    ) {
+        self.runs.clear();
+        while self.stimulus.now() < sweep.target {
+            if dut.is_idle() {
+                let remaining = sweep.target - self.stimulus.now();
+                if skip_idle(std::slice::from_mut(&mut self.stimulus), remaining) > 0 {
+                    continue;
+                }
+            }
+            let clock = self.stimulus.now();
+            match self.runs.last_mut() {
+                Some((_, end)) if *end == clock => *end += 1,
+                _ => self.runs.push((clock, clock + 1)),
+            }
+            self.run_clock(dut, sweep, responses.as_deref_mut());
+            if stop_at_first && responses.as_ref().is_some_and(|r| !r.is_empty()) {
+                break;
+            }
+        }
+    }
+
+    /// Evaluates the window's clock on the lane's DUT and reassembles its
+    /// egress.
+    fn run_clock(
+        &mut self,
+        dut: &mut Lane<'_>,
+        sweep: &Sweep<'_>,
+        mut responses: Option<&mut Vec<Message>>,
+    ) {
+        // One sampling decision covers the clock's three micro-phases —
+        // the edge on the window's front row, pack (move the window on)
+        // and unpack (reassemble egress cells).
+        let tel = sweep.tel;
+        let sampled = tel.micro_gate();
+        let t_ps = (self.stimulus.now() + 1) * sweep.period_ps;
+        let mut mark = if sampled { tel.now_ns() } else { 0 };
+        dut.clock_edge(self.stimulus.front());
+        if sampled {
+            mark = tel.record_phase(Track::Follower, t_ps, Phase::CompiledFallbackEval, mark);
+        }
+        self.stimulus.pop_front();
+        if sampled {
+            mark = tel.record_phase(Track::Follower, t_ps, Phase::CompiledPack, mark);
+        }
+        let stamp = SimTime::from_picos(t_ps);
+        let outs = dut.outputs();
+        for (port, idx) in sweep.egress.iter().enumerate() {
+            if outs[idx.valid] != 1 {
+                continue;
+            }
+            let data = outs[idx.data] as u8;
+            let sync = outs[idx.sync] == 1;
+            let payload = match self.assemblers[port].push(data, sync) {
+                Ok(None) => continue,
+                Ok(Some(cell)) => {
+                    let payload = responses
+                        .is_some()
+                        .then(|| MessagePayload::Cell(cell.clone()));
+                    self.traces[port].push(cell);
+                    payload
+                }
+                Err(_) => {
+                    self.undecodable += 1;
+                    responses.is_some().then(|| MessagePayload::Raw(vec![data]))
+                }
+            };
+            if let (Some(responses), Some(payload)) = (responses.as_deref_mut(), payload) {
+                responses.push(Message {
+                    stamp,
+                    type_id: sweep.response_type,
+                    port,
+                    payload,
+                });
+            }
+        }
+        if sampled {
+            tel.record_phase(Track::Follower, t_ps, Phase::CompiledUnpack, mark);
+        }
+    }
+}
+
+/// Worker threads for a sweep: one per core the host reports, asked once.
+fn host_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// Runs `work` (lane 0 first) through `sweep`, in contiguous chunks on
+/// one thread per host core; the calling thread runs the chunk that holds
+/// lane 0 and collects its responses. A lane's panic is re-raised on the
+/// caller with its own payload.
+fn fan_out(
+    work: &mut [(Lane<'_>, &mut LaneState)],
+    sweep: &Sweep<'_>,
+    responses: &mut Vec<Message>,
+) {
+    let chunk = work.len().div_ceil(host_threads().min(work.len()));
+    let (own, rest) = work.split_at_mut(chunk);
+    if rest.is_empty() {
+        run_chunk(own, sweep, Some(responses));
+        return;
+    }
+    std::thread::scope(|s| {
+        let workers: Vec<_> = rest
+            .chunks_mut(chunk)
+            .map(|chunk| s.spawn(move || run_chunk(chunk, sweep, None)))
+            .collect();
+        run_chunk(own, sweep, Some(responses));
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+}
+
+/// Runs each lane of `chunk` through `sweep`; the first one appends its
+/// cells to `responses`.
+fn run_chunk(
+    chunk: &mut [(Lane<'_>, &mut LaneState)],
+    sweep: &Sweep<'_>,
+    mut responses: Option<&mut Vec<Message>>,
+) {
+    for (dut, lane) in chunk {
+        lane.run(dut, sweep, responses.take(), false);
+    }
+}
+
+/// The lane-batched coupled follower with per-lane idle skipping.
 pub struct CompiledCosim {
     bank: LaneBank,
     clock_period: SimDuration,
+    /// The clock every lane's window is at between advances.
     clocks_done: u64,
-    /// Per-lane delivered cells; every window's clock is `clocks_done`.
-    stimulus: Vec<StimulusWindow>,
-    egress: Vec<EgressLane>,
+    /// Per-lane stimulus, egress and evaluated clock runs.
+    lanes: Vec<LaneState>,
+    egress: Vec<EgressIndices>,
     response_type: MessageTypeId,
     format: HeaderFormat,
-    /// Clocks skipped thanks to bank-wide idle detection.
+    /// Clocks at which some lane was evaluated.
+    evaluated: u64,
+    /// Clocks at which every lane was idle.
     skipped: u64,
-    undecodable: u64,
+    /// Every lane's clock runs of the latest sweep, merged.
+    runs: Vec<(u64, u64)>,
     obs_evaluated: Gauge,
     obs_skipped: Gauge,
-    /// `compiled.fallback_evals` — behavioral `LaneBank` clock edges.
+    /// `compiled.fallback_evals` — clocks at which some lane's
+    /// behavioral DUT was clocked.
     obs_fallback_evals: Counter,
     /// `compiled.lanes_active` — lanes with stimulus pending at the last
     /// sweep (the coupled lane counts while the run is live).
@@ -63,8 +242,9 @@ pub struct CompiledCosim {
     /// `compiled.queue_depth` — deepest per-lane stimulus queue at the
     /// last sweep (the compiled analogue of `rtl.queue_depth`).
     obs_queue_depth: Gauge,
-    /// `compiled.idle_skips` — bank-wide idle jumps taken (the compiled
-    /// analogue of `rtl.wheel_cascade`: both count O(1) time leaps).
+    /// `compiled.idle_skips` — stretches of clocks at which every lane
+    /// was idle (the compiled analogue of `rtl.wheel_cascade`: both count
+    /// O(1) time leaps).
     obs_idle_skips: Counter,
     /// Telemetry handle for the sampled pack/eval/unpack micro-phases.
     tel: Telemetry,
@@ -91,8 +271,14 @@ impl CompiledCosim {
     ) -> Self {
         let stride = bank.input_ports().len();
         CompiledCosim {
-            stimulus: (0..bank.lanes())
-                .map(|_| StimulusWindow::new(stride))
+            lanes: (0..bank.lanes())
+                .map(|_| LaneState {
+                    stimulus: StimulusWindow::new(stride),
+                    assemblers: Vec::new(),
+                    traces: Vec::new(),
+                    undecodable: 0,
+                    runs: Vec::new(),
+                })
                 .collect(),
             bank,
             clock_period,
@@ -100,8 +286,9 @@ impl CompiledCosim {
             egress: Vec::new(),
             response_type,
             format,
+            evaluated: 0,
             skipped: 0,
-            undecodable: 0,
+            runs: Vec::new(),
             obs_evaluated: Gauge::default(),
             obs_skipped: Gauge::default(),
             obs_fallback_evals: Counter::default(),
@@ -120,11 +307,11 @@ impl CompiledCosim {
     /// As [`crate::CycleCosim::add_ingress`], against the lane bank's
     /// input ports.
     pub fn add_ingress(&mut self, idx: IngressIndices) -> Result<usize, CastanetError> {
-        idx.check(self.bank.input_ports(), self.stimulus[0].pins())?;
-        for window in &mut self.stimulus {
-            window.add_line(idx);
+        idx.check(self.bank.input_ports(), self.lanes[0].stimulus.pins())?;
+        for lane in &mut self.lanes {
+            lane.stimulus.add_line(idx);
         }
-        Ok(self.stimulus[0].lines() - 1)
+        Ok(self.lanes[0].stimulus.lines() - 1)
     }
 
     /// Registers an egress line; returns its co-simulation port index.
@@ -135,14 +322,11 @@ impl CompiledCosim {
     /// output ports.
     pub fn add_egress(&mut self, idx: EgressIndices) -> Result<usize, CastanetError> {
         idx.check(self.bank.output_ports())?;
-        let lanes = self.bank.lanes();
-        self.egress.push(EgressLane {
-            idx,
-            assemblers: (0..lanes)
-                .map(|_| ByteStreamAssembler::new(self.format))
-                .collect(),
-            traces: vec![Vec::new(); lanes],
-        });
+        self.egress.push(idx);
+        for lane in &mut self.lanes {
+            lane.assemblers.push(ByteStreamAssembler::new(self.format));
+            lane.traces.push(Vec::new());
+        }
         Ok(self.egress.len() - 1)
     }
 
@@ -152,13 +336,13 @@ impl CompiledCosim {
         self.bank.lanes()
     }
 
-    /// Clocks actually evaluated (each evaluation steps *every* lane).
+    /// Clocks at which some lane was evaluated.
     #[must_use]
     pub fn clocks_evaluated(&self) -> u64 {
-        self.bank.cycles()
+        self.evaluated
     }
 
-    /// Clocks skipped by bank-wide idle detection.
+    /// Clocks skipped because every lane was idle on them.
     #[must_use]
     pub fn clocks_skipped(&self) -> u64 {
         self.skipped
@@ -167,7 +351,7 @@ impl CompiledCosim {
     /// DUT output bytes that failed cell reassembly (any lane).
     #[must_use]
     pub fn undecodable(&self) -> u64 {
-        self.undecodable
+        self.lanes.iter().map(|lane| lane.undecodable).sum()
     }
 
     /// Read access to the lane bank.
@@ -180,7 +364,7 @@ impl CompiledCosim {
     /// emission order.
     #[must_use]
     pub fn lane_cells(&self, port: usize, lane: usize) -> &[AtmCell] {
-        &self.egress[port].traces[lane]
+        &self.lanes[lane].traces[port]
     }
 
     /// Schedules `cell` into lane `lane` on ingress line `port` at (or
@@ -199,7 +383,7 @@ impl CompiledCosim {
         stamp: SimTime,
         cell: &AtmCell,
     ) -> Result<(), CastanetError> {
-        if port >= self.stimulus[0].lines() {
+        if port >= self.lanes[0].stimulus.lines() {
             return Err(CastanetError::UnknownPort { port });
         }
         let lanes = self.bank.lanes();
@@ -208,118 +392,95 @@ impl CompiledCosim {
         }
         let wire = cell.encode(self.format)?;
         let earliest = clock_at_or_after(stamp, self.clock_period);
-        self.stimulus[lane].put_cell(port, earliest, &wire);
+        self.lanes[lane].stimulus.put_cell(port, earliest, &wire);
         Ok(())
     }
 
-    /// Evaluates clock `clocks_done` on every lane, appending the cells
-    /// lane 0 completes to `responses`.
-    fn run_clock(&mut self, responses: &mut Vec<Message>) {
-        // One sampling decision covers the clock's three micro-phases —
-        // the bank's edge on every window's front row, pack (move the
-        // windows on) and unpack (reassemble egress cells).
-        let sampled = self.tel.micro_gate();
-        let t_ps = (self.clocks_done + 1) * self.clock_period.as_picos();
-        let mut mark = if sampled { self.tel.now_ns() } else { 0 };
-        self.bank
-            .clock_edge(self.stimulus.iter().map(StimulusWindow::front));
-        self.obs_fallback_evals.inc();
-        if sampled {
-            mark = self
-                .tel
-                .record_phase(Track::Follower, t_ps, Phase::CompiledFallbackEval, mark);
-        }
-        for window in &mut self.stimulus {
-            window.pop_front();
-        }
-        if sampled {
-            mark = self
-                .tel
-                .record_phase(Track::Follower, t_ps, Phase::CompiledPack, mark);
-        }
-        self.clocks_done += 1;
-        let stamp = SimTime::from_picos(self.clocks_done * self.clock_period.as_picos());
-        // Lane by lane, each output row fetched once; lane 0's responses
-        // keep port order.
-        for lane in 0..self.bank.lanes() {
-            let outs = self.bank.outputs(lane);
-            for (port, line) in self.egress.iter_mut().enumerate() {
-                if outs[line.idx.valid] != 1 {
-                    continue;
-                }
-                let data = outs[line.idx.data] as u8;
-                let sync = outs[line.idx.sync] == 1;
-                let payload = match line.assemblers[lane].push(data, sync) {
-                    Ok(None) => continue,
-                    Ok(Some(cell)) => {
-                        line.traces[lane].push(cell.clone());
-                        MessagePayload::Cell(cell)
-                    }
-                    Err(_) => {
-                        self.undecodable += 1;
-                        MessagePayload::Raw(vec![data])
-                    }
-                };
-                if lane == 0 {
-                    responses.push(Message {
-                        stamp,
-                        type_id: self.response_type,
-                        port,
-                        payload,
-                    });
-                }
-            }
-        }
-        if sampled {
-            self.tel.record_phase(
-                Track::Follower,
-                stamp.as_picos(),
-                Phase::CompiledUnpack,
-                mark,
-            );
-        }
-    }
-
     fn advance_inner(&mut self, horizon: SimTime, stop_at_first: bool) -> Vec<Message> {
-        let period = self.clock_period.as_picos();
-        let target = horizon.as_picos().div_ceil(period).saturating_sub(1);
+        let period_ps = self.clock_period.as_picos();
+        let target = horizon.as_picos().div_ceil(period_ps).saturating_sub(1);
         let mut collected = Vec::new();
         if self.tel.is_enabled() {
+            let windows = self.lanes.iter().map(|lane| &lane.stimulus);
             self.obs_lanes_active
-                .set(self.stimulus.iter().filter(|w| w.has_stimulus()).count() as u64);
-            self.obs_queue_depth.set(
-                self.stimulus
-                    .iter()
-                    .map(StimulusWindow::len)
-                    .max()
-                    .unwrap_or(0) as u64,
-            );
+                .set(windows.clone().filter(|w| w.has_stimulus()).count() as u64);
+            self.obs_queue_depth
+                .set(windows.map(StimulusWindow::len).max().unwrap_or(0) as u64);
         }
-        while self.clocks_done < target {
-            // Idle skip: every lane's DUT quiescent and no stimulus
-            // pending in any lane's window — a clock edge would change
-            // nothing anywhere, so jump to the next stimulus clock (or
-            // the horizon) in O(1).
-            if self.bank.idle() {
-                let jump = skip_idle(&mut self.stimulus, target - self.clocks_done);
-                if jump > 0 {
-                    self.skipped += jump;
-                    self.obs_idle_skips.inc();
-                    self.clocks_done += jump;
-                    continue;
+        let start = self.clocks_done;
+        if start >= target {
+            self.publish_clock_gauges();
+            return collected;
+        }
+        let mut sweep = Sweep {
+            target,
+            period_ps,
+            egress: &self.egress,
+            response_type: self.response_type,
+            tel: &self.tel,
+        };
+        let n_lanes = self.bank.lanes();
+        let mut lanes = self.bank.lanes_mut().zip(&mut self.lanes);
+        if stop_at_first {
+            // Lane 0 up to its first response, then every other lane up
+            // to the same clock, all on this thread: a serial coupling
+            // calls this several times per cell.
+            let (mut dut, lane0) = lanes.next().expect("a bank has a lane");
+            lane0.run(&mut dut, &sweep, Some(&mut collected), true);
+            sweep.target = lane0.stimulus.now();
+            for (mut dut, lane) in lanes {
+                lane.run(&mut dut, &sweep, None, false);
+            }
+        } else {
+            // Lanes with nothing to do take their one skip here; lane 0
+            // and the lanes with work fan out.
+            let mut work = Vec::with_capacity(n_lanes);
+            for (k, (mut dut, lane)) in lanes.enumerate() {
+                if k == 0 || !dut.is_idle() || lane.stimulus.stimulus_before(target) {
+                    work.push((dut, lane));
+                } else {
+                    lane.run(&mut dut, &sweep, None, false);
                 }
             }
-            self.run_clock(&mut collected);
-            if stop_at_first && !collected.is_empty() {
-                break;
-            }
+            fan_out(&mut work, &sweep, &mut collected);
         }
+        let end = sweep.target;
+        self.clocks_done = end;
+        self.count_clocks(start, end);
         self.publish_clock_gauges();
         collected
     }
 
+    /// Adds the window `[start, end)` to the clock counters: a clock is
+    /// evaluated when some lane evaluated it — the union of the lanes'
+    /// runs — and skipped otherwise.
+    fn count_clocks(&mut self, start: u64, end: u64) {
+        self.runs.clear();
+        for lane in &self.lanes {
+            self.runs.extend_from_slice(&lane.runs);
+        }
+        self.runs.sort_unstable();
+        let (mut evaluated, mut gaps, mut reach) = (0, 0, start);
+        for &(first, last) in &self.runs {
+            if first > reach {
+                gaps += 1;
+            }
+            if last > reach {
+                evaluated += last - first.max(reach);
+                reach = last;
+            }
+        }
+        if end > reach {
+            gaps += 1;
+        }
+        self.evaluated += evaluated;
+        self.skipped += end - start - evaluated;
+        self.obs_fallback_evals.add(evaluated);
+        self.obs_idle_skips.add(gaps);
+    }
+
     fn publish_clock_gauges(&self) {
-        self.obs_evaluated.set(self.bank.cycles());
+        self.obs_evaluated.set(self.evaluated);
         self.obs_skipped.set(self.skipped);
     }
 }

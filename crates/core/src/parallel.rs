@@ -392,7 +392,7 @@ impl<S: CoupledSimulator + Send> ParallelCoupling<S> {
             let (mut cmd_tx, cmd_rx) = cmd_ring.split();
             let (rep_tx, mut rep_rx) = rep_ring.split();
             std::thread::scope(|scope| -> Result<(), CastanetError> {
-                scope.spawn(move || {
+                let worker = scope.spawn(move || {
                     let mut cmd_rx = cmd_rx;
                     let mut rep_tx = rep_tx;
                     // Close the rings even if the worker panics (debug
@@ -433,10 +433,14 @@ impl<S: CoupledSimulator + Send> ParallelCoupling<S> {
                     )
                 }));
                 // Closing both rings (on success, error, *and* unwind)
-                // wakes a parked follower so the scope's implicit join
-                // returns.
+                // wakes a parked follower so the join returns. Joined
+                // here, not by the scope, so a follower panic is re-raised
+                // with its own payload.
                 cmd_tx.close();
                 rep_rx.close();
+                if let Err(panic) = worker.join() {
+                    std::panic::resume_unwind(panic);
+                }
                 match result {
                     Ok(r) => r,
                     Err(panic) => std::panic::resume_unwind(panic),

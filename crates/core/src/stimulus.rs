@@ -203,6 +203,11 @@ impl StimulusWindow {
         self.wake != NONE
     }
 
+    /// `true` when a line has a cell under way or due before clock `end`.
+    pub(crate) fn stimulus_before(&self, end: u64) -> bool {
+        self.wake < end
+    }
+
     /// Clocks from now up to the last stimulated one.
     pub(crate) fn len(&self) -> usize {
         self.lines
@@ -213,10 +218,11 @@ impl StimulusWindow {
     }
 }
 
-/// The idle-skip jump of windows that advance in step (one per lane, or
-/// just one): with the DUTs quiescent, every clock before the earliest
-/// stimulus in any window is a no-op. Retires those clocks — at most
-/// `remaining` — from every window and returns how many that was.
+/// The idle-skip jump of windows that advance in step (both followers
+/// pass one window, that of the DUT they skip): with the DUTs quiescent,
+/// every clock before the earliest stimulus in any window is a no-op.
+/// Retires those clocks — at most `remaining` — from every window and
+/// returns how many that was.
 pub(crate) fn skip_idle(windows: &mut [StimulusWindow], remaining: u64) -> u64 {
     let jump = windows
         .iter()

@@ -56,12 +56,12 @@ pub enum Phase {
     KernelAdvance,
     /// Cycle engine: one behavioral clock edge.
     CycleEval,
-    /// Compiled backend: one behavioral `LaneBank` clock edge.
+    /// Compiled backend: one lane's behavioral clock edge.
     CompiledFallbackEval,
-    /// Compiled backend: moving each lane's stimulus window to the next
-    /// clock (the bank's edge samples the windows' rows in place).
+    /// Compiled backend: moving one lane's stimulus window to the next
+    /// clock (the lane's edge samples the window's row in place).
     CompiledPack,
-    /// Compiled backend: reading each lane's egress pins back into cells.
+    /// Compiled backend: reading one lane's egress pins back into cells.
     CompiledUnpack,
     /// Parallel executor: streaming grant windows to the follower.
     ParallelGrant,

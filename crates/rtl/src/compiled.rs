@@ -1,11 +1,12 @@
 //! Lane batching for behavioural DUTs: up to [`LANES`] replicated
-//! [`CycleDut`] instances stepped together as one [`LaneBank`].
+//! [`CycleDut`] instances held together as one [`LaneBank`].
 //!
-//! Each lane is an independent scenario instance of the same design. On
-//! each clock edge the caller hands the bank one input row per lane, and
-//! every lane's DUT samples its row in place, so the coupling layer
-//! (`CompiledCosim` in `castanet-core`) can drive N seeds through N
-//! instances with one idle test and one clock loop.
+//! Each lane is an independent scenario instance of the same design. The
+//! bank checks once that every lane declares the same ports, then hands
+//! out one [`Lane`] handle per lane: a handle clocks its own DUT on its own
+//! input row, in place, so the coupling layer (`CompiledCosim` in
+//! `castanet-core`) can run each lane through a window on its own, and
+//! disjoint lanes on different threads.
 
 use crate::cycle::{check_widths, CycleDut, PortDecl};
 use std::fmt;
@@ -13,33 +14,41 @@ use std::fmt;
 /// Maximum number of scenario lanes in one [`LaneBank`].
 pub const LANES: usize = 64;
 
-/// Up to [`LANES`] replicated behavioural [`CycleDut`] instances behind
-/// one per-lane output store.
-///
-/// The bank keeps no input pins: like [`crate::cycle::CycleSim::step`],
-/// [`LaneBank::clock_edge`] takes each lane's input row for that edge
-/// only. Outputs are kept lane-major, one `u64` per port: lane `k`'s row
-/// is what its DUT wrote on the last edge, truncated to the declared port
-/// widths. Every output powers on as `0`.
-pub struct LaneBank {
-    duts: Vec<Box<dyn CycleDut>>,
-    in_ports: Vec<PortDecl>,
-    out_ports: Vec<PortDecl>,
+/// The port lists every lane declares, with their width masks.
+#[derive(Debug)]
+struct Ports {
+    inputs: Vec<PortDecl>,
+    outputs: Vec<PortDecl>,
     /// Width masks of the input and output ports, index-aligned.
     in_masks: Vec<u64>,
     out_masks: Vec<u64>,
-    /// `outputs[lane * out_ports.len() + port]`.
-    outputs: Vec<u64>,
-    cycles: u64,
+}
+
+/// One lane's DUT and the outputs of its latest edge.
+struct LaneDut {
+    dut: Box<dyn CycleDut>,
+    outputs: Box<[u64]>,
+}
+
+/// Up to [`LANES`] replicated behavioural [`CycleDut`] instances that
+/// declare identical ports.
+///
+/// The bank keeps no input pins: like [`crate::cycle::CycleSim::step`],
+/// [`Lane::clock_edge`] takes the lane's input row for that edge only.
+/// Each lane keeps one `u64` per output port: what its DUT wrote on its
+/// last edge, truncated to the declared port widths. Every output powers
+/// on as `0`.
+pub struct LaneBank {
+    ports: Ports,
+    lanes: Vec<LaneDut>,
 }
 
 impl fmt::Debug for LaneBank {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LaneBank")
-            .field("lanes", &self.duts.len())
-            .field("in_ports", &self.in_ports)
-            .field("out_ports", &self.out_ports)
-            .field("cycles", &self.cycles)
+            .field("lanes", &self.lanes.len())
+            .field("in_ports", &self.ports.inputs)
+            .field("out_ports", &self.ports.outputs)
             .finish_non_exhaustive()
     }
 }
@@ -54,102 +63,127 @@ impl LaneBank {
     pub fn new(duts: Vec<Box<dyn CycleDut>>) -> Self {
         assert!(!duts.is_empty(), "lane bank needs at least one DUT");
         assert!(duts.len() <= LANES, "at most {LANES} lanes");
-        let in_ports = duts[0].input_ports();
-        let out_ports = duts[0].output_ports();
+        let inputs = duts[0].input_ports();
+        let outputs = duts[0].output_ports();
         for d in &duts[1..] {
             assert!(
-                d.input_ports() == in_ports && d.output_ports() == out_ports,
+                d.input_ports() == inputs && d.output_ports() == outputs,
                 "lane bank DUTs must declare identical ports"
             );
         }
-        let lanes = duts.len();
+        let lanes = duts
+            .into_iter()
+            .map(|dut| LaneDut {
+                dut,
+                outputs: vec![0; outputs.len()].into_boxed_slice(),
+            })
+            .collect();
         LaneBank {
-            outputs: vec![0; lanes * out_ports.len()],
-            in_masks: in_ports.iter().map(PortDecl::mask).collect(),
-            out_masks: out_ports.iter().map(PortDecl::mask).collect(),
-            duts,
-            in_ports,
-            out_ports,
-            cycles: 0,
+            ports: Ports {
+                in_masks: inputs.iter().map(PortDecl::mask).collect(),
+                out_masks: outputs.iter().map(PortDecl::mask).collect(),
+                inputs,
+                outputs,
+            },
+            lanes,
         }
     }
 
     /// Number of lanes (DUT instances).
     #[must_use]
     pub fn lanes(&self) -> usize {
-        self.duts.len()
+        self.lanes.len()
     }
 
     /// Declared input ports (identical across lanes).
     #[must_use]
     pub fn input_ports(&self) -> &[PortDecl] {
-        &self.in_ports
+        &self.ports.inputs
     }
 
     /// Declared output ports (identical across lanes).
     #[must_use]
     pub fn output_ports(&self) -> &[PortDecl] {
-        &self.out_ports
-    }
-
-    /// Clock edges executed.
-    #[must_use]
-    pub fn cycles(&self) -> u64 {
-        self.cycles
+        &self.ports.outputs
     }
 
     /// Lane `lane`'s DUT instance.
     #[must_use]
     pub fn dut(&self, lane: usize) -> &dyn CycleDut {
-        self.duts[lane].as_ref()
+        self.lanes[lane].dut.as_ref()
     }
 
     /// Mutable access to lane `lane`'s DUT instance.
     pub fn dut_mut(&mut self, lane: usize) -> &mut dyn CycleDut {
-        self.duts[lane].as_mut()
+        self.lanes[lane].dut.as_mut()
     }
 
-    /// `true` when every lane's DUT reports idle — the bank-wide
-    /// gated-clock park condition.
-    #[must_use]
-    pub fn idle(&self) -> bool {
-        self.duts.iter().all(|d| d.is_idle())
-    }
-
-    /// Lane `lane`'s output row after the latest clock edge, one word per
+    /// Lane `lane`'s output row after its latest clock edge, one word per
     /// output port.
     #[must_use]
     pub fn outputs(&self, lane: usize) -> &[u64] {
-        let n_out = self.out_ports.len();
-        &self.outputs[lane * n_out..(lane + 1) * n_out]
+        &self.lanes[lane].outputs
     }
 
-    /// One clock edge on every lane: lane `k`'s DUT samples the `k`-th of
-    /// `rows` (one word per input port) and writes straight into its own
-    /// output row, which is then masked to the declared port widths in
-    /// place.
+    /// One handle per lane, in lane order. Handles borrow disjoint lanes,
+    /// so they can be clocked independently, on different threads too.
+    pub fn lanes_mut(&mut self) -> impl ExactSizeIterator<Item = Lane<'_>> {
+        let ports = &self.ports;
+        self.lanes.iter_mut().map(move |lane| Lane {
+            ports,
+            dut: lane.dut.as_mut(),
+            outputs: &mut lane.outputs,
+        })
+    }
+}
+
+/// One lane of a [`LaneBank`]: its DUT and output row, clocked on its own.
+pub struct Lane<'a> {
+    ports: &'a Ports,
+    dut: &'a mut dyn CycleDut,
+    outputs: &'a mut [u64],
+}
+
+impl fmt::Debug for Lane<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Lane")
+            .field("outputs", &self.outputs)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Lane<'_> {
+    /// One clock edge: the lane's DUT samples `row` (one word per input
+    /// port) and writes straight into the lane's output row, which is then
+    /// masked to the declared port widths in place.
     ///
     /// # Panics
     ///
-    /// Panics unless `rows` holds exactly one row per lane, each with one
-    /// word per input port, and every word fits its port's width.
-    pub fn clock_edge<'a>(&mut self, rows: impl IntoIterator<Item = &'a [u64]>) {
-        let (n_in, n_out) = (self.in_ports.len(), self.out_ports.len());
-        let mut rows = rows.into_iter();
-        for (lane, dut) in self.duts.iter_mut().enumerate() {
-            let row = rows.next().expect("one input row per lane");
-            assert_eq!(row.len(), n_in, "input port count");
-            if let Err(port) = check_widths(row, &self.in_masks) {
-                panic!("value exceeds {} bits", self.in_ports[port].width);
-            }
-            let pins = &mut self.outputs[lane * n_out..(lane + 1) * n_out];
-            dut.clock_edge(row, pins);
-            for (pin, mask) in pins.iter_mut().zip(&self.out_masks) {
-                *pin &= mask;
-            }
+    /// Panics unless `row` holds one word per input port and every word
+    /// fits its port's width.
+    pub fn clock_edge(&mut self, row: &[u64]) {
+        let ports = self.ports;
+        assert_eq!(row.len(), ports.inputs.len(), "input port count");
+        if let Err(port) = check_widths(row, &ports.in_masks) {
+            panic!("value exceeds {} bits", ports.inputs[port].width);
         }
-        assert!(rows.next().is_none(), "one input row per lane");
-        self.cycles += 1;
+        self.dut.clock_edge(row, self.outputs);
+        for (pin, mask) in self.outputs.iter_mut().zip(&ports.out_masks) {
+            *pin &= mask;
+        }
+    }
+
+    /// The lane's output row after its latest clock edge.
+    #[must_use]
+    pub fn outputs(&self) -> &[u64] {
+        self.outputs
+    }
+
+    /// `true` when the lane's DUT reports idle: with inert inputs, its
+    /// clocks may be skipped.
+    #[must_use]
+    pub fn is_idle(&self) -> bool {
+        self.dut.is_idle()
     }
 }
 
@@ -182,39 +216,40 @@ mod tests {
         }
     }
 
+    fn bank(lanes: usize) -> LaneBank {
+        LaneBank::new(
+            (0..lanes)
+                .map(|_| Box::new(Accum::default()) as _)
+                .collect(),
+        )
+    }
+
     #[test]
     fn lane_bank_keeps_lanes_independent() {
-        let duts: Vec<Box<dyn CycleDut>> =
-            (0..8).map(|_| Box::new(Accum::default()) as _).collect();
-        let mut bank = LaneBank::new(duts);
+        let mut bank = bank(8);
         assert_eq!(bank.lanes(), 8);
-        assert!(bank.idle());
-        let rows: Vec<[u64; 1]> = (1..=8).map(|k| [k]).collect();
-        for clockno in 1..=3u64 {
-            bank.clock_edge(rows.iter().map(|r| &r[..]));
-            for lane in 0..8u64 {
-                assert_eq!(bank.outputs(lane as usize), [clockno * (lane + 1)]);
+        assert_eq!(bank.lanes_mut().len(), 8);
+        // Lane `k` adds `k + 1` per edge and is clocked `k` times.
+        for (k, mut lane) in bank.lanes_mut().enumerate() {
+            assert!(lane.is_idle());
+            for _ in 0..k {
+                lane.clock_edge(&[k as u64 + 1]);
             }
+            assert_eq!(lane.outputs(), [(k * (k + 1)) as u64]);
         }
-        assert_eq!(bank.cycles(), 3);
+        for k in 0..8 {
+            assert_eq!(bank.outputs(k), [(k * (k + 1)) as u64], "lane {k}");
+        }
     }
 
     #[test]
     #[should_panic(expected = "value exceeds 4 bits")]
     fn lane_bank_checks_widths_on_every_lane() {
-        let duts: Vec<Box<dyn CycleDut>> =
-            (0..8).map(|_| Box::new(Accum::default()) as _).collect();
-        let mut bank = LaneBank::new(duts);
+        let mut bank = bank(8);
         // Lanes 0..5 fit; lane 5 drives a fifth bit on its 4-bit pin.
-        let rows: Vec<[u64; 1]> = (0..8).map(|k| [if k == 5 { 0x10 } else { 0xF }]).collect();
-        bank.clock_edge(rows.iter().map(|r| &r[..]));
-    }
-
-    #[test]
-    #[should_panic(expected = "one input row per lane")]
-    fn lane_bank_wants_a_row_for_every_lane() {
-        let mut bank = LaneBank::new(vec![Box::new(Accum::default()), Box::new(Accum::default())]);
-        bank.clock_edge([&[1u64][..]]);
+        for (k, mut lane) in bank.lanes_mut().enumerate() {
+            lane.clock_edge(&[if k == 5 { 0x10 } else { 0xF }]);
+        }
     }
 
     #[test]

@@ -16,13 +16,15 @@ use crate::netlist::ProcessIo;
 use crate::signal::SignalId;
 use crate::sim::{RtlCtx, RtlProcess, Simulator};
 use castanet_netsim::time::SimDuration;
+use std::borrow::Cow;
 
 /// Declaration of one pin-level port (≤ 64 bits).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortDecl {
     /// Port name (used for signal naming when attached to the event-driven
-    /// kernel).
-    pub name: String,
+    /// kernel). A `'static` name is borrowed, so declaring a port list
+    /// from fixed names allocates only the list.
+    pub name: Cow<'static, str>,
     /// Width in bits (1..=64).
     pub width: usize,
 }
@@ -34,7 +36,7 @@ impl PortDecl {
     ///
     /// Panics unless `1 <= width <= 64`.
     #[must_use]
-    pub fn new(name: impl Into<String>, width: usize) -> Self {
+    pub fn new(name: impl Into<Cow<'static, str>>, width: usize) -> Self {
         assert!((1..=64).contains(&width), "port width must be 1..=64");
         PortDecl {
             name: name.into(),

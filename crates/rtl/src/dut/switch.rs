@@ -185,13 +185,37 @@ impl AtmSwitchRtl {
     }
 }
 
+/// Per-line port names of up to 8 lines, so a port list borrows them
+/// instead of formatting them.
+const RX_NAMES: [[&str; 3]; 8] = [
+    ["rx_data0", "rx_sync0", "rx_en0"],
+    ["rx_data1", "rx_sync1", "rx_en1"],
+    ["rx_data2", "rx_sync2", "rx_en2"],
+    ["rx_data3", "rx_sync3", "rx_en3"],
+    ["rx_data4", "rx_sync4", "rx_en4"],
+    ["rx_data5", "rx_sync5", "rx_en5"],
+    ["rx_data6", "rx_sync6", "rx_en6"],
+    ["rx_data7", "rx_sync7", "rx_en7"],
+];
+const TX_NAMES: [[&str; 3]; 8] = [
+    ["tx_data0", "tx_sync0", "tx_valid0"],
+    ["tx_data1", "tx_sync1", "tx_valid1"],
+    ["tx_data2", "tx_sync2", "tx_valid2"],
+    ["tx_data3", "tx_sync3", "tx_valid3"],
+    ["tx_data4", "tx_sync4", "tx_valid4"],
+    ["tx_data5", "tx_sync5", "tx_valid5"],
+    ["tx_data6", "tx_sync6", "tx_valid6"],
+    ["tx_data7", "tx_sync7", "tx_valid7"],
+];
+
 impl CycleDut for AtmSwitchRtl {
     fn input_ports(&self) -> Vec<PortDecl> {
-        let mut ports = Vec::new();
-        for i in 0..self.cfg.ports {
-            ports.push(PortDecl::new(format!("rx_data{i}"), 8));
-            ports.push(PortDecl::new(format!("rx_sync{i}"), 1));
-            ports.push(PortDecl::new(format!("rx_en{i}"), 1));
+        let n = self.cfg.ports;
+        let mut ports = Vec::with_capacity(3 * n + 6);
+        for &[data, sync, en] in &RX_NAMES[..n] {
+            ports.push(PortDecl::new(data, 8));
+            ports.push(PortDecl::new(sync, 1));
+            ports.push(PortDecl::new(en, 1));
         }
         ports.push(PortDecl::new("cfg_valid", 1));
         ports.push(PortDecl::new("cfg_in_vpi", 8));
@@ -203,11 +227,12 @@ impl CycleDut for AtmSwitchRtl {
     }
 
     fn output_ports(&self) -> Vec<PortDecl> {
-        let mut ports = Vec::new();
-        for i in 0..self.cfg.ports {
-            ports.push(PortDecl::new(format!("tx_data{i}"), 8));
-            ports.push(PortDecl::new(format!("tx_sync{i}"), 1));
-            ports.push(PortDecl::new(format!("tx_valid{i}"), 1));
+        let n = self.cfg.ports;
+        let mut ports = Vec::with_capacity(3 * n + 3);
+        for &[data, sync, valid] in &TX_NAMES[..n] {
+            ports.push(PortDecl::new(data, 8));
+            ports.push(PortDecl::new(sync, 1));
+            ports.push(PortDecl::new(valid, 1));
         }
         ports.push(PortDecl::new("unroutable", 16));
         ports.push(PortDecl::new("dropped", 16));

@@ -11,7 +11,8 @@
 //!   sharing DUTs with the event-driven kernel via
 //!   [`cycle::attach_cycle_dut`];
 //! * [`compiled`] — [`compiled::LaneBank`], up to 64 replicated
-//!   behavioural DUT instances stepped together as scenario lanes;
+//!   behavioural DUT instances held together as scenario lanes, each
+//!   clocked on its own through a [`compiled::Lane`] handle;
 //! * [`netlist`] — netlist introspection: the signal→process→signal
 //!   dataflow graph, structural checks (combinational loops, multi-driver
 //!   conflicts, sensitivity completeness, gated-clock safety) behind

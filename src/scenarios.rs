@@ -1032,8 +1032,8 @@ mod tests {
         let report = compare_switch_output(&scenario.config, &scenario.collectors);
         assert!(report.passed(), "{report}");
         assert_eq!(report.matched, 80);
-        // Bank-wide idle skipping actually fired, and only lane 0 carried
-        // the coupled traffic.
+        // Some clocks were idle in every lane and skipped, and only lane 0
+        // carried the coupled traffic.
         let follower = coupling.follower();
         assert!(follower.clocks_skipped() > 0);
         for port in 0..scenario.config.ports {

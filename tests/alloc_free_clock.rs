@@ -202,7 +202,9 @@ fn lane_bank_busy_clocks_allocate_nothing() {
     let run = |bank: &mut LaneBank| {
         let mut valid = 0;
         for words in &clocks {
-            bank.clock_edge(std::iter::repeat_n(&words[..], bank.lanes()));
+            for mut lane in bank.lanes_mut() {
+                lane.clock_edge(words);
+            }
             valid += (0..config.ports)
                 .filter(|&line| bank.outputs(0)[3 * line + 2] == 1)
                 .count();

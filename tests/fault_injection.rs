@@ -7,15 +7,20 @@
 //! the suite.
 
 use castanet::coupling::{CoupledSimulator, Coupling};
+use castanet::cyclecosim::{EgressIndices, IngressIndices};
 use castanet::interface::{response_packet, CastanetInterfaceProcess};
-use castanet::message::Message;
+use castanet::message::{Message, MessageTypeId};
 use castanet::sync::ConservativeSync;
-use castanet::CastanetError;
-use castanet_atm::addr::VpiVci;
+use castanet::{CastanetError, CompiledCosim};
+use castanet_atm::addr::{HeaderFormat, VpiVci};
 use castanet_atm::cell::AtmCell;
 use castanet_netsim::event::PortId;
 use castanet_netsim::kernel::Kernel;
 use castanet_netsim::time::{SimDuration, SimTime};
+use castanet_rtl::compiled::{LaneBank, LANES};
+use castanet_rtl::cycle::{CycleDut, PortDecl};
+use castanet_rtl::dut::{AtmSwitchRtl, SwitchRtlConfig};
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -81,6 +86,17 @@ impl CoupledSimulator for Faulty {
 /// A network that feeds `cells` stimulus cells, 5 µs apart, to a
 /// [`Faulty`] follower.
 fn coupled(cells: u64, site: Site, nth: u32, panic: bool) -> Coupling<Faulty> {
+    let follower = Faulty {
+        now: SimTime::ZERO,
+        site,
+        nth,
+        panic,
+    };
+    coupled_with(cells, follower)
+}
+
+/// A network that feeds `cells` stimulus cells, 5 µs apart, to `follower`.
+fn coupled_with<F: CoupledSimulator>(cells: u64, follower: F) -> Coupling<F> {
     let mut net = Kernel::new(5);
     let node = net.add_node("faults");
     let mut sync = ConservativeSync::new();
@@ -93,12 +109,6 @@ fn coupled(cells: u64, site: Site, nth: u32, panic: bool) -> Coupling<Faulty> {
         net.inject_packet(iface, PortId(0), response_packet(cell), at)
             .unwrap();
     }
-    let follower = Faulty {
-        now: SimTime::ZERO,
-        site,
-        nth,
-        panic,
-    };
     Coupling::new(net, follower, sync, cell_type, iface, outbox)
 }
 
@@ -149,4 +159,122 @@ fn parallel_coupling_propagates_a_follower_panic() {
         });
         assert!(panicked, "{cells} cells, {site:?} #{nth}: panic swallowed");
     }
+}
+
+/// The lane of the 64-lane bank whose DUT panics: far from lane 0, so on
+/// a host with more than one core it runs on a worker thread.
+const PANIC_LANE: usize = 40;
+/// The clock edge (1-based) at which [`PANIC_LANE`]'s DUT panics.
+const PANIC_EDGE: u32 = 60;
+
+/// A 2-port switch that routes VPI/VCI 1/40 to line 1 and, if `fuse` is
+/// set, panics at that clock edge.
+struct Fused {
+    switch: AtmSwitchRtl,
+    fuse: Option<u32>,
+}
+
+impl CycleDut for Fused {
+    fn input_ports(&self) -> Vec<PortDecl> {
+        self.switch.input_ports()
+    }
+    fn output_ports(&self) -> Vec<PortDecl> {
+        self.switch.output_ports()
+    }
+    fn reset(&mut self) {
+        self.switch.reset();
+    }
+    fn clock_edge(&mut self, inputs: &[u64], outputs: &mut [u64]) {
+        if let Some(left) = &mut self.fuse {
+            *left -= 1;
+            assert!(*left > 0, "injected lane panic at edge {PANIC_EDGE}");
+        }
+        self.switch.clock_edge(inputs, outputs);
+    }
+    fn is_idle(&self) -> bool {
+        self.switch.is_idle()
+    }
+}
+
+/// A 64-lane compiled follower whose [`PANIC_LANE`] panics at its
+/// [`PANIC_EDGE`]th edge. Lane 0 and the panicking lane each carry a cell
+/// seeded at 5 µs, so both have work in the same window.
+fn fused_lanes() -> CompiledCosim {
+    let duts = (0..LANES)
+        .map(|lane| {
+            let mut switch = AtmSwitchRtl::new(SwitchRtlConfig {
+                ports: 2,
+                fifo_capacity: 16,
+                table_capacity: 8,
+            });
+            assert!(switch.install_route(1, 40, 1, 1, 41));
+            let fuse = (lane == PANIC_LANE).then_some(PANIC_EDGE);
+            Box::new(Fused { switch, fuse }) as Box<dyn CycleDut>
+        })
+        .collect();
+    let mut follower = CompiledCosim::new(
+        LaneBank::new(duts),
+        SimDuration::from_ns(20),
+        MessageTypeId(9),
+        HeaderFormat::Uni,
+    );
+    for line in 0..2 {
+        follower
+            .add_ingress(IngressIndices {
+                data: 3 * line,
+                sync: 3 * line + 1,
+                enable: 3 * line + 2,
+            })
+            .unwrap();
+        follower
+            .add_egress(EgressIndices {
+                data: 3 * line,
+                sync: 3 * line + 1,
+                valid: 3 * line + 2,
+            })
+            .unwrap();
+    }
+    let cell = AtmCell::user_data(VpiVci::uni(1, 40).unwrap(), [7; 48]);
+    for lane in [0, PANIC_LANE] {
+        follower
+            .seed_cell(lane, 0, SimTime::from_us(5), &cell)
+            .unwrap();
+    }
+    follower
+}
+
+/// The message a formatted panic was raised with.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default()
+}
+
+fn assert_lane_panic(message: &str) {
+    assert_eq!(message, format!("injected lane panic at edge {PANIC_EDGE}"));
+}
+
+#[test]
+fn compiled_follower_reraises_a_lane_panic_with_its_message() {
+    let message = bounded(|| {
+        let mut follower = fused_lanes();
+        let panic = catch_unwind(AssertUnwindSafe(|| {
+            follower.advance_batch(SimTime::from_us(20))
+        }))
+        .expect_err("the lane's panic reaches the caller");
+        panic_message(panic.as_ref())
+    });
+    assert_lane_panic(&message);
+}
+
+#[test]
+fn parallel_coupling_propagates_a_compiled_lane_panic() {
+    let message = bounded(|| {
+        let mut coupling = coupled_with(5, fused_lanes()).into_parallel();
+        let panic =
+            catch_unwind(AssertUnwindSafe(|| coupling.run(UNTIL))).expect_err("panic swallowed");
+        panic_message(panic.as_ref())
+    });
+    assert_lane_panic(&message);
 }

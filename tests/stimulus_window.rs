@@ -290,6 +290,7 @@ fn every_loaded_lane_equals_the_cycle_follower_on_its_traffic() {
     let scripts: Vec<Vec<Step>> = (0..LANES).map(lane_script).collect();
     let mut compiled = compiled_follower(LANES);
     let mut lane0_trace = Vec::new();
+    let mut counts = Vec::new();
     for k in 0..scripts[0].len() {
         for (lane, script) in scripts.iter().enumerate() {
             for &(at, line, tag) in &script[k].deliver {
@@ -304,7 +305,16 @@ fn every_loaded_lane_equals_the_cycle_follower_on_its_traffic() {
         {
             lane0_trace.push((m.stamp, m.port, m.as_cell().expect("cell").clone()));
         }
+        counts.push((compiled.clocks_evaluated(), compiled.clocks_skipped()));
     }
+    // A clock counts as evaluated when some lane is busy on it and as
+    // skipped when every lane is idle on it. The counts after each step
+    // were measured with every lane clocked on every evaluated clock, so
+    // they pin the union of the lanes' own runs to that rule.
+    assert_eq!(
+        counts,
+        [(29, 0), (299, 0), (489, 1460), (720, 3279), (901, 9098)]
+    );
 
     for lane in 0..LANES {
         let mut cycle = cycle_follower();
