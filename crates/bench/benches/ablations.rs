@@ -19,7 +19,7 @@ use castanet_atm::addr::{HeaderFormat, VpiVci};
 use castanet_atm::cell::AtmCell;
 use castanet_bench::small_switch_config;
 use castanet_netsim::time::{SimDuration, SimTime};
-use castanet_rtl::cycle::CycleSim;
+use castanet_rtl::compiled::LaneBank;
 use castanet_rtl::dut::{AtmSwitchRtl, SwitchRtlConfig};
 use coverify::scenarios::switch_cosim;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -31,9 +31,9 @@ fn local_follower() -> CycleCosim {
         table_capacity: 8,
     });
     assert!(switch.install_route(1, 40, 1, 7, 70));
-    let sim = CycleSim::new(Box::new(switch));
+    let bank = LaneBank::new(vec![Box::new(switch)]);
     let mut f = CycleCosim::new(
-        sim,
+        bank,
         SimDuration::from_ns(20),
         MessageTypeId(0),
         HeaderFormat::Uni,

@@ -26,7 +26,7 @@ pub enum CastanetError {
         /// The port index used.
         port: usize,
     },
-    /// A lane-batched follower was addressed on a lane it does not have.
+    /// A multi-lane follower was addressed on a lane it does not have.
     UnknownLane {
         /// The lane index used.
         lane: usize,

@@ -20,9 +20,9 @@
 //! * [`coupling`] — Fig. 2: the executive that runs both simulators with
 //!   the follower's clock always lagging;
 //! * [`cyclecosim`] — the cycle-based follower with idle skipping (the
-//!   paper's §5 conclusion);
-//! * [`compiledcosim`] — the lane-batched cycle follower: up to 64
-//!   scenario lanes of one DUT per clock, idle skipping preserved;
+//!   paper's §5 conclusion), over 1 to 64 scenario lanes of one DUT;
+//! * [`compiledcosim`] — the benchmark's name for a multi-lane cycle
+//!   follower, a forwarding newtype;
 //! * [`hwloop`] — §3.3: hardware in the simulation loop via the test board;
 //! * [`compare`] — Fig. 1's "=?": reference-vs-DUT stream comparison;
 //! * [`traceio`] — dump/replay of test vectors;

@@ -1224,7 +1224,7 @@ mod tests {
     use castanet_atm::traffic::Cbr;
     use castanet_netsim::event::PortId;
     use castanet_netsim::process::{CollectorHandle, CollectorProcess};
-    use castanet_rtl::cycle::CycleSim;
+    use castanet_rtl::compiled::LaneBank;
     use castanet_rtl::dut::{AtmSwitchRtl, SwitchRtlConfig};
 
     const CLK: SimDuration = SimDuration::from_ns(20);
@@ -1260,8 +1260,8 @@ mod tests {
             table_capacity: 16,
         });
         assert!(switch.install_route(1, 40, 1, 7, 70));
-        let sim = CycleSim::new(Box::new(switch));
-        let mut follower = CycleCosim::new(sim, CLK, cell_type, HeaderFormat::Uni);
+        let bank = LaneBank::new(vec![Box::new(switch)]);
+        let mut follower = CycleCosim::new(bank, CLK, cell_type, HeaderFormat::Uni);
         follower
             .add_ingress(IngressIndices {
                 data: 0,
@@ -1405,7 +1405,7 @@ mod tests {
         });
         assert!(switch.install_route(1, 40, 1, 7, 70));
         let mut follower = CycleCosim::new(
-            CycleSim::new(Box::new(switch)),
+            LaneBank::new(vec![Box::new(switch)]),
             CLK,
             cell_type,
             HeaderFormat::Uni,

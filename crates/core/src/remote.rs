@@ -224,7 +224,7 @@ mod tests {
     use castanet_atm::addr::{HeaderFormat, VpiVci};
     use castanet_atm::cell::AtmCell;
     use castanet_netsim::time::SimDuration;
-    use castanet_rtl::cycle::CycleSim;
+    use castanet_rtl::compiled::LaneBank;
     use castanet_rtl::dut::{AtmSwitchRtl, SwitchRtlConfig};
 
     fn local_follower() -> CycleCosim {
@@ -234,9 +234,9 @@ mod tests {
             table_capacity: 8,
         });
         assert!(switch.install_route(1, 40, 1, 7, 70));
-        let sim = CycleSim::new(Box::new(switch));
+        let bank = LaneBank::new(vec![Box::new(switch)]);
         let mut f = CycleCosim::new(
-            sim,
+            bank,
             SimDuration::from_ns(20),
             MessageTypeId(1),
             HeaderFormat::Uni,

@@ -1,4 +1,4 @@
-//! The cycle followers' stimulus window: delivered cells queued per
+//! The cycle follower's stimulus window: delivered cells queued per
 //! ingress line, expanded to pin values only at the clock that samples
 //! them.
 //!
@@ -22,10 +22,9 @@
 //! pin changes, so an idle clock costs one comparison and the idle-skip
 //! distance is one subtraction.
 //!
-//! [`crate::CycleCosim`] keeps one window and [`crate::CompiledCosim`] one
-//! per lane. Both place a delivered cell with [`clock_at_or_after`] and
-//! [`StimulusWindow::put_cell`], and both take the idle-skip jump with
-//! [`skip_idle`].
+//! [`crate::CycleCosim`] keeps one window per lane. It places a delivered
+//! cell with [`clock_at_or_after`] and [`StimulusWindow::put_cell`], and
+//! takes the idle-skip jump with [`StimulusWindow::skip_idle`].
 
 use crate::cyclecosim::IngressIndices;
 use castanet_atm::cell::CELL_OCTETS;
@@ -193,6 +192,19 @@ impl StimulusWindow {
         self.wake = wake;
     }
 
+    /// The idle-skip jump: with the DUT quiescent, every clock before the
+    /// earliest stimulus is a no-op. Retires those clocks — at most
+    /// `remaining` — and returns how many that was.
+    pub(crate) fn skip_idle(&mut self, remaining: u64) -> u64 {
+        let jump = self
+            .next_stimulus()
+            .map_or(remaining, |offset| remaining.min(offset));
+        if jump > 0 {
+            self.advance(jump);
+        }
+        jump
+    }
+
     /// Clocks from now to the first stimulated one, if any.
     fn next_stimulus(&self) -> Option<u64> {
         (self.wake != NONE).then(|| self.wake.saturating_sub(self.now))
@@ -216,25 +228,6 @@ impl StimulusWindow {
             .max()
             .unwrap_or(0)
     }
-}
-
-/// The idle-skip jump of windows that advance in step (both followers
-/// pass one window, that of the DUT they skip): with the DUTs quiescent,
-/// every clock before the earliest stimulus in any window is a no-op.
-/// Retires those clocks — at most `remaining` — from every window and
-/// returns how many that was.
-pub(crate) fn skip_idle(windows: &mut [StimulusWindow], remaining: u64) -> u64 {
-    let jump = windows
-        .iter()
-        .filter_map(StimulusWindow::next_stimulus)
-        .min()
-        .map_or(remaining, |offset| remaining.min(offset));
-    if jump > 0 {
-        for w in windows {
-            w.advance(jump);
-        }
-    }
-    jump
 }
 
 #[cfg(test)]
@@ -279,7 +272,7 @@ mod tests {
         // Stamped at the same clock, the second cell starts where the
         // first one ends.
         assert_eq!(w.put_cell(0, 5, &wire(100)), 58);
-        assert_eq!(skip_idle(std::slice::from_mut(&mut w), 1000), 5);
+        assert_eq!(w.skip_idle(1000), 5);
         for k in 0..CELL_OCTETS {
             assert_eq!(pins(&w, 0), octet(10, k), "first cell, octet {k}");
             w.pop_front();
@@ -310,16 +303,16 @@ mod tests {
         // A cell queued later on the other line but due earlier.
         w.put_cell(1, 25, &wire(9));
         assert_eq!(w.next_stimulus(), Some(25));
-        assert_eq!(skip_idle(std::slice::from_mut(&mut w), 10), 10);
+        assert_eq!(w.skip_idle(10), 10);
         assert_eq!(w.front(), [0; 6]);
-        assert_eq!(skip_idle(std::slice::from_mut(&mut w), 100), 15);
+        assert_eq!(w.skip_idle(100), 15);
         assert_eq!((w.now, pins(&w, 0), pins(&w, 1)), (25, IDLE, octet(9, 0)));
         // A cell under way stops every further skip.
-        assert_eq!(skip_idle(std::slice::from_mut(&mut w), 100), 0);
+        assert_eq!(w.skip_idle(100), 0);
         for _ in 25..40 {
             w.pop_front();
         }
-        assert_eq!(skip_idle(std::slice::from_mut(&mut w), 100), 0);
+        assert_eq!(w.skip_idle(100), 0);
         assert_eq!((pins(&w, 0), pins(&w, 1)), (octet(3, 0), octet(9, 15)));
     }
 
@@ -382,19 +375,20 @@ mod tests {
             w.pop_front();
             assert_eq!(w.front(), [0; 6]);
         }
-        assert_eq!(skip_idle(std::slice::from_mut(&mut w), 5000), 5000);
+        assert_eq!(w.skip_idle(5000), 5000);
     }
 
     #[test]
-    fn skip_idle_stops_at_the_earliest_stimulus_of_any_window() {
-        let mut lanes = [window(1), window(1), window(1)];
-        lanes[1].put_cell(0, 40, &wire(1));
-        lanes[2].put_cell(0, 25, &wire(2));
-        assert_eq!(skip_idle(&mut lanes, 10), 10);
-        assert_eq!(skip_idle(&mut lanes, 100), 15);
-        assert_eq!(pins(&lanes[2], 0), octet(2, 0));
-        assert_eq!(lanes[1].next_stimulus(), Some(15));
-        assert_eq!(skip_idle(&mut lanes, 100), 0);
-        assert!(lanes.iter().all(|w| w.now == 25));
+    fn skip_idle_stops_at_the_earliest_stimulus_of_any_line() {
+        let mut w = window(3);
+        w.put_cell(1, 40, &wire(1));
+        w.put_cell(2, 25, &wire(2));
+        assert_eq!(w.skip_idle(10), 10);
+        assert_eq!(w.skip_idle(100), 15);
+        assert_eq!(pins(&w, 2), octet(2, 0));
+        assert_eq!((pins(&w, 0), pins(&w, 1)), (IDLE, IDLE));
+        assert_eq!(w.next_stimulus(), Some(0));
+        assert_eq!(w.skip_idle(100), 0);
+        assert_eq!(w.now, 25);
     }
 }

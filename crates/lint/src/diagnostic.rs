@@ -238,17 +238,17 @@ pub const CODES: &[(&str, Severity, &str)] = &[
     (
         "CAST150",
         Severity::Error,
-        "cycle/compiled follower line pin index out of range for the DUT's port list (add_ingress/add_egress reject it)",
+        "cycle follower line pin index out of range for the DUT's port list (add_ingress/add_egress reject it)",
     ),
     (
         "CAST151",
         Severity::Error,
-        "cycle/compiled follower line data pin narrower than 8 bits (add_ingress/add_egress reject it)",
+        "cycle follower line data pin narrower than 8 bits (add_ingress/add_egress reject it)",
     ),
     (
         "CAST152",
         Severity::Error,
-        "cycle/compiled follower ingress line pin used twice, or shared with another ingress line (add_ingress rejects it)",
+        "cycle follower ingress line pin used twice, or shared with another ingress line (add_ingress rejects it)",
     ),
 ];
 

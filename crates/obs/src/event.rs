@@ -43,7 +43,8 @@ impl Track {
 /// or the sampled micro-phase hooks). Phases are a closed taxonomy so the
 /// JSONL schema stays strict: every phase name is a first-class event name
 /// in [`EventKind::NAMES`], and the self-profiling report aggregates rows
-/// per phase. Names are append-only, like event names.
+/// per phase. A phase name changes only with
+/// [`crate::schema::SCHEMA_VERSION`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
     /// Event kernel: draining the timing wheel for one time point.
@@ -54,15 +55,9 @@ pub enum Phase {
     KernelDelta,
     /// Event kernel: one granted-window sweep (`run_until`).
     KernelAdvance,
-    /// Cycle engine: one behavioral clock edge.
+    /// Cycle follower: one lane's clock edge and moving its stimulus
+    /// window on.
     CycleEval,
-    /// Compiled backend: one lane's behavioral clock edge.
-    CompiledFallbackEval,
-    /// Compiled backend: moving one lane's stimulus window to the next
-    /// clock (the lane's edge samples the window's row in place).
-    CompiledPack,
-    /// Compiled backend: reading one lane's egress pins back into cells.
-    CompiledUnpack,
     /// Parallel executor: streaming grant windows to the follower.
     ParallelGrant,
     /// Parallel executor: barrier wait for in-flight window replies.
@@ -81,9 +76,6 @@ impl Phase {
         Phase::KernelDelta,
         Phase::KernelAdvance,
         Phase::CycleEval,
-        Phase::CompiledFallbackEval,
-        Phase::CompiledPack,
-        Phase::CompiledUnpack,
         Phase::ParallelGrant,
         Phase::ParallelWait,
         Phase::ParallelDrain,
@@ -99,9 +91,6 @@ impl Phase {
             Phase::KernelDelta => "kernel.delta",
             Phase::KernelAdvance => "kernel.advance",
             Phase::CycleEval => "cycle.eval",
-            Phase::CompiledFallbackEval => "compiled.fallback_eval",
-            Phase::CompiledPack => "compiled.pack",
-            Phase::CompiledUnpack => "compiled.unpack",
             Phase::ParallelGrant => "parallel.grant",
             Phase::ParallelWait => "parallel.wait",
             Phase::ParallelDrain => "parallel.drain",
@@ -120,9 +109,6 @@ impl Phase {
                 | Phase::KernelEval
                 | Phase::KernelDelta
                 | Phase::CycleEval
-                | Phase::CompiledFallbackEval
-                | Phase::CompiledPack
-                | Phase::CompiledUnpack
                 | Phase::SyncDeferredWindow
         )
     }
@@ -226,7 +212,8 @@ pub enum EventKind {
 
 impl EventKind {
     /// Stable snake_case event name used by every exporter and the JSONL
-    /// schema. Names are append-only: renaming one breaks recorded traces.
+    /// schema. Renaming one breaks recorded traces; phase names change only
+    /// with [`crate::schema::SCHEMA_VERSION`].
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {
@@ -262,9 +249,6 @@ impl EventKind {
         "kernel.delta",
         "kernel.advance",
         "cycle.eval",
-        "compiled.fallback_eval",
-        "compiled.pack",
-        "compiled.unpack",
         "parallel.grant",
         "parallel.wait",
         "parallel.drain",

@@ -14,11 +14,12 @@ use std::collections::BTreeMap;
 
 /// Telemetry schema version. Version 1 was the ten protocol event kinds;
 /// version 2 (telemetry v2) added the dotted phase-span names with their
-/// `depth` argument and the `castanet-profile` report document. Event
-/// lines are unversioned on the wire — names are append-only, so a v1
-/// reader still accepts every v1 name — but the profile document embeds
+/// `depth` argument and the `castanet-profile` report document; version 3
+/// removed the three `compiled.*` micro-phases, since every lane of the
+/// cycle follower records `cycle.eval`. Event lines are unversioned on the
+/// wire — the ten v1 names never change — but the profile document embeds
 /// this number and validation pins it.
-pub const SCHEMA_VERSION: u64 = 2;
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// A parsed JSON value (numbers are kept as the raw token).
 #[derive(Debug, Clone, PartialEq)]
@@ -587,25 +588,43 @@ mod tests {
     #[test]
     fn profile_validation_rejects_drift() {
         assert!(validate_profile("[]").unwrap_err().contains("object"));
-        let wrong_schema = "{\"schema\":\"other\",\"version\":2,\"events\":0,\
+        let wrong_schema = "{\"schema\":\"other\",\"version\":3,\"events\":0,\
              \"dropped\":0,\"tracks\":[],\"rows\":[]}";
         assert!(validate_profile(wrong_schema)
             .unwrap_err()
             .contains("unknown schema"));
-        let wrong_version = "{\"schema\":\"castanet-profile\",\"version\":1,\
-             \"events\":0,\"dropped\":0,\"tracks\":[],\"rows\":[]}";
-        assert!(validate_profile(wrong_version)
-            .unwrap_err()
-            .contains("version 1"));
-        let bad_phase = "{\"schema\":\"castanet-profile\",\"version\":2,\
+        for old in [1, 2] {
+            let wrong_version = format!(
+                "{{\"schema\":\"castanet-profile\",\"version\":{old},\
+                 \"events\":0,\"dropped\":0,\"tracks\":[],\"rows\":[]}}"
+            );
+            assert!(validate_profile(&wrong_version)
+                .unwrap_err()
+                .contains(&format!("version {old}")));
+        }
+        let bad_phase = "{\"schema\":\"castanet-profile\",\"version\":3,\
              \"events\":0,\"dropped\":0,\"tracks\":[],\"rows\":[{\
              \"track\":\"follower\",\"phase\":\"bogus\",\"count\":0,\
              \"sample_stride\":1,\"total_ns\":0,\"min_ns\":0,\"max_ns\":0,\
              \"est_total_ns\":0,\"share_bp\":0}]}";
         assert!(validate_profile(bad_phase).unwrap_err().contains("bogus"));
-        let extra_key = "{\"schema\":\"castanet-profile\",\"version\":2,\
+        let extra_key = "{\"schema\":\"castanet-profile\",\"version\":3,\
              \"events\":0,\"dropped\":0,\"tracks\":[],\"rows\":[],\"x\":1}";
         assert!(validate_profile(extra_key).unwrap_err().contains("'x'"));
+    }
+
+    #[test]
+    fn removed_compiled_phases_are_unknown_events() {
+        for name in ["compiled.fallback_eval", "compiled.pack", "compiled.unpack"] {
+            let line = format!(
+                "{{\"ev\":\"{name}\",\"track\":\"follower\",\"t_ps\":0,\
+                 \"wall_ns\":0,\"dur_ns\":0,\"args\":{{\"depth\":0}}}}"
+            );
+            assert_eq!(
+                validate_event_line(&line),
+                Err(format!("unknown event name '{name}'"))
+            );
+        }
     }
 
     #[test]

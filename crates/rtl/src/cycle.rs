@@ -10,6 +10,7 @@
 //! [`attach_cycle_dut`], which is how experiment E7 compares the two
 //! engines on identical hardware.
 
+use crate::compiled::LaneBank;
 use crate::error::RtlError;
 use crate::logic::Logic;
 use crate::netlist::ProcessIo;
@@ -53,31 +54,6 @@ impl PortDecl {
             (1u64 << self.width) - 1
         }
     }
-}
-
-/// The width check both cycle engines run on every row they clock: `Err`
-/// names the first port whose word has a bit above its mask. A row that
-/// fits costs one branch-free OR over its words and one test.
-#[inline]
-pub(crate) fn check_widths(words: &[u64], masks: &[u64]) -> Result<(), usize> {
-    if words
-        .iter()
-        .zip(masks)
-        .fold(0, |acc, (w, m)| acc | (w & !m))
-        == 0
-    {
-        return Ok(());
-    }
-    Err(first_over_width(words, masks))
-}
-
-#[cold]
-fn first_over_width(words: &[u64], masks: &[u64]) -> usize {
-    words
-        .iter()
-        .zip(masks)
-        .position(|(w, m)| w & !m != 0)
-        .expect("an over-width word")
 }
 
 /// A cycle-accurate, pin-level hardware model: state advances only on
@@ -135,8 +111,10 @@ pub trait CycleDut: Send {
 }
 
 /// The cycle-based engine: drives a [`CycleDut`] one clock at a time,
-/// validating port counts/widths and counting cycles. The DUT writes its
-/// outputs into a buffer the engine owns, so a step allocates nothing.
+/// validating port counts/widths and counting cycles. It is a one-lane
+/// [`LaneBank`] plus a cycle counter: the bank holds the port lists, the
+/// width masks and the output row the DUT writes into, so a step
+/// allocates nothing.
 ///
 /// # Examples
 ///
@@ -159,14 +137,7 @@ pub trait CycleDut: Send {
 /// # Ok::<(), castanet_rtl::error::RtlError>(())
 /// ```
 pub struct CycleSim {
-    dut: Box<dyn CycleDut>,
-    inputs: Vec<PortDecl>,
-    outputs: Vec<PortDecl>,
-    /// Width masks of the input and output ports, index-aligned.
-    in_masks: Vec<u64>,
-    out_masks: Vec<u64>,
-    /// Output words of the latest edge, masked to their port widths.
-    out: Vec<u64>,
+    bank: LaneBank,
     cycles: u64,
 }
 
@@ -174,27 +145,19 @@ impl std::fmt::Debug for CycleSim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CycleSim")
             .field("cycles", &self.cycles)
-            .field("inputs", &self.inputs.len())
-            .field("outputs", &self.outputs.len())
+            .field("inputs", &self.input_ports().len())
+            .field("outputs", &self.output_ports().len())
             .finish()
     }
 }
 
 impl CycleSim {
     /// Wraps a DUT as-is — deliberately without resetting it, so
-    /// pre-loaded configuration (routing tables, tariffs) survives. Call
-    /// [`CycleSim::reset`] explicitly for a power-on start.
+    /// pre-loaded configuration (routing tables, tariffs) survives.
     #[must_use]
     pub fn new(dut: Box<dyn CycleDut>) -> Self {
-        let inputs = dut.input_ports();
-        let outputs = dut.output_ports();
         CycleSim {
-            dut,
-            in_masks: inputs.iter().map(PortDecl::mask).collect(),
-            out_masks: outputs.iter().map(PortDecl::mask).collect(),
-            out: vec![0; outputs.len()],
-            inputs,
-            outputs,
+            bank: LaneBank::new(vec![dut]),
             cycles: 0,
         }
     }
@@ -207,48 +170,13 @@ impl CycleSim {
     /// Returns [`RtlError::PortCountMismatch`] for a wrong input count or
     /// [`RtlError::WidthMismatch`] when a word exceeds its port width.
     pub fn step(&mut self, inputs: &[u64]) -> Result<&[u64], RtlError> {
-        if inputs.len() != self.inputs.len() {
-            return Err(RtlError::PortCountMismatch {
-                expected: self.inputs.len(),
-                got: inputs.len(),
-            });
-        }
-        if let Err(port) = check_widths(inputs, &self.in_masks) {
-            return Err(RtlError::WidthMismatch {
-                expected: self.inputs[port].width,
-                got: 64 - inputs[port].leading_zeros() as usize,
-            });
-        }
+        let mut lane = self.bank.lanes_mut().next().expect("one lane");
+        lane.clock_edge(inputs)?;
         self.cycles += 1;
-        self.dut.clock_edge(inputs, &mut self.out);
-        for (word, mask) in self.out.iter_mut().zip(&self.out_masks) {
-            *word &= mask;
-        }
-        Ok(&self.out)
+        Ok(self.bank.outputs(0))
     }
 
-    /// Executes `n` cycles with constant inputs, returning the last outputs
-    /// (for `n == 0`, those of the previous step: all zero before the
-    /// first).
-    ///
-    /// # Errors
-    ///
-    /// See [`CycleSim::step`].
-    pub fn step_n(&mut self, inputs: &[u64], n: u64) -> Result<&[u64], RtlError> {
-        for _ in 0..n {
-            self.step(inputs)?;
-        }
-        Ok(&self.out)
-    }
-
-    /// Resets the DUT and the cycle counter.
-    pub fn reset(&mut self) {
-        self.dut.reset();
-        self.out.fill(0);
-        self.cycles = 0;
-    }
-
-    /// Clock edges executed since construction/reset.
+    /// Clock edges executed since construction.
     #[must_use]
     pub fn cycles(&self) -> u64 {
         self.cycles
@@ -257,24 +185,13 @@ impl CycleSim {
     /// Input port declarations.
     #[must_use]
     pub fn input_ports(&self) -> &[PortDecl] {
-        &self.inputs
+        self.bank.input_ports()
     }
 
     /// Output port declarations.
     #[must_use]
     pub fn output_ports(&self) -> &[PortDecl] {
-        &self.outputs
-    }
-
-    /// Direct access to the wrapped DUT (e.g. for configuration readback).
-    #[must_use]
-    pub fn dut(&self) -> &dyn CycleDut {
-        self.dut.as_ref()
-    }
-
-    /// Mutable access to the wrapped DUT.
-    pub fn dut_mut(&mut self) -> &mut dyn CycleDut {
-        self.dut.as_mut()
+        self.bank.output_ports()
     }
 }
 
@@ -562,16 +479,6 @@ mod tests {
         assert_eq!(sim.step(&[7, 0]).unwrap(), vec![12]);
         assert_eq!(sim.step(&[0, 1]).unwrap(), vec![0]);
         assert_eq!(sim.cycles(), 3);
-        sim.reset();
-        assert_eq!(sim.cycles(), 0);
-        assert_eq!(sim.step(&[1, 0]).unwrap(), vec![1]);
-    }
-
-    #[test]
-    fn step_n_repeats_inputs() {
-        let mut sim = CycleSim::new(Box::new(Accumulator { acc: 0 }));
-        assert_eq!(sim.step_n(&[3, 0], 4).unwrap(), vec![12]);
-        assert_eq!(sim.cycles(), 4);
     }
 
     #[test]

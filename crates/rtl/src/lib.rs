@@ -9,10 +9,12 @@
 //!   and multi-driver signal resolution;
 //! * [`cycle`] — the cycle-based engine the paper's conclusion calls for,
 //!   sharing DUTs with the event-driven kernel via
-//!   [`cycle::attach_cycle_dut`];
-//! * [`compiled`] — [`compiled::LaneBank`], up to 64 replicated
+//!   [`cycle::attach_cycle_dut`]; [`cycle::CycleSim`] is a one-lane
+//!   [`compiled::LaneBank`];
+//! * [`compiled`] — [`compiled::LaneBank`], 1 to 64 replicated
 //!   behavioural DUT instances held together as scenario lanes, each
-//!   clocked on its own through a [`compiled::Lane`] handle;
+//!   clocked on its own through a [`compiled::Lane`] handle — the DUT
+//!   side of the cycle follower at any lane count;
 //! * [`netlist`] — netlist introspection: the signal→process→signal
 //!   dataflow graph, structural checks (combinational loops, multi-driver
 //!   conflicts, sensitivity completeness, gated-clock safety) behind

@@ -206,32 +206,44 @@ fn switch_net(config: &SwitchScenarioConfig) -> SwitchNet {
     }
 }
 
-/// The cycle-engine follower shared by the cycle-based and parallel
-/// variants.
+/// The cycle follower of the cycle-based, parallel and multi-lane
+/// variants and of the scenario sweep: `lanes` replicated switch
+/// instances in one [`castanet_rtl::compiled::LaneBank`], every ingress
+/// and egress line on the same pins in every lane.
 fn switch_cycle_follower(
     config: &SwitchScenarioConfig,
     cell_type: MessageTypeId,
+    lanes: usize,
 ) -> castanet::CycleCosim {
     use castanet::cyclecosim::{CycleCosim, EgressIndices, IngressIndices};
-    let sim = castanet_rtl::cycle::CycleSim::new(Box::new(config.rtl_switch()));
-    let mut follower = CycleCosim::new(sim, config.clock_period, cell_type, HeaderFormat::Uni);
+    use castanet_rtl::compiled::LaneBank;
+    use castanet_rtl::cycle::CycleDut;
+    let duts: Vec<Box<dyn CycleDut>> = (0..lanes)
+        .map(|_| Box::new(config.rtl_switch()) as Box<dyn CycleDut>)
+        .collect();
+    let mut follower = CycleCosim::new(
+        LaneBank::new(duts),
+        config.clock_period,
+        cell_type,
+        HeaderFormat::Uni,
+    );
     for i in 0..config.ports {
+        let (data, sync, strobe) = (3 * i, 3 * i + 1, 3 * i + 2);
+        let pins = "line pins are within the switch's port lists";
         follower
             .add_ingress(IngressIndices {
-                data: 3 * i,
-                sync: 3 * i + 1,
-                enable: 3 * i + 2,
+                data,
+                sync,
+                enable: strobe,
             })
-            .expect("line pins are within the switch's port lists");
-    }
-    for i in 0..config.ports {
+            .expect(pins);
         follower
             .add_egress(EgressIndices {
-                data: 3 * i,
-                sync: 3 * i + 1,
-                valid: 3 * i + 2,
+                data,
+                sync,
+                valid: strobe,
             })
-            .expect("line pins are within the switch's port lists");
+            .expect(pins);
     }
     follower
 }
@@ -329,7 +341,7 @@ pub fn switch_cosim_cycle(config: SwitchScenarioConfig) -> SwitchCosimCycle {
         outbox,
         collectors,
     } = switch_net(&config);
-    let follower = switch_cycle_follower(&config, cell_type);
+    let follower = switch_cycle_follower(&config, cell_type, 1);
     SwitchCosimCycle {
         coupling: Coupling::new(net, follower, sync, cell_type, iface, outbox).with_strict(true),
         collectors,
@@ -378,7 +390,7 @@ pub fn switch_cosim_parallel(config: SwitchScenarioConfig) -> SwitchCosimParalle
         outbox,
         collectors,
     } = switch_net(&config);
-    let follower = switch_cycle_follower(&config, cell_type);
+    let follower = switch_cycle_follower(&config, cell_type, 1);
     SwitchCosimParallel {
         coupling: castanet::ParallelCoupling::new(net, follower, sync, cell_type, iface, outbox)
             .with_strict(true),
@@ -387,51 +399,9 @@ pub fn switch_cosim_parallel(config: SwitchScenarioConfig) -> SwitchCosimParalle
     }
 }
 
-/// The lane-batched follower shared by the compiled co-simulation variant
-/// and the multi-lane scenario sweep: `lanes` replicated switch instances
-/// in one [`castanet_rtl::compiled::LaneBank`], with the same per-line pin layout
-/// as [`switch_cycle_follower`] replicated into every lane.
-fn switch_compiled_follower(
-    config: &SwitchScenarioConfig,
-    cell_type: MessageTypeId,
-    lanes: usize,
-) -> castanet::CompiledCosim {
-    use castanet::cyclecosim::{EgressIndices, IngressIndices};
-    use castanet_rtl::compiled::LaneBank;
-    use castanet_rtl::cycle::CycleDut;
-    let duts: Vec<Box<dyn CycleDut>> = (0..lanes)
-        .map(|_| Box::new(config.rtl_switch()) as Box<dyn CycleDut>)
-        .collect();
-    let mut follower = castanet::CompiledCosim::new(
-        LaneBank::new(duts),
-        config.clock_period,
-        cell_type,
-        HeaderFormat::Uni,
-    );
-    for i in 0..config.ports {
-        follower
-            .add_ingress(IngressIndices {
-                data: 3 * i,
-                sync: 3 * i + 1,
-                enable: 3 * i + 2,
-            })
-            .expect("line pins are within the switch's port lists");
-    }
-    for i in 0..config.ports {
-        follower
-            .add_egress(EgressIndices {
-                data: 3 * i,
-                sync: 3 * i + 1,
-                valid: 3 * i + 2,
-            })
-            .expect("line pins are within the switch's port lists");
-    }
-    follower
-}
-
-/// The compiled-backend variant of [`switch_cosim`]: the same network model
-/// and workload, with the lane-batched follower carrying the coupled
-/// traffic on lane 0.
+/// The multi-lane variant of [`switch_cosim_cycle`]: the same network model
+/// and workload, with the cycle follower's lane 0 carrying the coupled
+/// traffic and the other lanes free for seeded scenarios.
 pub struct SwitchCosimCompiled {
     /// The coupled simulation, ready to run.
     pub coupling: Coupling<castanet::CompiledCosim>,
@@ -458,7 +428,7 @@ impl SwitchCosimCompiled {
     }
 }
 
-/// Builds the compiled-backend co-simulation (see [`SwitchCosimCompiled`]).
+/// Builds the multi-lane co-simulation (see [`SwitchCosimCompiled`]).
 /// `lanes` instances run per sweep; network traffic drives lane 0 only —
 /// seed the others through
 /// [`castanet::CompiledCosim::seed_cell`] (or use
@@ -473,7 +443,7 @@ pub fn switch_cosim_compiled(config: SwitchScenarioConfig, lanes: usize) -> Swit
         outbox,
         collectors,
     } = switch_net(&config);
-    let follower = switch_compiled_follower(&config, cell_type, lanes);
+    let follower = castanet::CompiledCosim::new(switch_cycle_follower(&config, cell_type, lanes));
     SwitchCosimCompiled {
         coupling: Coupling::new(net, follower, sync, cell_type, iface, outbox).with_strict(true),
         collectors,
@@ -492,10 +462,11 @@ fn sweep_rng(state: &mut u64) -> u64 {
     x.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
-/// Runs an N-seed scenario sweep on the compiled backend: seed `i`'s
+/// Runs an N-seed scenario sweep on an N-lane cycle follower: seed `i`'s
 /// deterministic traffic lands in lane `i`, one batched advance evaluates
 /// every lane together, and each lane's egress trace comes back
-/// (egress-port-major, emission order within a port).
+/// (egress-port-major, emission order within a port; lane 0's from its
+/// responses).
 ///
 /// Traffic per lane: `cells_per_source` cells on every ingress line, cell
 /// `k` of line `p` at `k·cell_gap` plus a seed-derived jitter, payload
@@ -515,7 +486,7 @@ pub fn switch_compiled_sweep(config: &SwitchScenarioConfig, seeds: &[u64]) -> Ve
         "1..={} seeds per sweep",
         castanet_rtl::compiled::LANES
     );
-    let mut follower = switch_compiled_follower(config, MessageTypeId(0), seeds.len());
+    let mut follower = switch_cycle_follower(config, MessageTypeId(0), seeds.len());
     let gap = config.cell_gap.as_picos();
     for (lane, &seed) in seeds.iter().enumerate() {
         let mut state = seed | 1;
@@ -535,15 +506,19 @@ pub fn switch_compiled_sweep(config: &SwitchScenarioConfig, seeds: &[u64]) -> Ve
         }
     }
     let horizon = SimTime::from_picos((config.cells_per_source + 4) * gap);
-    follower
-        .advance_batch(horizon)
-        .expect("compiled sweep advance");
-    (0..seeds.len())
-        .map(|lane| {
+    let responses = follower.advance_batch(horizon).expect("sweep advance");
+    let lane0 = (0..config.ports).flat_map(|port| {
+        responses
+            .iter()
+            .filter(move |m| m.port == port)
+            .filter_map(|m| m.as_cell().cloned())
+    });
+    std::iter::once(lane0.collect())
+        .chain((1..seeds.len()).map(|lane| {
             (0..config.ports)
                 .flat_map(|port| follower.lane_cells(port, lane).iter().cloned())
                 .collect()
-        })
+        }))
         .collect()
 }
 

@@ -12,6 +12,7 @@
 
 use castanet::coupling::CoupledSimulator;
 use castanet::message::{Message, MessageTypeId};
+use castanet::CastanetError;
 use castanet_atm::cell::AtmCell;
 use castanet_netsim::time::SimTime;
 use castanet_rtl::compiled::LaneBank;
@@ -104,17 +105,31 @@ fn deliver_burst(
     }
 }
 
-/// Advances one clock per call until the burst has drained. Returns, per
-/// call, the response messages it returned and the allocations it made.
-fn drain_clock_by_clock(follower: &mut impl CoupledSimulator, period_ps: u64) -> Vec<(u64, u64)> {
-    (0..(BURST + 4) * 53)
+/// One follower advance: `advance_until` or `advance_batch`.
+type Advance<F> = fn(&mut F, SimTime) -> Result<Vec<Message>, CastanetError>;
+
+/// Advances `clocks` clocks per call until the burst has drained. Returns,
+/// per call, the response messages it returned and the allocations it
+/// made.
+fn drain<F: CoupledSimulator>(
+    follower: &mut F,
+    period_ps: u64,
+    clocks: u64,
+    advance: Advance<F>,
+) -> Vec<(u64, u64)> {
+    (0..(BURST + 4) * 53 / clocks)
         .map(|_| {
-            let horizon = SimTime::from_picos(follower.now().as_picos() + 2 * period_ps);
+            let horizon = follower.now().as_picos() + (clocks + 1) * period_ps;
             let (responses, allocs) =
-                allocations(|| follower.advance_until(horizon).expect("advance"));
+                allocations(|| advance(follower, SimTime::from_picos(horizon)).expect("advance"));
             (responses.len() as u64, allocs)
         })
         .collect()
+}
+
+/// Advances one clock per call until the burst has drained.
+fn drain_clock_by_clock<F: CoupledSimulator>(follower: &mut F, period_ps: u64) -> Vec<(u64, u64)> {
+    drain(follower, period_ps, 1, F::advance_until)
 }
 
 #[test]
@@ -150,6 +165,48 @@ fn cycle_follower_clocks_allocate_only_for_completed_cells() {
         busy >= BURST * 53 && busy <= calls.len() as u64,
         "{busy} evaluated clocks in {} calls",
         calls.len()
+    );
+}
+
+#[test]
+fn one_lane_batch_windows_allocate_only_for_response_messages() {
+    // The parallel executor's follower: one lane, advanced a window at a
+    // time with `advance_batch`.
+    let config = SwitchScenarioConfig::default();
+    let period_ps = config.clock_period.as_picos();
+    let (_net, mut follower) = scenarios::switch_cosim_parallel(config)
+        .coupling
+        .into_parts();
+    let cell_type = MessageTypeId(0);
+    let window = 16;
+
+    let cells = BURST * config.ports as u64;
+    deliver_burst(&mut follower, &config, cell_type);
+    let warm = drain(
+        &mut follower,
+        period_ps,
+        window,
+        castanet::CycleCosim::advance_batch,
+    );
+    assert_eq!(warm.iter().map(|&(n, _)| n).sum::<u64>(), cells);
+
+    deliver_burst(&mut follower, &config, cell_type);
+    let calls = drain(
+        &mut follower,
+        period_ps,
+        window,
+        castanet::CycleCosim::advance_batch,
+    );
+    assert_eq!(calls.iter().map(|&(n, _)| n).sum::<u64>(), cells);
+    for (k, &(n, allocs)) in calls.iter().enumerate() {
+        assert!(
+            allocs <= n,
+            "window {k}: {allocs} allocations for {n} response messages"
+        );
+    }
+    assert!(
+        calls.iter().any(|&(n, _)| n == 0),
+        "some window returns no response"
     );
 }
 
@@ -203,7 +260,7 @@ fn lane_bank_busy_clocks_allocate_nothing() {
         let mut valid = 0;
         for words in &clocks {
             for mut lane in bank.lanes_mut() {
-                lane.clock_edge(words);
+                lane.clock_edge(words).expect("in-width row");
             }
             valid += (0..config.ports)
                 .filter(|&line| bank.outputs(0)[3 * line + 2] == 1)

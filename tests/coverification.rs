@@ -336,9 +336,9 @@ fn cycle_follower_single_cell_latency_matches_structure() {
         table_capacity: 4,
     });
     assert!(switch.install_route(1, 40, 1, 7, 70));
-    let sim = castanet_rtl::cycle::CycleSim::new(Box::new(switch));
+    let bank = castanet_rtl::compiled::LaneBank::new(vec![Box::new(switch)]);
     let mut follower = CycleCosim::new(
-        sim,
+        bank,
         SimDuration::from_ns(20),
         MessageTypeId(0),
         HeaderFormat::Uni,

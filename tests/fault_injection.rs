@@ -7,11 +7,11 @@
 //! the suite.
 
 use castanet::coupling::{CoupledSimulator, Coupling};
-use castanet::cyclecosim::{EgressIndices, IngressIndices};
+use castanet::cyclecosim::{CycleCosim, EgressIndices, IngressIndices};
 use castanet::interface::{response_packet, CastanetInterfaceProcess};
 use castanet::message::{Message, MessageTypeId};
 use castanet::sync::ConservativeSync;
-use castanet::{CastanetError, CompiledCosim};
+use castanet::CastanetError;
 use castanet_atm::addr::{HeaderFormat, VpiVci};
 use castanet_atm::cell::AtmCell;
 use castanet_netsim::event::PortId;
@@ -20,6 +20,7 @@ use castanet_netsim::time::{SimDuration, SimTime};
 use castanet_rtl::compiled::{LaneBank, LANES};
 use castanet_rtl::cycle::{CycleDut, PortDecl};
 use castanet_rtl::dut::{AtmSwitchRtl, SwitchRtlConfig};
+use castanet_rtl::RtlError;
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -167,16 +168,36 @@ const PANIC_LANE: usize = 40;
 /// The clock edge (1-based) at which [`PANIC_LANE`]'s DUT panics.
 const PANIC_EDGE: u32 = 60;
 
-/// A 2-port switch that routes VPI/VCI 1/40 to line 1 and, if `fuse` is
-/// set, panics at that clock edge.
+/// A 2-port switch that routes VPI/VCI 1/40 to line 1.
+fn routed_switch() -> AtmSwitchRtl {
+    let mut switch = AtmSwitchRtl::new(SwitchRtlConfig {
+        ports: 2,
+        fifo_capacity: 16,
+        table_capacity: 8,
+    });
+    assert!(switch.install_route(1, 40, 1, 1, 41));
+    switch
+}
+
+/// A routed switch with two injectable faults. With `fuse` set it panics
+/// at that clock edge. With `narrow` it declares line 1's enable pin
+/// (`rx_en1`, input 5) zero bits wide: `PortDecl`'s fields are public, so
+/// a DUT can declare a width `PortDecl::new` refuses; registration checks
+/// pin indices and the data pin's width only, so the line registers, and
+/// the first clock that raises the strobe fails the width check.
 struct Fused {
     switch: AtmSwitchRtl,
     fuse: Option<u32>,
+    narrow: bool,
 }
 
 impl CycleDut for Fused {
     fn input_ports(&self) -> Vec<PortDecl> {
-        self.switch.input_ports()
+        let mut ports = self.switch.input_ports();
+        if self.narrow {
+            ports[5].width = 0;
+        }
+        ports
     }
     fn output_ports(&self) -> Vec<PortDecl> {
         self.switch.output_ports()
@@ -196,24 +217,11 @@ impl CycleDut for Fused {
     }
 }
 
-/// A 64-lane compiled follower whose [`PANIC_LANE`] panics at its
-/// [`PANIC_EDGE`]th edge. Lane 0 and the panicking lane each carry a cell
-/// seeded at 5 µs, so both have work in the same window.
-fn fused_lanes() -> CompiledCosim {
-    let duts = (0..LANES)
-        .map(|lane| {
-            let mut switch = AtmSwitchRtl::new(SwitchRtlConfig {
-                ports: 2,
-                fifo_capacity: 16,
-                table_capacity: 8,
-            });
-            assert!(switch.install_route(1, 40, 1, 1, 41));
-            let fuse = (lane == PANIC_LANE).then_some(PANIC_EDGE);
-            Box::new(Fused { switch, fuse }) as Box<dyn CycleDut>
-        })
-        .collect();
-    let mut follower = CompiledCosim::new(
-        LaneBank::new(duts),
+/// A 64-lane follower over `dut(lane)` with both lines registered and one
+/// cell seeded at 5 µs on each `(lane, line)` of `seeds`.
+fn lanes_of(dut: impl Fn(usize) -> Box<dyn CycleDut>, seeds: &[(usize, usize)]) -> CycleCosim {
+    let mut follower = CycleCosim::new(
+        LaneBank::new((0..LANES).map(dut).collect()),
         SimDuration::from_ns(20),
         MessageTypeId(9),
         HeaderFormat::Uni,
@@ -235,12 +243,29 @@ fn fused_lanes() -> CompiledCosim {
             .unwrap();
     }
     let cell = AtmCell::user_data(VpiVci::uni(1, 40).unwrap(), [7; 48]);
-    for lane in [0, PANIC_LANE] {
+    for &(lane, line) in seeds {
         follower
-            .seed_cell(lane, 0, SimTime::from_us(5), &cell)
+            .seed_cell(lane, line, SimTime::from_us(5), &cell)
             .unwrap();
     }
     follower
+}
+
+/// A 64-lane follower whose [`PANIC_LANE`] panics at its [`PANIC_EDGE`]th
+/// edge. Lane 0 and the panicking lane each carry a cell seeded at 5 µs,
+/// so both have work in the same window.
+fn fused_lanes() -> CycleCosim {
+    lanes_of(
+        |lane| {
+            let fuse = (lane == PANIC_LANE).then_some(PANIC_EDGE);
+            Box::new(Fused {
+                switch: routed_switch(),
+                fuse,
+                narrow: false,
+            })
+        },
+        &[(0, 0), (PANIC_LANE, 0)],
+    )
 }
 
 /// The message a formatted panic was raised with.
@@ -277,4 +302,40 @@ fn parallel_coupling_propagates_a_compiled_lane_panic() {
         panic_message(panic.as_ref())
     });
     assert_lane_panic(&message);
+}
+
+#[test]
+fn a_lane_width_error_is_a_typed_error_on_both_executors() {
+    // Only `PANIC_LANE` raises line 1's zero-width strobe: lane 0 carries
+    // the network's cells on line 0. Under the parallel executor that lane
+    // runs on a worker thread on any host with more than one core.
+    for parallel in [false, true] {
+        let result = bounded(move || {
+            let narrow = |_| -> Box<dyn CycleDut> {
+                Box::new(Fused {
+                    switch: routed_switch(),
+                    fuse: None,
+                    narrow: true,
+                })
+            };
+            let follower = lanes_of(narrow, &[(PANIC_LANE, 1)]);
+            let coupling = coupled_with(5, follower);
+            if parallel {
+                coupling.into_parallel().run(UNTIL).map(|_| ())
+            } else {
+                let mut coupling = coupling;
+                coupling.run(UNTIL).map(|_| ())
+            }
+        });
+        assert!(
+            matches!(
+                result,
+                Err(CastanetError::Rtl(RtlError::WidthMismatch {
+                    expected: 0,
+                    got: 1
+                }))
+            ),
+            "parallel {parallel}: {result:?}"
+        );
+    }
 }

@@ -26,7 +26,7 @@ use castanet_netsim::kernel::Kernel;
 use castanet_netsim::process::{CollectorHandle, CollectorProcess};
 use castanet_netsim::time::{SimDuration, SimTime};
 use castanet_obs::EventKind;
-use castanet_rtl::cycle::CycleSim;
+use castanet_rtl::compiled::LaneBank;
 use castanet_rtl::dut::{AtmSwitchRtl, SwitchRtlConfig};
 use std::collections::HashSet;
 use std::collections::VecDeque;
@@ -237,8 +237,9 @@ fn coupled(cells: u64, gap: SimDuration) -> (Coupling<CycleCosim>, CollectorHand
         table_capacity: 16,
     });
     assert!(switch.install_route(1, 40, 1, 7, 70));
-    let sim = CycleSim::new(Box::new(switch));
-    let mut follower = CycleCosim::new(sim, SimDuration::from_ns(20), cell_type, HeaderFormat::Uni);
+    let bank = LaneBank::new(vec![Box::new(switch)]);
+    let mut follower =
+        CycleCosim::new(bank, SimDuration::from_ns(20), cell_type, HeaderFormat::Uni);
     follower
         .add_ingress(IngressIndices {
             data: 0,

@@ -574,7 +574,7 @@ fn coupled_fixture(
     use castanet_netsim::event::PortId;
     use castanet_netsim::kernel::Kernel;
     use castanet_netsim::process::CollectorProcess;
-    use castanet_rtl::cycle::CycleSim;
+    use castanet_rtl::compiled::LaneBank;
     use castanet_rtl::dut::{AtmSwitchRtl, SwitchRtlConfig};
 
     let mut net = Kernel::new(42);
@@ -598,8 +598,9 @@ fn coupled_fixture(
         table_capacity: 16,
     });
     assert!(switch.install_route(1, 40, 1, 7, 70));
-    let sim = CycleSim::new(Box::new(switch));
-    let mut follower = CycleCosim::new(sim, SimDuration::from_ns(20), cell_type, HeaderFormat::Uni);
+    let bank = LaneBank::new(vec![Box::new(switch)]);
+    let mut follower =
+        CycleCosim::new(bank, SimDuration::from_ns(20), cell_type, HeaderFormat::Uni);
     follower
         .add_ingress(IngressIndices {
             data: 0,

@@ -13,6 +13,7 @@ use castanet::traceio::{read_trace, stimulus_messages, Direction, TraceRecord, T
 use castanet_atm::addr::{HeaderFormat, VpiVci};
 use castanet_atm::cell::AtmCell;
 use castanet_netsim::time::{SimDuration, SimTime};
+use castanet_rtl::compiled::LaneBank;
 use castanet_rtl::cycle::CycleSim;
 use castanet_rtl::dut::{AtmSwitchRtl, CellReceiver, SwitchRtlConfig};
 
@@ -24,9 +25,9 @@ fn fresh_follower() -> CycleCosim {
     });
     assert!(switch.install_route(1, 40, 1, 7, 70));
     assert!(switch.install_route(1, 41, 1, 7, 71));
-    let sim = CycleSim::new(Box::new(switch));
+    let bank = LaneBank::new(vec![Box::new(switch)]);
     let mut follower = CycleCosim::new(
-        sim,
+        bank,
         SimDuration::from_ns(20),
         MessageTypeId(1),
         HeaderFormat::Uni,
@@ -136,8 +137,9 @@ fn replay_through_parallel_executor(records: &[TraceRecord]) -> Vec<(u64, AtmCel
     });
     assert!(switch.install_route(1, 40, 1, 7, 70));
     assert!(switch.install_route(1, 41, 1, 7, 71));
-    let sim = CycleSim::new(Box::new(switch));
-    let mut follower = CycleCosim::new(sim, SimDuration::from_ns(20), cell_type, HeaderFormat::Uni);
+    let bank = LaneBank::new(vec![Box::new(switch)]);
+    let mut follower =
+        CycleCosim::new(bank, SimDuration::from_ns(20), cell_type, HeaderFormat::Uni);
     follower
         .add_ingress(IngressIndices {
             data: 0,

@@ -1,7 +1,7 @@
-//! The cycle followers' stimulus window under traffic that queues cells
+//! The cycle follower's stimulus window under traffic that queues cells
 //! back to back, far ahead and on several lines at once, and idle-skips
 //! between them, checked against the event-driven follower on the same
-//! DUT. The window queues each delivered cell on its ingress line and
+//! DUT, at one lane, three and 64. The window queues each delivered cell on its ingress line and
 //! expands it to pin words one clock at a time; a mistake in that
 //! expansion (a cell started a clock early or late, an octet dropped at a
 //! cell boundary, a line left driven after its last octet, a skip that
@@ -14,12 +14,11 @@ use castanet::coupling::{CoupledSimulator, RtlCosim};
 use castanet::cyclecosim::{CycleCosim, EgressIndices, IngressIndices};
 use castanet::entity::{CosimEntity, EgressSignals, IngressSignals};
 use castanet::message::{Message, MessageTypeId};
-use castanet::CompiledCosim;
 use castanet_atm::addr::HeaderFormat;
 use castanet_atm::cell::AtmCell;
 use castanet_netsim::time::{SimDuration, SimTime};
 use castanet_rtl::compiled::LaneBank;
-use castanet_rtl::cycle::{attach_cycle_dut_gated, CycleDut, CycleSim};
+use castanet_rtl::cycle::{attach_cycle_dut_gated, CycleDut};
 use castanet_rtl::dut::{AtmSwitchRtl, SwitchRtlConfig};
 use castanet_rtl::sim::Simulator;
 use coverify::scenarios::SwitchScenarioConfig;
@@ -68,27 +67,11 @@ fn egress(line: usize) -> EgressIndices {
     }
 }
 
-fn cycle_follower() -> CycleCosim {
-    let mut f = CycleCosim::new(
-        CycleSim::new(Box::new(switch())),
-        CLK,
-        MessageTypeId(9),
-        HeaderFormat::Uni,
-    );
-    for line in 0..LINES {
-        f.add_ingress(ingress(line)).unwrap();
-    }
-    for line in 0..LINES {
-        f.add_egress(egress(line)).unwrap();
-    }
-    f
-}
-
-fn compiled_follower(lanes: usize) -> CompiledCosim {
+fn cycle_follower(lanes: usize) -> CycleCosim {
     let duts = (0..lanes)
         .map(|_| Box::new(switch()) as Box<dyn CycleDut>)
         .collect();
-    let mut f = CompiledCosim::new(
+    let mut f = CycleCosim::new(
         LaneBank::new(duts),
         CLK,
         MessageTypeId(9),
@@ -241,7 +224,7 @@ fn cells_per_port(trace: &[(SimTime, usize, AtmCell)]) -> Vec<Vec<AtmCell>> {
 
 #[test]
 fn wrapped_grown_and_skipped_window_matches_the_event_driven_follower() {
-    let mut cycle = cycle_follower();
+    let mut cycle = cycle_follower(1);
     let cycle_trace = play(&mut cycle);
     let mut event = event_follower();
     let event_trace = play(&mut event);
@@ -267,45 +250,48 @@ fn wrapped_grown_and_skipped_window_matches_the_event_driven_follower() {
 const EVALUATED: u64 = 809;
 const SKIPPED: u64 = 9_190;
 
+/// Lane 0 of a bank carries the script and the other lanes stay idle: the
+/// responses, stamps included, and the counts are those of a one-lane
+/// follower. The name dates from a separate compiled follower for banks.
 #[test]
 fn compiled_lane_zero_equals_the_cycle_follower() {
-    let mut cycle = cycle_follower();
-    let cycle_trace = play(&mut cycle);
-    let mut compiled = compiled_follower(3);
-    let compiled_trace = play(&mut compiled);
+    let mut one = cycle_follower(1);
+    let one_trace = play(&mut one);
+    let mut bank = cycle_follower(3);
+    let bank_trace = play(&mut bank);
 
-    assert_eq!(compiled_trace, cycle_trace);
+    assert_eq!(bank_trace, one_trace);
     assert_eq!(
-        (compiled.clocks_evaluated(), compiled.clocks_skipped()),
-        (cycle.clocks_evaluated(), cycle.clocks_skipped())
+        (bank.clocks_evaluated(), bank.clocks_skipped()),
+        (one.clocks_evaluated(), one.clocks_skipped())
     );
-    for line in 0..LINES {
-        assert!(compiled.lane_cells(line, 1).is_empty());
+    for lane in 1..3 {
+        assert!((0..LINES).all(|line| bank.lane_cells(line, lane).is_empty()));
     }
 }
 
 #[test]
-fn every_loaded_lane_equals_the_cycle_follower_on_its_traffic() {
+fn every_loaded_lane_equals_the_event_follower_on_its_traffic() {
     const LANES: usize = castanet_rtl::compiled::LANES;
     let scripts: Vec<Vec<Step>> = (0..LANES).map(lane_script).collect();
-    let mut compiled = compiled_follower(LANES);
+    let mut cycle = cycle_follower(LANES);
     let mut lane0_trace = Vec::new();
     let mut counts = Vec::new();
     for k in 0..scripts[0].len() {
         for (lane, script) in scripts.iter().enumerate() {
             for &(at, line, tag) in &script[k].deliver {
-                compiled
+                cycle
                     .seed_cell(lane, line, at, &cell(line, tag))
                     .expect("seed");
             }
         }
-        for m in compiled
+        for m in cycle
             .advance_batch(scripts[0][k].advance_to)
             .expect("advance")
         {
             lane0_trace.push((m.stamp, m.port, m.as_cell().expect("cell").clone()));
         }
-        counts.push((compiled.clocks_evaluated(), compiled.clocks_skipped()));
+        counts.push((cycle.clocks_evaluated(), cycle.clocks_skipped()));
     }
     // A clock counts as evaluated when some lane is busy on it and as
     // skipped when every lane is idle on it. The counts after each step
@@ -317,16 +303,22 @@ fn every_loaded_lane_equals_the_cycle_follower_on_its_traffic() {
     );
 
     for lane in 0..LANES {
-        let mut cycle = cycle_follower();
-        let trace = play_steps(&mut cycle, lane_script(lane));
-        assert_eq!(trace.len(), 27, "lane {lane}: every cell comes out");
-        let lane_cells: Vec<Vec<AtmCell>> = (0..LINES)
-            .map(|port| compiled.lane_cells(port, lane).to_vec())
-            .collect();
-        assert_eq!(lane_cells, cells_per_port(&trace), "lane {lane}");
-        if lane == 0 {
-            // The coupled lane's responses, stamps and order included.
-            assert_eq!(lane0_trace, trace);
-        }
+        let mut event = event_follower();
+        let reference = cells_per_port(&play_steps(&mut event, lane_script(lane)));
+        assert_eq!(
+            reference.iter().map(Vec::len).sum::<usize>(),
+            27,
+            "lane {lane}: every cell comes out"
+        );
+        let got = if lane == 0 {
+            // The coupled lane answers with responses and keeps no trace.
+            assert!((0..LINES).all(|port| cycle.lane_cells(port, 0).is_empty()));
+            cells_per_port(&lane0_trace)
+        } else {
+            (0..LINES)
+                .map(|port| cycle.lane_cells(port, lane).to_vec())
+                .collect()
+        };
+        assert_eq!(got, reference, "lane {lane}");
     }
 }

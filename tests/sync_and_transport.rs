@@ -162,7 +162,7 @@ fn full_coupling_over_unix_sockets_two_thread_deployment() {
     use castanet_netsim::event::PortId;
     use castanet_netsim::kernel::Kernel;
     use castanet_netsim::process::CollectorProcess;
-    use castanet_rtl::cycle::CycleSim;
+    use castanet_rtl::compiled::LaneBank;
     use castanet_rtl::dut::{AtmSwitchRtl, SwitchRtlConfig};
 
     let (client_t, server_t) = UnixSocketTransport::pair().expect("socketpair");
@@ -175,9 +175,9 @@ fn full_coupling_over_unix_sockets_two_thread_deployment() {
             table_capacity: 8,
         });
         assert!(switch.install_route(1, 40, 1, 7, 70));
-        let sim = CycleSim::new(Box::new(switch));
+        let bank = LaneBank::new(vec![Box::new(switch)]);
         let mut follower = CycleCosim::new(
-            sim,
+            bank,
             SimDuration::from_ns(20),
             MessageTypeId(0),
             castanet_atm::addr::HeaderFormat::Uni,

@@ -11,13 +11,12 @@
 //! the wire encoding of every egress cell in arrival order; timestamps are
 //! deliberately excluded — schedules may differ, contents may not.
 //!
-//! The same discipline applies across *backends*: the event-driven kernel,
-//! the cycle engine and the lane-batched compiled backend are three
-//! drivers of one DUT semantics, so the stock-switch
-//! scenario must produce byte-identical egress from identical traffic on
-//! all three — including through the gated-clock idle-skip fast path,
-//! whose evaluated/skipped telemetry counters must agree between the
-//! cycle-based and compiled followers exactly.
+//! The same discipline applies across *backends*: the event-driven kernel
+//! and the cycle follower, at one lane and at many, are three drivers of
+//! one DUT semantics, so the stock-switch scenario must produce
+//! byte-identical egress from identical traffic on all three — including
+//! through the gated-clock idle-skip fast path, whose evaluated/skipped
+//! telemetry counters must not depend on the cycle follower's lane count.
 
 use castanet::compare::StreamComparator;
 use castanet::convert::ByteStreamAssembler;
@@ -29,7 +28,7 @@ use castanet::message::{Message, MessageTypeId};
 use castanet::sync::lockstep::Side;
 use castanet::sync::optimistic::{TimedEvent, TimedOutput};
 use castanet::sync::{ConservativeSync, LockstepSync, OptimisticSync};
-use castanet::{AdaptiveWindow, CompiledCosim, Telemetry};
+use castanet::{AdaptiveWindow, Telemetry};
 use castanet_atm::addr::{HeaderFormat, VpiVci};
 use castanet_atm::cell::AtmCell;
 use castanet_netsim::event::PortId;
@@ -37,7 +36,7 @@ use castanet_netsim::kernel::Kernel;
 use castanet_netsim::process::{CollectorHandle, CollectorProcess};
 use castanet_netsim::time::{SimDuration, SimTime};
 use castanet_rtl::compiled::LaneBank;
-use castanet_rtl::cycle::{attach_cycle_dut_gated, CycleDut, CycleSim};
+use castanet_rtl::cycle::{attach_cycle_dut_gated, CycleDut};
 use castanet_rtl::dut::{AtmSwitchRtl, SwitchRtlConfig};
 use castanet_rtl::sim::Simulator;
 
@@ -101,37 +100,30 @@ fn routed_switch() -> AtmSwitchRtl {
     switch
 }
 
-fn fresh_follower(cell_type: MessageTypeId) -> CycleCosim {
-    let sim = CycleSim::new(Box::new(routed_switch()));
-    let mut follower = CycleCosim::new(sim, CLK, cell_type, HeaderFormat::Uni);
-    follower
-        .add_ingress(IngressIndices {
-            data: 0,
-            sync: 1,
-            enable: 2,
-        })
-        .unwrap();
-    follower
-        .add_ingress(IngressIndices {
-            data: 3,
-            sync: 4,
-            enable: 5,
-        })
-        .unwrap();
-    follower
-        .add_egress(EgressIndices {
-            data: 0,
-            sync: 1,
-            valid: 2,
-        })
-        .unwrap();
-    follower
-        .add_egress(EgressIndices {
-            data: 3,
-            sync: 4,
-            valid: 5,
-        })
-        .unwrap();
+/// The cycle follower on `lanes` replicated switches; lane 0 carries the
+/// coupled traffic.
+fn fresh_follower(cell_type: MessageTypeId, lanes: usize) -> CycleCosim {
+    let duts: Vec<Box<dyn CycleDut>> = (0..lanes)
+        .map(|_| Box::new(routed_switch()) as Box<dyn CycleDut>)
+        .collect();
+    let mut follower = CycleCosim::new(LaneBank::new(duts), CLK, cell_type, HeaderFormat::Uni);
+    for line in 0..2 {
+        let (data, sync, strobe) = (3 * line, 3 * line + 1, 3 * line + 2);
+        follower
+            .add_ingress(IngressIndices {
+                data,
+                sync,
+                enable: strobe,
+            })
+            .unwrap();
+        follower
+            .add_egress(EgressIndices {
+                data,
+                sync,
+                valid: strobe,
+            })
+            .unwrap();
+    }
     follower
 }
 
@@ -159,45 +151,6 @@ fn fresh_event_follower(cell_type: MessageTypeId) -> RtlCosim {
         .collect();
     entity.add_egress(&mut sim, clk, &egress);
     RtlCosim::new(sim, entity)
-}
-
-/// The lane-batched compiled follower on the identical DUT: `lanes`
-/// replicated switches in one lane bank; lane 0 carries the coupled
-/// traffic.
-fn fresh_compiled_follower(cell_type: MessageTypeId, lanes: usize) -> CompiledCosim {
-    let duts: Vec<Box<dyn CycleDut>> = (0..lanes)
-        .map(|_| Box::new(routed_switch()) as Box<dyn CycleDut>)
-        .collect();
-    let mut follower = CompiledCosim::new(LaneBank::new(duts), CLK, cell_type, HeaderFormat::Uni);
-    follower
-        .add_ingress(IngressIndices {
-            data: 0,
-            sync: 1,
-            enable: 2,
-        })
-        .unwrap();
-    follower
-        .add_ingress(IngressIndices {
-            data: 3,
-            sync: 4,
-            enable: 5,
-        })
-        .unwrap();
-    follower
-        .add_egress(EgressIndices {
-            data: 0,
-            sync: 1,
-            valid: 2,
-        })
-        .unwrap();
-    follower
-        .add_egress(EgressIndices {
-            data: 3,
-            sync: 4,
-            valid: 5,
-        })
-        .unwrap();
-    follower
 }
 
 /// Kernel fixture for the coupled executors: the seeded stimulus is
@@ -229,7 +182,7 @@ fn coupled_with<F: CoupledSimulator>(
 }
 
 fn coupled(stims: &[(SimTime, AtmCell)]) -> (Coupling<CycleCosim>, CollectorHandle) {
-    coupled_with(stims, fresh_follower)
+    coupled_with(stims, |t| fresh_follower(t, 1))
 }
 
 /// Runs one backend under the conservative coupling with telemetry
@@ -287,7 +240,7 @@ fn run_lockstep(stims: &[(SimTime, AtmCell)], quantum: SimDuration) -> Vec<AtmCe
         "quantum wider than the lookahead would not be a valid baseline"
     );
     let cell_type = MessageTypeId(0);
-    let mut follower = fresh_follower(cell_type);
+    let mut follower = fresh_follower(cell_type, 1);
     let horizon = stims.last().unwrap().0 + SimDuration::from_us(50);
     let mut trace = Vec::new();
     let mut next = 0;
@@ -457,33 +410,32 @@ fn three_backends_produce_byte_identical_traces() {
     let stims = seeded_traffic(SEED);
     let horizon = SimTime::from_ms(1);
 
-    let (cycle, cycle_counters) = run_backend(&stims, horizon, fresh_follower);
-    let (compiled, compiled_counters) =
-        run_backend(&stims, horizon, |t| fresh_compiled_follower(t, 64));
+    let (cycle, cycle_counters) = run_backend(&stims, horizon, |t| fresh_follower(t, 1));
+    let (lanes, lanes_counters) = run_backend(&stims, horizon, |t| fresh_follower(t, 64));
     let (event, _) = run_backend(&stims, horizon, fresh_event_follower);
 
     assert_eq!(cycle.len(), CELLS, "cycle trace length");
     assert_conforms(&stims, &cycle, "cycle-based");
-    assert_conforms(&stims, &compiled, "compiled");
+    assert_conforms(&stims, &lanes, "64 lanes");
     assert_conforms(&stims, &event, "event-driven");
 
     let reference = trace_bytes(&cycle);
-    assert_eq!(trace_bytes(&compiled), reference, "compiled vs cycle");
+    assert_eq!(trace_bytes(&lanes), reference, "64 lanes vs one");
     assert_eq!(trace_bytes(&event), reference, "event-driven vs cycle");
 
-    // The compiled backend replays the cycle engine's clock discipline
-    // exactly: same clocks evaluated, same clocks skipped by the idle
-    // fast path — even with 63 extra (quiet) lanes in the bank.
+    // The lane count does not change the clock discipline: same clocks
+    // evaluated, same clocks skipped by the idle fast path — even with 63
+    // extra (quiet) lanes in the bank.
     let cycle_counters = cycle_counters.expect("cycle follower publishes clock gauges");
-    let compiled_counters = compiled_counters.expect("compiled follower publishes clock gauges");
-    assert_eq!(compiled_counters, cycle_counters, "evaluated/skipped drift");
+    let lanes_counters = lanes_counters.expect("64 lanes publish clock gauges");
+    assert_eq!(lanes_counters, cycle_counters, "evaluated/skipped drift");
     assert!(cycle_counters.1 > 0, "idle skipping never fired");
 }
 
 #[test]
 fn gated_idle_skip_path_is_conformant_across_backends() {
-    // Two bursts separated by a long quiet stretch: the cycle and
-    // compiled followers must *skip* the gap (not evaluate it), the
+    // Two bursts separated by a long quiet stretch: the cycle follower,
+    // at one lane and at 8, must *skip* the gap (not evaluate it), the
     // event-driven follower parks its gated clock across it, and all
     // three still produce the same bytes.
     let mut stims = seeded_traffic(SEED ^ 0xD1E5);
@@ -494,19 +446,18 @@ fn gated_idle_skip_path_is_conformant_across_backends() {
     }
     let horizon = SimTime::from_ms(2);
 
-    let (cycle, cycle_counters) = run_backend(&stims, horizon, fresh_follower);
-    let (compiled, compiled_counters) =
-        run_backend(&stims, horizon, |t| fresh_compiled_follower(t, 8));
+    let (cycle, cycle_counters) = run_backend(&stims, horizon, |t| fresh_follower(t, 1));
+    let (lanes, lanes_counters) = run_backend(&stims, horizon, |t| fresh_follower(t, 8));
     let (event, _) = run_backend(&stims, horizon, fresh_event_follower);
 
     assert_conforms(&stims, &cycle, "cycle-based (gated)");
     let reference = trace_bytes(&cycle);
-    assert_eq!(trace_bytes(&compiled), reference, "compiled vs cycle");
+    assert_eq!(trace_bytes(&lanes), reference, "8 lanes vs one");
     assert_eq!(trace_bytes(&event), reference, "event-driven vs cycle");
 
     let (cycle_eval, cycle_skip) = cycle_counters.expect("cycle clock gauges");
     assert_eq!(
-        compiled_counters.expect("compiled clock gauges"),
+        lanes_counters.expect("8-lane clock gauges"),
         (cycle_eval, cycle_skip),
         "gated-skip counter drift"
     );

@@ -63,15 +63,15 @@ fn run_event(tel: Option<&Telemetry>) -> Vec<Vec<(u64, AtmCell)>> {
     egress(&scenario.collectors)
 }
 
-/// Runs the compiled-backend coupling and returns the per-line egress
-/// streams (lane 0 carries the coupled traffic).
-fn run_compiled(tel: Option<&Telemetry>) -> Vec<Vec<(u64, AtmCell)>> {
+/// Runs the multi-lane coupling on `lanes` lanes and returns the per-line
+/// egress streams (lane 0 carries the coupled traffic).
+fn run_compiled(tel: Option<&Telemetry>, lanes: usize) -> Vec<Vec<(u64, AtmCell)>> {
     let config = SwitchScenarioConfig {
         cells_per_source: 10,
         mixed_traffic: true,
         ..SwitchScenarioConfig::default()
     };
-    let mut scenario = switch_cosim_compiled(config, 4);
+    let mut scenario = switch_cosim_compiled(config, lanes);
     if let Some(tel) = tel {
         scenario = scenario.with_telemetry(tel);
     }
@@ -108,11 +108,11 @@ fn telemetry_does_not_perturb_event_driven_egress() {
 
 #[test]
 fn telemetry_does_not_perturb_compiled_egress() {
-    // Same invariant on the lane-batched compiled backend (pack/eval/
-    // unpack micro-phases plus the lane-occupancy gauges).
+    // Same invariant on a multi-lane cycle follower (per-lane `cycle.eval`
+    // micro-phases plus the lane-occupancy gauges).
     let tel = Telemetry::enabled();
-    let with_tel = run_compiled(Some(&tel));
-    let without = run_compiled(None);
+    let with_tel = run_compiled(Some(&tel), 4);
+    let without = run_compiled(None, 4);
     assert_eq!(with_tel, without, "telemetry changed the egress streams");
     assert!(!tel.events().is_empty());
 }
@@ -256,7 +256,15 @@ fn sync_counters_match_coupling_stats_on_every_executor() {
 #[test]
 fn compiled_backend_reports_lane_and_queue_metrics() {
     let tel = Telemetry::enabled();
-    let _ = run_compiled(Some(&tel));
+    let _ = run_compiled(Some(&tel), 64);
+    // A 64-lane follower profiles its clocks like a one-lane one.
+    let profile = tel.profile();
+    assert!(
+        profile.rows.iter().any(|r| r.track == Track::Follower
+            && r.phase == Phase::CycleEval.name()
+            && r.count > 0),
+        "{profile:?}"
+    );
     let snap = tel.metrics_snapshot();
     assert!(
         snap.counter("compiled.fallback_evals").unwrap_or(0) > 0,

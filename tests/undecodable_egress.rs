@@ -1,4 +1,4 @@
-//! The cycle followers' undecodable-egress path: a DUT that corrupts the
+//! The cycle follower's undecodable-egress path: a DUT that corrupts the
 //! HEC octet of every cell it forwards. The reassembler rejects the cell
 //! on its 53rd octet; the follower counts it and, on the coupled lane only,
 //! answers with the raw octet instead of a cell.
@@ -6,12 +6,11 @@
 use castanet::coupling::CoupledSimulator;
 use castanet::cyclecosim::{CycleCosim, EgressIndices, IngressIndices};
 use castanet::message::{Message, MessagePayload, MessageTypeId};
-use castanet::CompiledCosim;
 use castanet_atm::addr::{HeaderFormat, VpiVci};
 use castanet_atm::cell::AtmCell;
 use castanet_netsim::time::{SimDuration, SimTime};
 use castanet_rtl::compiled::LaneBank;
-use castanet_rtl::cycle::{CycleDut, CycleSim, PortDecl};
+use castanet_rtl::cycle::{CycleDut, PortDecl};
 
 const CLK: SimDuration = SimDuration::from_ns(20);
 const HEC_OCTET: usize = 4;
@@ -74,16 +73,24 @@ fn is_raw(m: &Message) -> bool {
     matches!(m.payload, MessagePayload::Raw(_))
 }
 
-#[test]
-fn cycle_follower_answers_a_corrupt_cell_with_raw_octets() {
+fn follower(lanes: usize) -> CycleCosim {
+    let duts = (0..lanes)
+        .map(|_| Box::new(CorruptHec::default()) as Box<dyn CycleDut>)
+        .collect();
     let mut f = CycleCosim::new(
-        CycleSim::new(Box::new(CorruptHec::default())),
+        LaneBank::new(duts),
         CLK,
         MessageTypeId(9),
         HeaderFormat::Uni,
     );
     f.add_ingress(INGRESS).expect("ingress");
     f.add_egress(EGRESS).expect("egress");
+    f
+}
+
+#[test]
+fn cycle_follower_answers_a_corrupt_cell_with_raw_octets() {
+    let mut f = follower(1);
     f.deliver(Message::cell(SimTime::ZERO, MessageTypeId(0), 0, cell()))
         .expect("deliver");
     let responses = f.advance_batch(SimTime::from_us(5)).expect("advance");
@@ -92,20 +99,11 @@ fn cycle_follower_answers_a_corrupt_cell_with_raw_octets() {
     assert_eq!(f.undecodable(), 1);
 }
 
+/// The name dates from a separate compiled follower for lane banks.
 #[test]
 fn compiled_follower_counts_a_corrupt_cell_on_any_lane_but_answers_for_lane_zero() {
     let lanes = 4;
-    let duts = (0..lanes)
-        .map(|_| Box::new(CorruptHec::default()) as Box<dyn CycleDut>)
-        .collect();
-    let mut f = CompiledCosim::new(
-        LaneBank::new(duts),
-        CLK,
-        MessageTypeId(9),
-        HeaderFormat::Uni,
-    );
-    f.add_ingress(INGRESS).expect("ingress");
-    f.add_egress(EGRESS).expect("egress");
+    let mut f = follower(lanes);
 
     // Lane 3 only: counted, but no response leaves the follower.
     f.seed_cell(3, 0, SimTime::ZERO, &cell()).expect("seed");
