@@ -27,6 +27,12 @@
 //! skipped clock a no-op in its lane), so with traffic on lane 0 only the
 //! counters do not depend on the lane count. DESIGN.md §14 has the detail.
 //!
+//! An evaluated clock costs the DUT's edge, masking its outputs and the
+//! window's octets. Registration checks each line's pins once
+//! (`CAST150`–`CAST152`), so rows fit by construction, are clocked
+//! unchecked, and no clock can fail; [`CycleDut::is_idle`] is asked only
+//! on a clock with no stimulus due, the only one a skip can start from.
+//!
 //! [`CycleDut::is_idle`]: castanet_rtl::cycle::CycleDut::is_idle
 
 use crate::convert::ByteStreamAssembler;
@@ -98,30 +104,32 @@ impl EgressIndices {
 }
 
 /// Rejects a line whose pin index is past the DUT's port list (`CAST150`)
-/// or whose data pin is narrower than a byte (`CAST151`). Strobes need one
-/// bit, which every declared port has. `driven` is `Some` for a line the
-/// follower drives, holding the pins other lines already drive: each pin
-/// of such a line must be its own and no other line's (`CAST152`), or the
-/// pin's value would depend on which line was driven last.
+/// or whose pin is narrower than what it carries (`CAST151`): 8 bits for
+/// data, 1 for a strobe. So every row the stimulus window builds fits a
+/// registered ingress line's pins. `driven` is `Some` for a line the follower drives, holding the pins
+/// other lines already drive: each pin of such a line must be its own and
+/// no other line's (`CAST152`), or the pin's value would depend on which
+/// line was driven last.
 fn check_line(
     line: &str,
     pins: [(&str, usize); 3],
     ports: &[PortDecl],
     driven: Option<&[usize]>,
 ) -> Result<(), CastanetError> {
-    let misfit = pins
-        .iter()
-        .find_map(|&(role, index)| match ports.get(index) {
+    let misfit = pins.iter().find_map(|&(role, index)| {
+        let needs = if role == "data" { 8 } else { 1 };
+        match ports.get(index) {
             None => Some(format!(
                 "CAST150: {line} {role} pin index {index} out of range ({} ports on the DUT)",
                 ports.len()
             )),
-            Some(p) if role == "data" && p.width < 8 => Some(format!(
-                "CAST151: {line} data pin '{}' is {} bits wide, needs 8",
+            Some(p) if p.width < needs => Some(format!(
+                "CAST151: {line} {role} pin '{}' is {} bits wide, needs {needs}",
                 p.name, p.width
             )),
             Some(_) => None,
-        });
+        }
+    });
     let shared = || {
         let driven = driven?;
         pins.iter().enumerate().find_map(|(k, &(role, index))| {
@@ -187,30 +195,28 @@ impl LaneState {
         sweep: &Sweep<'_>,
         mut responses: Option<&mut Vec<Message>>,
         stop_at_first: bool,
-    ) -> Result<(), CastanetError> {
+    ) {
         self.runs.clear();
         // A sweep starts from non-clock work (sync, delivery), so the
         // cached span stamp no longer abuts the next evaluation.
         self.phase_stamp = 0;
         while self.stimulus.now() < sweep.target {
-            if dut.is_idle() {
-                let remaining = sweep.target - self.stimulus.now();
-                if self.stimulus.skip_idle(remaining) > 0 {
-                    self.phase_stamp = 0;
-                    continue;
-                }
+            // A clock with stimulus due is evaluated: the DUT is not asked.
+            if !self.stimulus.due() && dut.is_idle() {
+                self.stimulus.skip_idle(sweep.target - self.stimulus.now());
+                self.phase_stamp = 0;
+                continue;
             }
             let clock = self.stimulus.now();
             match self.runs.last_mut() {
                 Some((_, end)) if *end == clock => *end += 1,
                 _ => self.runs.push((clock, clock + 1)),
             }
-            self.run_clock(dut, sweep, responses.as_deref_mut())?;
+            self.run_clock(dut, sweep, responses.as_deref_mut());
             if stop_at_first && responses.as_ref().is_some_and(|r| !r.is_empty()) {
                 break;
             }
         }
-        Ok(())
     }
 
     /// Evaluates the window's clock on the lane's DUT and reassembles its
@@ -220,7 +226,7 @@ impl LaneState {
         dut: &mut Lane<'_>,
         sweep: &Sweep<'_>,
         mut responses: Option<&mut Vec<Message>>,
-    ) -> Result<(), CastanetError> {
+    ) {
         // `cycle.eval` (the edge and moving the window on) is a per-clock
         // micro-phase: sampled 1-in-N, so the two clock reads are paid once
         // per stride, not per clock.
@@ -234,7 +240,7 @@ impl LaneState {
         } else {
             tel.now_ns()
         };
-        dut.clock_edge(self.stimulus.front())?;
+        dut.clock_edge(self.stimulus.front());
         self.stimulus.pop_front();
         let t_ps = self.stimulus.now() * sweep.period_ps;
         if sampled {
@@ -269,7 +275,6 @@ impl LaneState {
                 }
             }
         }
-        Ok(())
     }
 }
 
@@ -282,13 +287,12 @@ fn host_threads() -> usize {
 /// Runs `work` (lane 0 first) through `sweep`, in contiguous chunks on
 /// one thread per host core; the calling thread runs the chunk that holds
 /// lane 0 and collects its responses. A lane's panic is re-raised on the
-/// caller with its own payload; of the lanes' errors, the first in lane
-/// order is returned.
+/// caller with its own payload.
 fn fan_out(
     work: &mut [(Lane<'_>, &mut LaneState)],
     sweep: &Sweep<'_>,
     responses: &mut Vec<Message>,
-) -> Result<(), CastanetError> {
+) {
     let chunk = work.len().div_ceil(host_threads().min(work.len()));
     let (own, rest) = work.split_at_mut(chunk);
     if rest.is_empty() {
@@ -299,15 +303,13 @@ fn fan_out(
             .chunks_mut(chunk)
             .map(|chunk| s.spawn(move || run_chunk(chunk, sweep, None)))
             .collect();
-        let mut result = run_chunk(own, sweep, Some(responses));
+        run_chunk(own, sweep, Some(responses));
         for worker in workers {
-            match worker.join() {
-                Ok(chunk_result) => result = result.and(chunk_result),
-                Err(panic) => std::panic::resume_unwind(panic),
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
             }
         }
-        result
-    })
+    });
 }
 
 /// Runs each lane of `chunk` through `sweep`; the first one appends its
@@ -316,11 +318,10 @@ fn run_chunk(
     chunk: &mut [(Lane<'_>, &mut LaneState)],
     sweep: &Sweep<'_>,
     mut responses: Option<&mut Vec<Message>>,
-) -> Result<(), CastanetError> {
+) {
     for (dut, lane) in chunk {
-        lane.run(dut, sweep, responses.take(), false)?;
+        lane.run(dut, sweep, responses.take(), false);
     }
-    Ok(())
 }
 
 /// The cycle-based coupled follower with per-lane idle skipping.
@@ -419,8 +420,8 @@ impl CycleCosim {
     ///
     /// [`CastanetError::Preflight`] with one `CAST150` finding for a pin
     /// index past the DUT's input ports, `CAST151` for a data pin
-    /// narrower than 8 bits, or `CAST152` for a pin the line uses twice or
-    /// shares with an ingress line registered before.
+    /// narrower than 8 bits or a 0-bit strobe, or `CAST152` for a pin the
+    /// line uses twice or shares with an ingress line registered before.
     pub fn add_ingress(&mut self, idx: IngressIndices) -> Result<usize, CastanetError> {
         idx.check(self.bank.input_ports(), self.lanes[0].stimulus.pins())?;
         for lane in &mut self.lanes {
@@ -505,11 +506,7 @@ impl CycleCosim {
         Ok(())
     }
 
-    fn advance_inner(
-        &mut self,
-        horizon: SimTime,
-        stop_at_first: bool,
-    ) -> Result<Vec<Message>, CastanetError> {
+    fn advance_inner(&mut self, horizon: SimTime, stop_at_first: bool) -> Vec<Message> {
         let period_ps = self.clock_period.as_picos();
         let target = horizon.as_picos().div_ceil(period_ps).saturating_sub(1);
         let mut collected = Vec::new();
@@ -523,7 +520,7 @@ impl CycleCosim {
         let start = self.clocks_done;
         if start >= target {
             self.publish_clock_gauges();
-            return Ok(collected);
+            return collected;
         }
         let mut sweep = Sweep {
             target,
@@ -538,29 +535,29 @@ impl CycleCosim {
             // coupling calls this several times per cell), then every
             // other lane up to the same clock, all on this thread.
             let (mut dut, lane0) = lanes.next().expect("a bank has a lane");
-            lane0.run(&mut dut, &sweep, Some(&mut collected), stop_at_first)?;
+            lane0.run(&mut dut, &sweep, Some(&mut collected), stop_at_first);
             sweep.target = lane0.stimulus.now();
             for (mut dut, lane) in lanes {
-                lane.run(&mut dut, &sweep, None, false)?;
+                lane.run(&mut dut, &sweep, None, false);
             }
         } else {
             // Lanes with nothing to do take their one skip here; lane 0
             // and the lanes with work fan out.
             let mut work = Vec::with_capacity(lanes.len());
             for (k, (mut dut, lane)) in lanes.enumerate() {
-                if k == 0 || !dut.is_idle() || lane.stimulus.stimulus_before(target) {
+                if k == 0 || lane.stimulus.stimulus_before(target) || !dut.is_idle() {
                     work.push((dut, lane));
                 } else {
-                    lane.run(&mut dut, &sweep, None, false)?;
+                    lane.run(&mut dut, &sweep, None, false);
                 }
             }
-            fan_out(&mut work, &sweep, &mut collected)?;
+            fan_out(&mut work, &sweep, &mut collected);
         }
         let end = sweep.target;
         self.clocks_done = end;
         self.count_clocks(start, end);
         self.publish_clock_gauges();
-        Ok(collected)
+        collected
     }
 
     /// Adds the window `[start, end)` to the clock counters: a clock is
@@ -609,14 +606,14 @@ impl CoupledSimulator for CycleCosim {
     }
 
     fn advance_until(&mut self, horizon: SimTime) -> Result<Vec<Message>, CastanetError> {
-        self.advance_inner(horizon, true)
+        Ok(self.advance_inner(horizon, true))
     }
 
     fn advance_batch(&mut self, horizon: SimTime) -> Result<Vec<Message>, CastanetError> {
         // One uninterrupted sweep to the horizon: egress cells are stamped
         // at their capture clock, so collecting them at the end of the
         // window loses no timing information.
-        self.advance_inner(horizon, false)
+        Ok(self.advance_inner(horizon, false))
     }
 
     fn now(&self) -> SimTime {

@@ -25,6 +25,11 @@
 //! [`crate::CycleCosim`] keeps one window per lane. It places a delivered
 //! cell with [`clock_at_or_after`] and [`StimulusWindow::put_cell`], and
 //! takes the idle-skip jump with [`StimulusWindow::skip_idle`].
+//!
+//! Every row fits the DUT's input ports by construction: an octet goes
+//! only into a line's data pin, 0 or 1 into its strobes, which
+//! registration proves are at least 8 and 1 bits wide (`CAST151`), and
+//! every other word stays 0. So the follower clocks rows unchecked.
 
 use crate::cyclecosim::IngressIndices;
 use castanet_atm::cell::CELL_OCTETS;
@@ -196,18 +201,18 @@ impl StimulusWindow {
     /// earliest stimulus is a no-op. Retires those clocks — at most
     /// `remaining` — and returns how many that was.
     pub(crate) fn skip_idle(&mut self, remaining: u64) -> u64 {
-        let jump = self
-            .next_stimulus()
-            .map_or(remaining, |offset| remaining.min(offset));
+        // With no stimulus `wake` is `NONE`, farther than any `remaining`.
+        let jump = remaining.min(self.wake.saturating_sub(self.now));
         if jump > 0 {
             self.advance(jump);
         }
         jump
     }
 
-    /// Clocks from now to the first stimulated one, if any.
-    fn next_stimulus(&self) -> Option<u64> {
-        (self.wake != NONE).then(|| self.wake.saturating_sub(self.now))
+    /// `true` when a cell is under way or starts at clock `now`; while it
+    /// is not, [`skip_idle`](Self::skip_idle) jumps at least one clock.
+    pub(crate) fn due(&self) -> bool {
+        self.wake <= self.now
     }
 
     /// `true` while any line has a cell under way or waiting.
@@ -233,6 +238,11 @@ impl StimulusWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CastanetError;
+    use castanet_rtl::compiled::LaneBank;
+    use castanet_rtl::cycle::{CycleDut, PortDecl};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     /// Line `n` on pins `3n` (data), `3n + 1` (sync), `3n + 2` (enable).
     fn window(lines: usize) -> StimulusWindow {
@@ -290,7 +300,7 @@ mod tests {
         assert_eq!(w.put_cell(1, 0, &wire(7)), 2, "a past clock means now");
         assert_eq!(pins(&w, 1), octet(7, 0));
         assert_eq!(pins(&w, 0), IDLE);
-        assert_eq!((w.len(), w.next_stimulus()), (153 - 2, Some(0)));
+        assert_eq!((w.len(), w.due()), (153 - 2, true));
         w.pop_front();
         assert_eq!((pins(&w, 0), pins(&w, 1)), (IDLE, octet(7, 1)));
     }
@@ -299,10 +309,10 @@ mod tests {
     fn an_idle_skip_lands_exactly_on_a_first_octet() {
         let mut w = window(2);
         w.put_cell(0, 40, &wire(3));
-        assert_eq!(w.next_stimulus(), Some(40));
+        assert_eq!(w.wake - w.now, 40);
         // A cell queued later on the other line but due earlier.
         w.put_cell(1, 25, &wire(9));
-        assert_eq!(w.next_stimulus(), Some(25));
+        assert_eq!(w.wake - w.now, 25);
         assert_eq!(w.skip_idle(10), 10);
         assert_eq!(w.front(), [0; 6]);
         assert_eq!(w.skip_idle(100), 15);
@@ -387,8 +397,83 @@ mod tests {
         assert_eq!(w.skip_idle(100), 15);
         assert_eq!(pins(&w, 2), octet(2, 0));
         assert_eq!((pins(&w, 0), pins(&w, 1)), (IDLE, IDLE));
-        assert_eq!(w.next_stimulus(), Some(0));
+        assert!(w.due());
         assert_eq!(w.skip_idle(100), 0);
         assert_eq!(w.now, 25);
+    }
+
+    /// A DUT that only declares input ports: rows are checked against
+    /// them, it is never clocked.
+    struct Declared(Vec<PortDecl>);
+
+    impl CycleDut for Declared {
+        fn input_ports(&self) -> Vec<PortDecl> {
+            self.0.clone()
+        }
+        fn output_ports(&self) -> Vec<PortDecl> {
+            Vec::new()
+        }
+        fn reset(&mut self) {}
+        fn clock_edge(&mut self, _inputs: &[u64], _outputs: &mut [u64]) {}
+    }
+
+    /// The invariant that lets the follower clock rows unchecked: on any
+    /// line layout that registration accepts, every row the window
+    /// builds fits the ports, whatever cells, stamps and moves it sees.
+    #[test]
+    fn every_row_on_registered_lines_fits_the_ports() {
+        for case in 0..64 {
+            let mut rng = SmallRng::seed_from_u64(case);
+            let lines = rng.random_range(1..=4usize);
+            let stride = 3 * lines + rng.random_range(0..=4usize);
+            let mut ports: Vec<_> = (0..stride)
+                .map(|k| PortDecl::new(format!("p{k}"), rng.random_range(1..=64usize)))
+                .collect();
+            // Pins dealt from a shuffled port list, so no two lines share
+            // one (`CAST152`); the rest are free ports.
+            let mut order: Vec<usize> = (0..stride).collect();
+            for k in (1..stride).rev() {
+                order.swap(k, rng.random_range(0..=k));
+            }
+            let layout: Vec<_> = order[..3 * lines]
+                .chunks_exact(3)
+                .map(|pins| IngressIndices {
+                    data: pins[0],
+                    sync: pins[1],
+                    enable: pins[2],
+                })
+                .collect();
+            for line in &layout {
+                ports[line.data].width = rng.random_range(8..=64usize);
+            }
+            let mut w = StimulusWindow::new(stride);
+            for line in &layout {
+                // Registration refuses the line with its data pin narrowed.
+                let mut narrow = ports.clone();
+                narrow[line.data].width = rng.random_range(1..=7usize);
+                assert!(matches!(
+                    line.check(&narrow, w.pins()),
+                    Err(CastanetError::Preflight(f)) if f[0].starts_with("CAST151")
+                ));
+                line.check(&ports, w.pins()).unwrap();
+                w.add_line(*line);
+            }
+            let bank = LaneBank::new(vec![Box::new(Declared(ports))]);
+            for _ in 0..400 {
+                match rng.random_range(0..4u64) {
+                    0 => {
+                        let wire = std::array::from_fn(|_| rng.random::<u64>() as u8);
+                        let earliest = rng.random_range(0..=w.now() + 200);
+                        w.put_cell(rng.random_range(0..lines), earliest, &wire);
+                    }
+                    1 => {
+                        w.skip_idle(rng.random_range(0..100u64));
+                    }
+                    _ => w.pop_front(),
+                }
+                assert_eq!(w.front().len(), stride);
+                assert_eq!(bank.check_row(w.front()), Ok(()), "case {case}");
+            }
+        }
     }
 }

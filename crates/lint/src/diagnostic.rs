@@ -243,7 +243,7 @@ pub const CODES: &[(&str, Severity, &str)] = &[
     (
         "CAST151",
         Severity::Error,
-        "cycle follower line data pin narrower than 8 bits (add_ingress/add_egress reject it)",
+        "cycle follower line data pin narrower than 8 bits, or a 0-bit strobe (add_ingress/add_egress reject it)",
     ),
     (
         "CAST152",

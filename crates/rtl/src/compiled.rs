@@ -8,6 +8,10 @@
 //! `castanet-core`) can run each lane through a window on its own, and
 //! disjoint lanes on different threads. The cycle engine
 //! [`crate::cycle::CycleSim`] is a one-lane bank.
+//!
+//! [`Lane::clock_edge`] takes its row unchecked. [`LaneBank::check_row`]
+//! checks rows a caller builds ([`crate::cycle::CycleSim::step`]); the
+//! cycle follower's rows fit by construction, its lines checked once.
 
 use crate::cycle::{CycleDut, PortDecl};
 use crate::error::RtlError;
@@ -15,31 +19,6 @@ use std::fmt;
 
 /// Maximum number of scenario lanes in one [`LaneBank`].
 pub const LANES: usize = 64;
-
-/// The width check run on every row a lane clocks: `Err` names the first
-/// port whose word has a bit above its mask. A row that fits costs one
-/// branch-free OR over its words and one test.
-#[inline]
-fn check_widths(words: &[u64], masks: &[u64]) -> Result<(), usize> {
-    if words
-        .iter()
-        .zip(masks)
-        .fold(0, |acc, (w, m)| acc | (w & !m))
-        == 0
-    {
-        return Ok(());
-    }
-    Err(first_over_width(words, masks))
-}
-
-#[cold]
-fn first_over_width(words: &[u64], masks: &[u64]) -> usize {
-    words
-        .iter()
-        .zip(masks)
-        .position(|(w, m)| w & !m != 0)
-        .expect("an over-width word")
-}
 
 /// The port lists every lane declares, with their width masks.
 #[derive(Debug)]
@@ -49,6 +28,30 @@ struct Ports {
     /// Width masks of the input and output ports, index-aligned.
     in_masks: Vec<u64>,
     out_masks: Vec<u64>,
+}
+
+impl Ports {
+    /// `Ok` when `row` holds one word per input port, each inside its
+    /// port's width.
+    fn check(&self, row: &[u64]) -> Result<(), RtlError> {
+        if row.len() != self.inputs.len() {
+            return Err(RtlError::PortCountMismatch {
+                expected: self.inputs.len(),
+                got: row.len(),
+            });
+        }
+        match row
+            .iter()
+            .zip(&self.in_masks)
+            .position(|(w, m)| w & !m != 0)
+        {
+            None => Ok(()),
+            Some(port) => Err(RtlError::WidthMismatch {
+                expected: self.inputs[port].width,
+                got: 64 - row[port].leading_zeros() as usize,
+            }),
+        }
+    }
 }
 
 /// One lane's DUT and the outputs of its latest edge.
@@ -141,6 +144,17 @@ impl LaneBank {
         &self.lanes[lane].outputs
     }
 
+    /// Checks an input row for [`Lane::clock_edge`].
+    ///
+    /// # Errors
+    ///
+    /// [`RtlError::PortCountMismatch`] unless `row` holds one word per
+    /// input port, [`RtlError::WidthMismatch`] for the first word that
+    /// exceeds its port's width.
+    pub fn check_row(&self, row: &[u64]) -> Result<(), RtlError> {
+        self.ports.check(row)
+    }
+
     /// One handle per lane, in lane order. Handles borrow disjoint lanes,
     /// so they can be clocked independently, on different threads too.
     pub fn lanes_mut(&mut self) -> impl ExactSizeIterator<Item = Lane<'_>> {
@@ -173,34 +187,18 @@ impl Lane<'_> {
     /// port) and writes straight into the lane's output row, which is then
     /// masked to the declared port widths in place.
     ///
-    /// # Errors
-    ///
-    /// [`RtlError::PortCountMismatch`] unless `row` holds one word per
-    /// input port, [`RtlError::WidthMismatch`] for the first word that
-    /// exceeds its port's width. Either way the DUT is not clocked.
+    /// The row is not checked (debug builds assert that it fits): a row
+    /// that does not fit by construction needs [`LaneBank::check_row`].
     // `inline` here and on `outputs` and `is_idle`: the cycle follower in
     // another crate calls all three on every clock, and without it the
     // serial one-lane E1 coupling ran ~5% slower on a 2-vCPU host.
     #[inline]
-    pub fn clock_edge(&mut self, row: &[u64]) -> Result<(), RtlError> {
-        let ports = self.ports;
-        if row.len() != ports.inputs.len() {
-            return Err(RtlError::PortCountMismatch {
-                expected: ports.inputs.len(),
-                got: row.len(),
-            });
-        }
-        if let Err(port) = check_widths(row, &ports.in_masks) {
-            return Err(RtlError::WidthMismatch {
-                expected: ports.inputs[port].width,
-                got: 64 - row[port].leading_zeros() as usize,
-            });
-        }
+    pub fn clock_edge(&mut self, row: &[u64]) {
+        debug_assert_eq!(self.ports.check(row), Ok(()));
         self.dut.clock_edge(row, self.outputs);
-        for (pin, mask) in self.outputs.iter_mut().zip(&ports.out_masks) {
+        for (pin, mask) in self.outputs.iter_mut().zip(&self.ports.out_masks) {
             *pin &= mask;
         }
-        Ok(())
     }
 
     /// The lane's output row after its latest clock edge.
@@ -222,6 +220,7 @@ impl Lane<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cycle::CycleSim;
 
     /// A tiny behavioral DUT for the lane-bank tests: one-cycle-delayed
     /// accumulator of a 4-bit input.
@@ -265,7 +264,7 @@ mod tests {
         for (k, mut lane) in bank.lanes_mut().enumerate() {
             assert!(lane.is_idle());
             for _ in 0..k {
-                lane.clock_edge(&[k as u64 + 1]).unwrap();
+                lane.clock_edge(&[k as u64 + 1]);
             }
             assert_eq!(lane.outputs(), [(k * (k + 1)) as u64]);
         }
@@ -275,30 +274,36 @@ mod tests {
     }
 
     #[test]
-    fn lane_bank_checks_widths_on_every_lane() {
-        let mut bank = bank(8);
-        // Every lane but 5 fits; lane 5 drives a fifth bit on its 4-bit
-        // pin, the bank's one input port, and is not clocked.
-        let edges: Vec<_> = bank
-            .lanes_mut()
-            .enumerate()
-            .map(|(k, mut lane)| lane.clock_edge(&[if k == 5 { 0x10 } else { 0xF }]))
-            .collect();
-        for (k, edge) in edges.into_iter().enumerate() {
-            if k == 5 {
-                assert_eq!(
-                    edge,
-                    Err(RtlError::WidthMismatch {
-                        expected: 4,
-                        got: 5
-                    })
-                );
-                assert_eq!(bank.outputs(k), [0]);
-            } else {
-                assert_eq!(edge, Ok(()), "lane {k}");
-                assert_eq!(bank.outputs(k), [0xF]);
-            }
-        }
+    fn rows_are_checked_before_the_dut_is_clocked() {
+        let bank = bank(8);
+        // A fifth bit on the bank's one input port, 4 bits wide.
+        let wide = [0x10];
+        let width = RtlError::WidthMismatch {
+            expected: 4,
+            got: 5,
+        };
+        assert_eq!(bank.check_row(&wide), Err(width.clone()));
+        assert_eq!(bank.check_row(&[0xF]), Ok(()));
+        assert_eq!(
+            bank.check_row(&[0xF, 0]),
+            Err(RtlError::PortCountMismatch {
+                expected: 1,
+                got: 2
+            })
+        );
+        // `CycleSim::step` checks the row first: a failed step leaves the
+        // DUT unclocked, so the next sum is the next row alone.
+        let mut sim = CycleSim::new(Box::new(Accum::default()));
+        assert_eq!(sim.step(&wide).unwrap_err(), width);
+        assert_eq!(sim.cycles(), 0);
+        assert_eq!(sim.step(&[0xF]).unwrap(), [0xF]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "WidthMismatch")]
+    fn an_unchecked_row_that_does_not_fit_fails_in_debug_builds() {
+        bank(1).lanes_mut().next().unwrap().clock_edge(&[0x10]);
     }
 
     #[test]

@@ -168,10 +168,12 @@ impl CycleSim {
     /// # Errors
     ///
     /// Returns [`RtlError::PortCountMismatch`] for a wrong input count or
-    /// [`RtlError::WidthMismatch`] when a word exceeds its port width.
+    /// [`RtlError::WidthMismatch`] when a word exceeds its port width
+    /// ([`LaneBank::check_row`]); the DUT is not clocked then.
     pub fn step(&mut self, inputs: &[u64]) -> Result<&[u64], RtlError> {
+        self.bank.check_row(inputs)?;
         let mut lane = self.bank.lanes_mut().next().expect("one lane");
-        lane.clock_edge(inputs)?;
+        lane.clock_edge(inputs);
         self.cycles += 1;
         Ok(self.bank.outputs(0))
     }

@@ -260,7 +260,7 @@ fn lane_bank_busy_clocks_allocate_nothing() {
         let mut valid = 0;
         for words in &clocks {
             for mut lane in bank.lanes_mut() {
-                lane.clock_edge(words).expect("in-width row");
+                lane.clock_edge(words);
             }
             valid += (0..config.ports)
                 .filter(|&line| bank.outputs(0)[3 * line + 2] == 1)

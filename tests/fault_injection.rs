@@ -20,7 +20,6 @@ use castanet_netsim::time::{SimDuration, SimTime};
 use castanet_rtl::compiled::{LaneBank, LANES};
 use castanet_rtl::cycle::{CycleDut, PortDecl};
 use castanet_rtl::dut::{AtmSwitchRtl, SwitchRtlConfig};
-use castanet_rtl::RtlError;
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -180,11 +179,10 @@ fn routed_switch() -> AtmSwitchRtl {
 }
 
 /// A routed switch with two injectable faults. With `fuse` set it panics
-/// at that clock edge. With `narrow` it declares line 1's enable pin
-/// (`rx_en1`, input 5) zero bits wide: `PortDecl`'s fields are public, so
-/// a DUT can declare a width `PortDecl::new` refuses; registration checks
-/// pin indices and the data pin's width only, so the line registers, and
-/// the first clock that raises the strobe fails the width check.
+/// at that clock edge. With `narrow` it declares line 1's enable and
+/// valid pins (`rx_en1` and `tx_valid1`, input and output 5) zero bits
+/// wide: `PortDecl`'s fields are public, so a DUT can declare a width
+/// `PortDecl::new` refuses.
 struct Fused {
     switch: AtmSwitchRtl,
     fuse: Option<u32>,
@@ -200,7 +198,11 @@ impl CycleDut for Fused {
         ports
     }
     fn output_ports(&self) -> Vec<PortDecl> {
-        self.switch.output_ports()
+        let mut ports = self.switch.output_ports();
+        if self.narrow {
+            ports[5].width = 0;
+        }
+        ports
     }
     fn reset(&mut self) {
         self.switch.reset();
@@ -305,37 +307,56 @@ fn parallel_coupling_propagates_a_compiled_lane_panic() {
 }
 
 #[test]
-fn a_lane_width_error_is_a_typed_error_on_both_executors() {
-    // Only `PANIC_LANE` raises line 1's zero-width strobe: lane 0 carries
-    // the network's cells on line 0. Under the parallel executor that lane
-    // runs on a worker thread on any host with more than one core.
-    for parallel in [false, true] {
-        let result = bounded(move || {
-            let narrow = |_| -> Box<dyn CycleDut> {
-                Box::new(Fused {
-                    switch: routed_switch(),
-                    fuse: None,
-                    narrow: true,
-                })
-            };
-            let follower = lanes_of(narrow, &[(PANIC_LANE, 1)]);
-            let coupling = coupled_with(5, follower);
-            if parallel {
-                coupling.into_parallel().run(UNTIL).map(|_| ())
-            } else {
-                let mut coupling = coupling;
-                coupling.run(UNTIL).map(|_| ())
-            }
-        });
-        assert!(
-            matches!(
-                result,
-                Err(CastanetError::Rtl(RtlError::WidthMismatch {
-                    expected: 0,
-                    got: 1
-                }))
-            ),
-            "parallel {parallel}: {result:?}"
-        );
-    }
+fn a_zero_width_strobe_is_rejected_at_registration() {
+    // A bank's lanes declare identical ports, so every lane's DUT is
+    // narrow, `PANIC_LANE`'s among them, and its fuse would blow on the
+    // first clock. The zero-width strobes are refused when line 1 is
+    // registered, on both sides, so no clock ever sees them.
+    let narrow = |lane| -> Box<dyn CycleDut> {
+        Box::new(Fused {
+            switch: routed_switch(),
+            fuse: (lane == PANIC_LANE).then_some(1),
+            narrow: true,
+        })
+    };
+    let mut follower = CycleCosim::new(
+        LaneBank::new((0..LANES).map(narrow).collect()),
+        SimDuration::from_ns(20),
+        MessageTypeId(9),
+        HeaderFormat::Uni,
+    );
+    let finding = |result: Result<usize, CastanetError>| match result {
+        Err(CastanetError::Preflight(findings)) => findings,
+        other => panic!("expected a pre-flight finding, got {other:?}"),
+    };
+    let ingress = |line: usize| IngressIndices {
+        data: 3 * line,
+        sync: 3 * line + 1,
+        enable: 3 * line + 2,
+    };
+    let egress = |line: usize| EgressIndices {
+        data: 3 * line,
+        sync: 3 * line + 1,
+        valid: 3 * line + 2,
+    };
+    assert_eq!(follower.add_ingress(ingress(0)).unwrap(), 0);
+    assert_eq!(follower.add_egress(egress(0)).unwrap(), 0);
+    assert_eq!(
+        finding(follower.add_ingress(ingress(1))),
+        ["CAST151: ingress enable pin 'rx_en1' is 0 bits wide, needs 1"]
+    );
+    assert_eq!(
+        finding(follower.add_egress(egress(1))),
+        ["CAST151: egress valid pin 'tx_valid1' is 0 bits wide, needs 1"]
+    );
+    let cell = AtmCell::user_data(VpiVci::uni(1, 40).unwrap(), [7; 48]);
+    assert!(matches!(
+        follower.seed_cell(PANIC_LANE, 1, SimTime::from_us(5), &cell),
+        Err(CastanetError::UnknownPort { port: 1 })
+    ));
+    assert!(follower
+        .advance_batch(SimTime::from_us(20))
+        .unwrap()
+        .is_empty());
+    assert_eq!(follower.clocks_evaluated(), 0);
 }
