@@ -60,11 +60,6 @@ pub enum AtmError {
         /// Human-readable reason.
         reason: &'static str,
     },
-    /// A signaling cell failed validation (channel or message format).
-    Signaling {
-        /// Human-readable reason.
-        reason: &'static str,
-    },
     /// An accounting operation referenced an unregistered connection.
     UnknownConnection {
         /// VPI of the unknown connection.
@@ -105,7 +100,6 @@ impl fmt::Display for AtmError {
             }
             AtmError::Aal5 { reason } => write!(f, "aal5 reassembly failed: {reason}"),
             AtmError::Oam { reason } => write!(f, "oam cell rejected: {reason}"),
-            AtmError::Signaling { reason } => write!(f, "signaling cell rejected: {reason}"),
             AtmError::UnknownConnection { vpi, vci } => {
                 write!(f, "connection VPI={vpi}/VCI={vci} is not registered")
             }

@@ -10,8 +10,7 @@
 //! ([`accounting`]), AAL5 segmentation/reassembly ([`aal5`]), OAM F5
 //! loopback flows ([`oam`]) and congestion discard policies ([`discard`]);
 //! noisy lines with receive-side header error control live in
-//! [`line`](mod@line), and a miniature signaling stack with call admission
-//! control in [`signaling`].
+//! [`line`](mod@line).
 //!
 //! Everything here is an *algorithm reference model* at the network
 //! simulator's level of abstraction; the clock-level twins live in
@@ -45,7 +44,6 @@ pub mod hec;
 pub mod idle;
 pub mod line;
 pub mod oam;
-pub mod signaling;
 pub mod switch;
 pub mod traffic;
 

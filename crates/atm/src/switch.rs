@@ -9,7 +9,7 @@
 //!   header translation, fabric forwarding, and an output queue served at
 //!   line rate;
 //! * [`GlobalControlProcess`] — connection admission, table management and
-//!   the sink for unroutable/signalling cells;
+//!   the sink for unroutable cells (answering OAM loopback on request);
 //! * [`SwitchNode`] — a builder wiring `N` port modules and the control unit
 //!   into one node-domain device.
 //!
@@ -22,7 +22,6 @@ use crate::discard::{DiscardPolicy, DiscardQueue, Verdict};
 use crate::error::AtmError;
 use crate::gcra::{Conformance, Gcra};
 use crate::oam::LoopbackResponder;
-use crate::signaling::{CacAgent, SigMessage};
 use crate::traffic::source::ATM_CELL_FORMAT;
 use castanet_netsim::event::{ModuleId, NodeId, PortId};
 use castanet_netsim::kernel::{Ctx, Kernel};
@@ -147,8 +146,6 @@ pub struct SwitchCounters {
     pub transmitted: u64,
     /// OAM loopback requests answered by the control unit.
     pub oam_answered: u64,
-    /// Signaling messages answered by the control unit.
-    pub signaling_answered: u64,
 }
 
 impl SwitchStats {
@@ -369,7 +366,7 @@ impl Process for PortModuleProcess {
 }
 
 /// The global control unit: owns the routing table, performs connection
-/// admission, and absorbs unroutable and signalling cells.
+/// admission, and absorbs unroutable cells.
 pub struct GlobalControlProcess {
     table: Arc<RoutingTable>,
     stats: Arc<SwitchStats>,
@@ -377,8 +374,6 @@ pub struct GlobalControlProcess {
     pending_admissions: Vec<(VpiVci, RouteEntry)>,
     loopback: LoopbackResponder,
     answer_loopback: bool,
-    cac: Option<CacAgent>,
-    ports: usize,
 }
 
 impl std::fmt::Debug for GlobalControlProcess {
@@ -400,20 +395,7 @@ impl GlobalControlProcess {
             pending_admissions: Vec::new(),
             loopback: LoopbackResponder::new(),
             answer_loopback: false,
-            cac: None,
-            ports: 0,
         }
-    }
-
-    /// Enables the call-admission-control agent: signaling cells (VCI 5)
-    /// reaching the control unit are processed per
-    /// [`crate::signaling::CacAgent`], installing and removing routes
-    /// dynamically; answers leave on the ingress line.
-    #[must_use]
-    pub fn with_cac(mut self, ports: usize, budget_pcr: u64) -> Self {
-        self.cac = Some(CacAgent::new(Arc::clone(&self.table), ports, budget_pcr));
-        self.ports = ports;
-        self
     }
 
     /// Enables OAM F5 loopback handling: requests reaching the control
@@ -450,26 +432,7 @@ impl Process for GlobalControlProcess {
         let Some(cell) = packet.payload::<AtmCell>() else {
             return;
         };
-        // Control-plane traffic: signaling first, then OAM loopback.
-        if let Some(agent) = &mut self.cac {
-            if SigMessage::is_signaling(cell) {
-                if let Ok(msg) = SigMessage::decode(cell) {
-                    if let Some(answer) = agent.handle(msg) {
-                        self.stats.update(|c| c.signaling_answered += 1);
-                        let vpi = cell.id().vpi.value();
-                        let answer_cell = answer
-                            .encode(vpi)
-                            .expect("answer identifiers fit the UNI header");
-                        ctx.send(
-                            port,
-                            Packet::new(ATM_CELL_FORMAT, CELL_BITS).with_payload(answer_cell),
-                        )
-                        .expect("control unit reverse path must be wired");
-                    }
-                }
-                return;
-            }
-        }
+        // Control-plane traffic: OAM loopback.
         if !self.answer_loopback {
             return;
         }
@@ -509,7 +472,6 @@ pub struct SwitchNode {
     egress_capacity: usize,
     egress_policy: DiscardPolicy,
     answer_loopback: bool,
-    cac_budget: Option<u64>,
     admissions: Vec<(VpiVci, RouteEntry)>,
     policers: Vec<(usize, VpiVci, Gcra)>,
 }
@@ -531,7 +493,6 @@ impl SwitchNode {
             egress_capacity: 128,
             egress_policy: DiscardPolicy::DropTail,
             answer_loopback: false,
-            cac_budget: None,
             admissions: Vec::new(),
             policers: Vec::new(),
         }
@@ -548,14 +509,6 @@ impl SwitchNode {
     #[must_use]
     pub fn answering_loopback(mut self) -> Self {
         self.answer_loopback = true;
-        self
-    }
-
-    /// Enables call admission control with a total PCR budget: signaling
-    /// cells on VCI 5 install/remove routes dynamically.
-    #[must_use]
-    pub fn with_cac(mut self, budget_pcr: u64) -> Self {
-        self.cac_budget = Some(budget_pcr);
         self
     }
 
@@ -607,9 +560,6 @@ impl SwitchNode {
         let mut gcu = GlobalControlProcess::new(Arc::clone(&table), Arc::clone(&stats));
         if self.answer_loopback {
             gcu = gcu.answering_loopback();
-        }
-        if let Some(budget) = self.cac_budget {
-            gcu = gcu.with_cac(self.ports, budget);
         }
         for (conn, entry) in self.admissions {
             gcu = gcu.with_admission(conn, entry);
@@ -1050,116 +1000,6 @@ mod tests {
         assert!(frames >= 1, "at least one whole frame survives");
         assert_eq!(assembler.errors(), 0, "no partial frames leaked");
         assert_eq!(assembler.pending_cells(), 0, "no dangling tail");
-    }
-
-    #[test]
-    fn signaling_establishes_a_call_end_to_end() {
-        use crate::signaling::{SigMessage, SIGNALING_VCI};
-        use castanet_netsim::time::SimTime;
-        let mut kernel = Kernel::new(21);
-        let handle = SwitchNode::new(2, SimDuration::from_us(1))
-            .with_cac(1_000_000)
-            .build(&mut kernel, "sw");
-        // Collectors on both egress lines.
-        let node = kernel.add_node("mon");
-        let (c0, got0) = CollectorProcess::new();
-        let sink0 = kernel.add_module(node, "sink0", Box::new(c0));
-        kernel
-            .connect_stream(handle.port_modules[0], LINE, sink0, PortId(0))
-            .unwrap();
-        let (c1, got1) = CollectorProcess::new();
-        let sink1 = kernel.add_module(node, "sink1", Box::new(c1));
-        kernel
-            .connect_stream(handle.port_modules[1], LINE, sink1, PortId(0))
-            .unwrap();
-
-        // 1. SETUP on line 0: VPI=1/VCI=100 -> port 1 as VPI=7/VCI=100.
-        let setup = SigMessage::Setup {
-            call_ref: 42,
-            conn: id(1, 100),
-            out_port: 1,
-            out: id(7, 100),
-            pcr: 100_000,
-        };
-        kernel
-            .inject_packet(
-                handle.port_modules[0],
-                LINE,
-                Packet::new(ATM_CELL_FORMAT, CELL_BITS).with_payload(setup.encode(0).unwrap()),
-                SimTime::from_us(1),
-            )
-            .unwrap();
-        // 2. Data cell on the new connection, after call establishment.
-        kernel
-            .inject_packet(
-                handle.port_modules[0],
-                LINE,
-                Packet::new(ATM_CELL_FORMAT, CELL_BITS)
-                    .with_payload(AtmCell::user_data(id(1, 100), [0x77; 48])),
-                SimTime::from_us(50),
-            )
-            .unwrap();
-        kernel.run().unwrap();
-
-        // The CONNECT answer left on line 0's signaling channel.
-        let answers = got0.take();
-        assert_eq!(answers.len(), 1);
-        let answer_cell = answers[0].1.payload::<AtmCell>().unwrap();
-        assert_eq!(answer_cell.id().vci.value(), SIGNALING_VCI);
-        assert_eq!(
-            SigMessage::decode(answer_cell).unwrap(),
-            SigMessage::Connect { call_ref: 42 }
-        );
-        // The data cell used the dynamically installed route.
-        let data = got1.take();
-        assert_eq!(data.len(), 1);
-        let cell = data[0].1.payload::<AtmCell>().unwrap();
-        assert_eq!(cell.id(), id(7, 100));
-        assert_eq!(handle.stats.snapshot().signaling_answered, 1);
-        assert_eq!(handle.table.len(), 1);
-    }
-
-    #[test]
-    fn cac_refusal_travels_back_as_release_complete() {
-        use crate::signaling::{cause, SigMessage};
-        use castanet_netsim::time::SimTime;
-        let mut kernel = Kernel::new(22);
-        let handle = SwitchNode::new(2, SimDuration::from_us(1))
-            .with_cac(50_000) // tiny budget
-            .build(&mut kernel, "sw");
-        let node = kernel.add_node("mon");
-        let (c0, got0) = CollectorProcess::new();
-        let sink0 = kernel.add_module(node, "sink0", Box::new(c0));
-        kernel
-            .connect_stream(handle.port_modules[0], LINE, sink0, PortId(0))
-            .unwrap();
-        let setup = SigMessage::Setup {
-            call_ref: 7,
-            conn: id(1, 100),
-            out_port: 1,
-            out: id(7, 100),
-            pcr: 100_000, // exceeds the budget
-        };
-        kernel
-            .inject_packet(
-                handle.port_modules[0],
-                LINE,
-                Packet::new(ATM_CELL_FORMAT, CELL_BITS).with_payload(setup.encode(0).unwrap()),
-                SimTime::from_us(1),
-            )
-            .unwrap();
-        kernel.run().unwrap();
-        let answers = got0.take();
-        assert_eq!(answers.len(), 1);
-        let msg = SigMessage::decode(answers[0].1.payload::<AtmCell>().unwrap()).unwrap();
-        assert_eq!(
-            msg,
-            SigMessage::ReleaseComplete {
-                call_ref: 7,
-                cause: cause::NO_BANDWIDTH
-            }
-        );
-        assert!(handle.table.is_empty(), "refused call installs nothing");
     }
 
     #[test]

@@ -46,9 +46,7 @@
 //! handful of mandatory handoffs is the same order as the overhead
 //! removed, and the comparison degenerates to a coin flip.
 
-use castanet::coupling::Coupling;
-use castanet::parallel::ParallelCoupling;
-use castanet::CoupledSimulator;
+use castanet::coupling::{CoupledSimulator, Coupling, Executor};
 use castanet_bench::small_switch_config;
 use castanet_netsim::time::{SimDuration, SimTime};
 use coverify::scenarios::{switch_cosim, switch_cosim_cycle, switch_cosim_parallel};
@@ -70,15 +68,7 @@ const ROWS: [&str; 4] = [
     "parallel_cycle_based",
 ];
 
-fn timed_serial<S: CoupledSimulator>(mut coupling: Coupling<S>) -> Duration {
-    let start = Instant::now();
-    coupling.run(SimTime::from_secs(1)).expect("run");
-    let took = start.elapsed();
-    std::hint::black_box(coupling.stats().responses);
-    took
-}
-
-fn timed_parallel<S: CoupledSimulator + Send>(mut coupling: ParallelCoupling<S>) -> Duration {
+fn timed<S: CoupledSimulator, X: Executor<S>>(mut coupling: Coupling<S, X>) -> Duration {
     let start = Instant::now();
     coupling.run(SimTime::from_secs(1)).expect("run");
     let took = start.elapsed();
@@ -92,15 +82,15 @@ fn timed_parallel<S: CoupledSimulator + Send>(mut coupling: ParallelCoupling<S>)
 /// between a pair's two samples would reintroduce the within-round
 /// drift the interleaving exists to cancel.
 fn one_round(n: u64) -> [Duration; 4] {
-    let serial_event = timed_serial(switch_cosim(small_switch_config(n)).coupling);
-    let parallel_event = timed_parallel(
+    let serial_event = timed(switch_cosim(small_switch_config(n)).coupling);
+    let parallel_event = timed(
         switch_cosim(small_switch_config(n))
             .coupling
             .into_parallel()
             .with_batching(SimDuration::from_us(100), 4),
     );
-    let serial_cycle = timed_serial(switch_cosim_cycle(small_switch_config(n)).coupling);
-    let parallel_cycle = timed_parallel(
+    let serial_cycle = timed(switch_cosim_cycle(small_switch_config(n)).coupling);
+    let parallel_cycle = timed(
         switch_cosim_parallel(small_switch_config(n))
             .coupling
             .with_batching(SimDuration::from_us(400), 8),

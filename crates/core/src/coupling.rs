@@ -28,7 +28,7 @@ use castanet_netsim::time::{SimDuration, SimTime};
 use castanet_obs::{Counter, EventKind, Phase, Telemetry, Track};
 use castanet_rtl::sim::Simulator;
 
-pub use crate::parallel::ParallelCoupling;
+pub use crate::parallel::{Parallel, ParallelCoupling};
 
 /// The follower side of a coupling: an HDL simulation, a hardware test
 /// board session, or anything else that can consume time-stamped stimulus
@@ -348,55 +348,90 @@ pub(crate) fn inject_responses(
     Ok(injected)
 }
 
-/// The coupling executive.
+/// An execution policy for a [`Coupling`]: how [`Coupling::run`] plays
+/// the §3.1 protocol between the two simulators. There are two:
+///
+/// * [`Serial`] interleaves both simulators on the calling thread and
+///   re-evaluates the network's event horizon after every follower
+///   response, so the follower never overshoots one;
+/// * [`Parallel`] runs the follower on its own thread and pipelines
+///   batched timing windows to it (see [`crate::parallel`]).
+///
+/// Everything else about a coupling — its parts, builders, pre-flight and
+/// accessors — is the same under both.
+pub trait Executor<S: CoupledSimulator>: Default + std::fmt::Debug + Sized {
+    /// Runs `coupling` until no activity remains before `until` on either
+    /// side. [`Coupling::run`] has already done the strict pre-flight.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator, conversion and synchronization errors.
+    fn run(
+        coupling: &mut Coupling<S, Self>,
+        until: SimTime,
+    ) -> Result<CouplingStats, CastanetError>;
+}
+
+/// The serial executor: both simulators on the calling thread, one
+/// network event at a time, with zero follower overshoot past a response
+/// (see [`CoupledSimulator::advance_until`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Serial;
+
+/// The coupling executive, run by the executor `X` ([`Serial`] by
+/// default, or [`Parallel`] as [`ParallelCoupling`]).
 ///
 /// Construction recipe: build a network model containing a
 /// [`crate::interface::CastanetInterfaceProcess`], build a follower (e.g.
 /// [`RtlCosim`]), then [`Coupling::new`] with the interface's module id and
-/// outbox.
-pub struct Coupling<S: CoupledSimulator> {
-    net: Kernel,
-    follower: S,
-    sync: ConservativeSync,
-    cell_type: MessageTypeId,
-    outbox: OutboxHandle,
-    iface: ModuleId,
-    stats: CouplingStats,
+/// outbox. A serial coupling moves to the parallel executor with
+/// [`Coupling::into_parallel`].
+pub struct Coupling<S: CoupledSimulator, X = Serial> {
+    pub(crate) net: Kernel,
+    pub(crate) follower: S,
+    pub(crate) sync: ConservativeSync,
+    pub(crate) cell_type: MessageTypeId,
+    pub(crate) outbox: OutboxHandle,
+    pub(crate) iface: ModuleId,
+    pub(crate) stats: CouplingStats,
     /// Largest time-update promise sent to the follower. Promises are
     /// monotone: once the originator has declared "no stimulus before t",
     /// later (injection-created) events may run earlier on the network
     /// side, but they must not generate *stimulus* before t — the
     /// feedforward assumption of the paper's flow. Violations surface as
     /// causality errors from the synchronizer.
-    promised: SimTime,
+    pub(crate) promised: SimTime,
     /// Chunk size of the final drain phase (see [`Coupling::with_drain`]).
-    drain_quantum: SimDuration,
+    pub(crate) drain_quantum: SimDuration,
     /// Quiet drain chunks required before the run is declared complete.
-    drain_quiet_chunks: u32,
+    pub(crate) drain_quiet_chunks: u32,
     /// When set, [`Coupling::run`] refuses to start until the assembled
     /// configuration passes the static pre-flight checks (see
     /// [`Coupling::preflight`]).
-    strict: bool,
-    /// Reused drain buffer for the per-event outbox pump: once warm, the
-    /// stimulus path runs without allocating.
-    outbox_scratch: Vec<Message>,
+    pub(crate) strict: bool,
+    /// Reused drain buffer for the serial per-event outbox pump: once
+    /// warm, the stimulus path runs without allocating.
+    pub(crate) outbox_scratch: Vec<Message>,
     /// Telemetry handle; disabled (all recording a no-op) by default.
-    tel: Telemetry,
+    pub(crate) tel: Telemetry,
     /// Cached `sync.*` counter handles (inert until telemetry attaches).
-    sync_counters: SyncCounters,
+    pub(crate) sync_counters: SyncCounters,
+    /// The executor's own settings.
+    pub(crate) exec: X,
 }
 
-impl<S: CoupledSimulator> std::fmt::Debug for Coupling<S> {
+impl<S: CoupledSimulator, X: std::fmt::Debug> std::fmt::Debug for Coupling<S, X> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Coupling")
             .field("net_now", &self.net.now())
             .field("follower_now", &self.follower.now())
+            .field("executor", &self.exec)
             .field("stats", &self.stats)
             .finish()
     }
 }
 
-impl<S: CoupledSimulator> Coupling<S> {
+impl<S: CoupledSimulator, X: Executor<S>> Coupling<S, X> {
     /// Assembles a coupling. `sync` must already have `cell_type`
     /// registered (with the cell's processing delay δ), and `iface`/`outbox`
     /// must belong to the interface process inside `net`.
@@ -424,6 +459,7 @@ impl<S: CoupledSimulator> Coupling<S> {
             outbox_scratch: Vec::new(),
             tel: Telemetry::disabled(),
             sync_counters: SyncCounters::default(),
+            exec: X::default(),
         }
     }
 
@@ -432,6 +468,13 @@ impl<S: CoupledSimulator> Coupling<S> {
     /// publish into its metrics registry, and [`Coupling::run`] records
     /// structured protocol events into its trace sink. Pass
     /// [`Telemetry::disabled`] (the default) for zero-overhead operation.
+    ///
+    /// The parallel executor adds its transport metrics: `channel.in_flight`
+    /// occupancy, `channel.grant_latency_ns`, `channel.window_msgs`,
+    /// `channel.backpressure_stalls`, the ring gauges
+    /// `ring.grant_width_ps` / `ring.cmd_occupancy` and the park counters
+    /// `ring.originator_parks` / `ring.follower_parks`. Both of its threads
+    /// record into the shared trace sink, each on its own track.
     #[must_use]
     pub fn with_telemetry(mut self, tel: &Telemetry) -> Self {
         self.tel = tel.clone();
@@ -492,7 +535,46 @@ impl<S: CoupledSimulator> Coupling<S> {
     ///
     /// Returns [`CastanetError::Preflight`] listing every finding.
     pub fn preflight(&self) -> Result<(), CastanetError> {
-        let mut findings = preflight_checks(&self.net, &self.sync, self.cell_type, self.iface);
+        let (net, sync, iface) = (&self.net, &self.sync, self.iface);
+        let mut findings = Vec::new();
+        if sync.type_count() == 0 {
+            findings.push(
+                "CAST001: no message types registered with the synchronizer; \
+                 the follower can never be granted simulation time"
+                    .to_string(),
+            );
+        }
+        if sync.type_delta(self.cell_type).is_none() {
+            findings.push(format!(
+                "CAST003: coupling cell type {} is not registered with the synchronizer",
+                self.cell_type.0
+            ));
+        }
+        if !sync.grant_horizon_monotone() {
+            findings.push(
+                "CAST010: grant-horizon monotonicity predicate violated on the \
+                 assembled synchronizer"
+                    .to_string(),
+            );
+        }
+        if iface.index() >= net.module_count() {
+            findings.push(format!(
+                "CAST040: interface module id {} does not exist in the kernel \
+                 ({} modules registered)",
+                iface.index(),
+                net.module_count()
+            ));
+        } else {
+            for (_, _, dst, dst_port) in net.connection_edges() {
+                if dst == iface && dst_port.0 >= RESPONSE_PORT_BASE {
+                    findings.push(format!(
+                        "CAST021: interface input port {} collides with the response \
+                         injection namespace (RESPONSE_PORT_BASE = {RESPONSE_PORT_BASE})",
+                        dst_port.0
+                    ));
+                }
+            }
+        }
         findings.extend(self.follower.structural_preflight());
         if findings.is_empty() {
             Ok(())
@@ -521,120 +603,20 @@ impl<S: CoupledSimulator> Coupling<S> {
     }
 
     /// Runs the coupled simulation until no activity remains before
-    /// `until` on either side.
+    /// `until` on either side, under the executor's policy: [`Serial`]
+    /// on the calling thread, [`Parallel`] with the follower on a second
+    /// thread.
     ///
     /// # Errors
     ///
-    /// Propagates simulator, conversion and synchronization errors.
+    /// Propagates simulator, conversion and synchronization errors from
+    /// either side. A parallel follower's panic is re-raised once both
+    /// rings close.
     pub fn run(&mut self, until: SimTime) -> Result<CouplingStats, CastanetError> {
         if self.strict {
             self.preflight()?;
         }
-        let mut quiet_chunks = 0u32;
-        loop {
-            let t_net = self.net.next_event_time().filter(|t| *t < until);
-            // With network events pending, the follower runs exactly to the
-            // next one; once the network is drained, the follower advances
-            // in bounded chunks until it has been quiet long enough —
-            // simulating an idle DUT clock all the way to `until` would be
-            // pure waste.
-            let horizon = match t_net {
-                Some(t) => t,
-                None => (self.follower.now().max(self.net.now()) + self.drain_quantum).min(until),
-            };
-
-            // Time update: the originator promises no stimulus before
-            // `horizon`. Promises only ever grow (see `promised`).
-            if horizon > self.promised {
-                self.sync.receive(self.cell_type, horizon, true)?;
-                self.promised = horizon;
-                self.tel.record(
-                    Track::Originator,
-                    self.net.now().as_picos(),
-                    EventKind::WindowGranted {
-                        grant_ps: horizon.as_picos(),
-                        msgs: 0,
-                    },
-                );
-            }
-            // Most turns advance a follower with nothing to simulate
-            // before `horizon`; such an advance returns at once, so it is
-            // not worth a clock read.
-            let advance_start = (self.tel.trace_active() && !self.follower.idle_before(horizon))
-                .then(|| self.tel.now_ns());
-            let responses = self.follower.advance_until(horizon)?;
-            // Response-bearing advances always record; empty ones are
-            // per-iteration plumbing (most loop turns return nothing) and
-            // are thinned to the micro-sample stride — two clock reads per
-            // otherwise-idle turn is what used to dominate the full-trace
-            // overhead budget.
-            if self.tel.trace_active() && (!responses.is_empty() || self.tel.micro_gate()) {
-                self.tel.record_span(
-                    Track::Follower,
-                    horizon.as_picos(),
-                    advance_start.unwrap_or_else(|| self.tel.now_ns()),
-                    EventKind::FollowerAdvance {
-                        granted_ps: horizon.as_picos(),
-                        responses: responses.len() as u64,
-                    },
-                );
-            }
-            let local = self.follower.now().max(self.sync.local_time());
-            if local <= self.sync.grant() {
-                self.sync.advance_local(local)?;
-            }
-
-            let had_responses = !responses.is_empty();
-            let injected = self.inject(responses)?;
-            if injected > 0 || had_responses {
-                quiet_chunks = 0;
-                // Injections may have created network events earlier than
-                // `t_net`; re-evaluate.
-                continue;
-            }
-            if t_net.is_none() {
-                quiet_chunks += 1;
-                if quiet_chunks >= self.drain_quiet_chunks || self.follower.now() >= until {
-                    break;
-                }
-            } else {
-                self.net.step();
-                self.stats.net_events += 1;
-                let mut pump = std::mem::take(&mut self.outbox_scratch);
-                self.outbox.drain_into(&mut pump);
-                for msg in pump.drain(..) {
-                    self.sync.receive(msg.type_id, msg.stamp, false)?;
-                    self.tel.record(
-                        Track::Originator,
-                        msg.stamp.as_picos(),
-                        EventKind::StimulusEnqueued {
-                            type_id: msg.type_id.0,
-                            port: msg.port as u32,
-                            stamp_ps: msg.stamp.as_picos(),
-                        },
-                    );
-                    // The follower consumes the message immediately (it
-                    // is covered by the next grant); mirror that in the
-                    // protocol bookkeeping.
-                    self.follower.deliver(msg)?;
-                    self.stats.messages_to_follower += 1;
-                }
-                self.outbox_scratch = pump;
-            }
-        }
-        Ok(self.stats)
-    }
-
-    fn inject(&mut self, responses: Vec<Message>) -> Result<usize, CastanetError> {
-        inject_responses(
-            &mut self.net,
-            &mut self.stats,
-            self.iface,
-            responses,
-            false,
-            &self.tel,
-            &self.sync_counters,
-        )
+        X::run(self, until)
     }
 
     /// The network kernel (e.g. for statistics after the run).
@@ -685,9 +667,9 @@ impl<S: CoupledSimulator> Coupling<S> {
         self.sync.stats()
     }
 
-    /// A clone of the interface outbox handle — lets callers (and the
-    /// parallel executor) observe stimulus crossing the abstraction
-    /// interface without dismantling the coupling.
+    /// A clone of the interface outbox handle — lets callers observe
+    /// stimulus crossing the abstraction interface without dismantling
+    /// the coupling.
     #[must_use]
     pub fn outbox(&self) -> OutboxHandle {
         self.outbox.clone()
@@ -698,81 +680,138 @@ impl<S: CoupledSimulator> Coupling<S> {
     pub fn into_parts(self) -> (Kernel, S) {
         (self.net, self.follower)
     }
+}
 
-    /// Re-hosts this (not-yet-run) coupling on the parallel executor,
-    /// preserving the drain and strict-mode settings. Batching parameters
-    /// take the parallel defaults; tune with
-    /// [`ParallelCoupling::with_batching`].
+impl<S: CoupledSimulator + Send> Coupling<S, Serial> {
+    /// Re-hosts this (not-yet-run) coupling on the parallel executor with
+    /// every setting kept. Batching takes the parallel defaults; tune it
+    /// with [`Coupling::with_batching`].
     #[must_use]
-    pub fn into_parallel(self) -> ParallelCoupling<S>
-    where
-        S: Send,
-    {
-        ParallelCoupling::new(
-            self.net,
-            self.follower,
-            self.sync,
-            self.cell_type,
-            self.iface,
-            self.outbox,
-        )
-        .with_drain(self.drain_quantum, self.drain_quiet_chunks)
-        .with_strict(self.strict)
-        .with_telemetry(&self.tel)
+    pub fn into_parallel(self) -> ParallelCoupling<S> {
+        Coupling {
+            net: self.net,
+            follower: self.follower,
+            sync: self.sync,
+            cell_type: self.cell_type,
+            outbox: self.outbox,
+            iface: self.iface,
+            stats: self.stats,
+            promised: self.promised,
+            drain_quantum: self.drain_quantum,
+            drain_quiet_chunks: self.drain_quiet_chunks,
+            strict: self.strict,
+            outbox_scratch: self.outbox_scratch,
+            tel: self.tel,
+            sync_counters: self.sync_counters,
+            exec: Parallel::default(),
+        }
     }
 }
 
-/// The error-level static checks shared by [`Coupling::preflight`] and
-/// [`crate::parallel::ParallelCoupling::preflight`] — see the method docs
-/// for the finding catalogue. Returns the findings (empty = pass) so the
-/// callers can append follower-specific checks before deciding the
-/// verdict.
-pub(crate) fn preflight_checks(
-    net: &Kernel,
-    sync: &ConservativeSync,
-    cell_type: MessageTypeId,
-    iface: ModuleId,
-) -> Vec<String> {
-    let mut findings = Vec::new();
-    if sync.type_count() == 0 {
-        findings.push(
-            "CAST001: no message types registered with the synchronizer; \
-             the follower can never be granted simulation time"
-                .to_string(),
-        );
-    }
-    if sync.type_delta(cell_type).is_none() {
-        findings.push(format!(
-            "CAST003: coupling cell type {} is not registered with the synchronizer",
-            cell_type.0
-        ));
-    }
-    if !sync.grant_horizon_monotone() {
-        findings.push(
-            "CAST010: grant-horizon monotonicity predicate violated on the \
-             assembled synchronizer"
-                .to_string(),
-        );
-    }
-    if iface.index() >= net.module_count() {
-        findings.push(format!(
-            "CAST040: interface module id {} does not exist in the kernel \
-             ({} modules registered)",
-            iface.index(),
-            net.module_count()
-        ));
-    } else {
-        for (_, _, dst, dst_port) in net.connection_edges() {
-            if dst == iface && dst_port.0 >= RESPONSE_PORT_BASE {
-                findings.push(format!(
-                    "CAST021: interface input port {} collides with the response \
-                     injection namespace (RESPONSE_PORT_BASE = {RESPONSE_PORT_BASE})",
-                    dst_port.0
-                ));
+impl<S: CoupledSimulator> Executor<S> for Serial {
+    fn run(c: &mut Coupling<S, Serial>, until: SimTime) -> Result<CouplingStats, CastanetError> {
+        let mut quiet_chunks = 0u32;
+        loop {
+            let t_net = c.net.next_event_time().filter(|t| *t < until);
+            // With network events pending, the follower runs exactly to the
+            // next one; once the network is drained, the follower advances
+            // in bounded chunks until it has been quiet long enough —
+            // simulating an idle DUT clock all the way to `until` would be
+            // pure waste.
+            let horizon = match t_net {
+                Some(t) => t,
+                None => (c.follower.now().max(c.net.now()) + c.drain_quantum).min(until),
+            };
+
+            // Time update: the originator promises no stimulus before
+            // `horizon`. Promises only ever grow (see `promised`).
+            if horizon > c.promised {
+                c.sync.receive(c.cell_type, horizon, true)?;
+                c.promised = horizon;
+                c.tel.record(
+                    Track::Originator,
+                    c.net.now().as_picos(),
+                    EventKind::WindowGranted {
+                        grant_ps: horizon.as_picos(),
+                        msgs: 0,
+                    },
+                );
+            }
+            // Most turns advance a follower with nothing to simulate
+            // before `horizon`; such an advance returns at once, so it is
+            // not worth a clock read.
+            let advance_start =
+                (c.tel.trace_active() && !c.follower.idle_before(horizon)).then(|| c.tel.now_ns());
+            let responses = c.follower.advance_until(horizon)?;
+            // Response-bearing advances always record; empty ones are
+            // per-iteration plumbing (most loop turns return nothing) and
+            // are thinned to the micro-sample stride — two clock reads per
+            // otherwise-idle turn is what used to dominate the full-trace
+            // overhead budget.
+            if c.tel.trace_active() && (!responses.is_empty() || c.tel.micro_gate()) {
+                c.tel.record_span(
+                    Track::Follower,
+                    horizon.as_picos(),
+                    advance_start.unwrap_or_else(|| c.tel.now_ns()),
+                    EventKind::FollowerAdvance {
+                        granted_ps: horizon.as_picos(),
+                        responses: responses.len() as u64,
+                    },
+                );
+            }
+            let local = c.follower.now().max(c.sync.local_time());
+            if local <= c.sync.grant() {
+                c.sync.advance_local(local)?;
+            }
+
+            let had_responses = !responses.is_empty();
+            let injected = inject_responses(
+                &mut c.net,
+                &mut c.stats,
+                c.iface,
+                responses,
+                false,
+                &c.tel,
+                &c.sync_counters,
+            )?;
+            if injected > 0 || had_responses {
+                quiet_chunks = 0;
+                // Injections may have created network events earlier than
+                // `t_net`; re-evaluate.
+                continue;
+            }
+            if t_net.is_none() {
+                quiet_chunks += 1;
+                if quiet_chunks >= c.drain_quiet_chunks || c.follower.now() >= until {
+                    break;
+                }
+            } else {
+                c.net.step();
+                c.stats.net_events += 1;
+                let mut pump = std::mem::take(&mut c.outbox_scratch);
+                c.outbox.drain_into(&mut pump);
+                for msg in pump.drain(..) {
+                    c.sync.receive(msg.type_id, msg.stamp, false)?;
+                    c.tel.record(
+                        Track::Originator,
+                        msg.stamp.as_picos(),
+                        EventKind::StimulusEnqueued {
+                            type_id: msg.type_id.0,
+                            port: msg.port as u32,
+                            stamp_ps: msg.stamp.as_picos(),
+                        },
+                    );
+                    // The follower consumes the message immediately (it
+                    // is covered by the next grant); mirror that in the
+                    // protocol bookkeeping.
+                    c.follower.deliver(msg)?;
+                    c.stats.messages_to_follower += 1;
+                }
+                c.outbox_scratch = pump;
             }
         }
+        Ok(c.stats)
     }
-    findings
 }
 
 #[cfg(test)]

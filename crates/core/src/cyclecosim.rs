@@ -123,9 +123,10 @@ fn check_line(
                 "CAST150: {line} {role} pin index {index} out of range ({} ports on the DUT)",
                 ports.len()
             )),
-            Some(p) if p.width < needs => Some(format!(
+            Some(p) if p.width() < needs => Some(format!(
                 "CAST151: {line} {role} pin '{}' is {} bits wide, needs {needs}",
-                p.name, p.width
+                p.name,
+                p.width()
             )),
             Some(_) => None,
         }

@@ -1,10 +1,12 @@
 //! The parallel coupled-engine executor: originator and follower engines on
 //! separate threads, coupled by lock-free SPSC rings.
 //!
-//! The serial [`Coupling`](crate::coupling::Coupling) interleaves both
-//! simulators on one thread, so §3.1's protocol — designed so the HDL side
-//! can run *while* the network side keeps going — is never exercised as
-//! actual parallelism. This module is the concurrent executive:
+//! A [`Coupling`] is one type with two `run` policies. Its default
+//! [`Serial`](crate::coupling::Serial) executor interleaves both simulators
+//! on one thread, so §3.1's protocol — designed so the HDL side can run
+//! *while* the network side keeps going — is never exercised as actual
+//! parallelism. [`Parallel`] is the concurrent policy, and
+//! [`ParallelCoupling`] names a coupling that runs under it:
 //!
 //! * the **network kernel stays on the calling thread** (it owns the
 //!   interface outbox, which is deliberately thread-local);
@@ -53,13 +55,13 @@
 //! happened to interleave the two threads.
 
 use crate::coupling::{
-    inject_responses, preflight_checks, CoupledSimulator, CouplingStats, SyncCounters,
+    inject_responses, CoupledSimulator, Coupling, CouplingStats, Executor, SyncCounters,
 };
 use crate::error::CastanetError;
 use crate::interface::OutboxHandle;
 use crate::message::{Message, MessageTypeId};
 use crate::ring::{spin_round, spin_rounds, RingConsumer, RingProducer, SpscRing};
-use crate::sync::conservative::{ConservativeSync, SyncStats};
+use crate::sync::conservative::ConservativeSync;
 use castanet_netsim::event::ModuleId;
 use castanet_netsim::kernel::Kernel;
 use castanet_netsim::time::{SimDuration, SimTime};
@@ -186,27 +188,11 @@ struct RepEntry {
     error: Option<CastanetError>,
 }
 
-/// The parallel coupling executive — same API shape as
-/// [`Coupling`](crate::coupling::Coupling), but [`ParallelCoupling::run`]
-/// executes the two engines concurrently.
-///
-/// Construction recipe is identical to the serial coupling; an existing
-/// serial coupling converts with
-/// [`Coupling::into_parallel`](crate::coupling::Coupling::into_parallel).
-pub struct ParallelCoupling<S: CoupledSimulator + Send> {
-    net: Kernel,
-    follower: S,
-    sync: ConservativeSync,
-    cell_type: MessageTypeId,
-    outbox: OutboxHandle,
-    iface: ModuleId,
-    stats: CouplingStats,
-    /// Largest grant promised to the follower; promises are monotone (see
-    /// the serial coupling's field of the same name).
-    promised: SimTime,
-    drain_quantum: SimDuration,
-    drain_quiet_chunks: u32,
-    strict: bool,
+/// The parallel executor's settings: the batched timing windows it
+/// pipelines to the follower thread. The rest of a parallel coupling is a
+/// [`Coupling`]'s; tune these with [`Coupling::with_batching`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Parallel {
     /// Simulated-time length of one batched timing window: the
     /// [`AdaptiveWindow`] controller's base.
     batch_window: SimDuration,
@@ -214,105 +200,25 @@ pub struct ParallelCoupling<S: CoupledSimulator + Send> {
     /// originator waits for a reply (bounded pipeline lag). The command
     /// ring has at least this many slots.
     channel_depth: usize,
-    /// Telemetry handle; disabled (all recording a no-op) by default.
-    tel: Telemetry,
 }
 
-impl<S: CoupledSimulator + Send> std::fmt::Debug for ParallelCoupling<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ParallelCoupling")
-            .field("net_now", &self.net.now())
-            .field("follower_now", &self.follower.now())
-            .field("batch_window", &self.batch_window)
-            .field("channel_depth", &self.channel_depth)
-            .field("stats", &self.stats)
-            .finish()
-    }
-}
-
-impl<S: CoupledSimulator + Send> ParallelCoupling<S> {
-    /// Assembles a parallel coupling. Arguments are identical to
-    /// [`Coupling::new`](crate::coupling::Coupling::new).
-    #[must_use]
-    pub fn new(
-        net: Kernel,
-        follower: S,
-        sync: ConservativeSync,
-        cell_type: MessageTypeId,
-        iface: ModuleId,
-        outbox: OutboxHandle,
-    ) -> Self {
-        ParallelCoupling {
-            net,
-            follower,
-            sync,
-            cell_type,
-            outbox,
-            iface,
-            stats: CouplingStats::default(),
-            promised: SimTime::ZERO,
-            drain_quantum: SimDuration::from_us(50),
-            drain_quiet_chunks: 2,
-            strict: false,
+impl Default for Parallel {
+    /// 100 µs windows, four in flight.
+    fn default() -> Self {
+        Parallel {
             batch_window: SimDuration::from_us(100),
             channel_depth: 4,
-            tel: Telemetry::disabled(),
         }
     }
+}
 
-    /// Attaches a telemetry handle to every layer — as
-    /// [`Coupling::with_telemetry`](crate::coupling::Coupling::with_telemetry),
-    /// plus the executor's own transport metrics: `channel.in_flight`
-    /// occupancy, `channel.grant_latency_ns`, `channel.window_msgs`,
-    /// `channel.backpressure_stalls`, the ring gauges
-    /// `ring.grant_width_ps` / `ring.cmd_occupancy` and the park counters
-    /// `ring.originator_parks` / `ring.follower_parks`. Both threads
-    /// record into the shared trace sink, each on its own track.
-    #[must_use]
-    pub fn with_telemetry(mut self, tel: &Telemetry) -> Self {
-        self.tel = tel.clone();
-        self.net.set_telemetry(tel);
-        self.sync.set_telemetry(tel);
-        self.follower.set_telemetry(tel);
-        self
-    }
+/// A coupling on the parallel executor: [`Coupling::run`] executes the
+/// two engines concurrently. Build one with [`Coupling::new`] like a
+/// serial coupling, or convert a serial one with
+/// [`Coupling::into_parallel`].
+pub type ParallelCoupling<S> = Coupling<S, Parallel>;
 
-    /// The attached telemetry handle (disabled unless
-    /// [`ParallelCoupling::with_telemetry`] was called).
-    #[must_use]
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.tel
-    }
-
-    /// Enables (or disables) strict mode — as
-    /// [`Coupling::with_strict`](crate::coupling::Coupling::with_strict).
-    #[must_use]
-    pub fn with_strict(mut self, strict: bool) -> Self {
-        self.strict = strict;
-        self
-    }
-
-    /// Whether strict pre-flight mode is enabled.
-    #[must_use]
-    pub fn strict(&self) -> bool {
-        self.strict
-    }
-
-    /// Tunes the final drain — as
-    /// [`Coupling::with_drain`](crate::coupling::Coupling::with_drain).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantum` is zero or `quiet_chunks` is zero.
-    #[must_use]
-    pub fn with_drain(mut self, quantum: SimDuration, quiet_chunks: u32) -> Self {
-        assert!(!quantum.is_zero(), "drain quantum must be non-zero");
-        assert!(quiet_chunks > 0, "need at least one quiet chunk");
-        self.drain_quantum = quantum;
-        self.drain_quiet_chunks = quiet_chunks;
-        self
-    }
-
+impl<S: CoupledSimulator> Coupling<S, Parallel> {
     /// Tunes the batching: `batch_window` of simulated time per timing
     /// window (larger windows = fewer thread rendezvous but coarser
     /// response pipelining; the [`AdaptiveWindow`] controller starts here),
@@ -326,62 +232,40 @@ impl<S: CoupledSimulator + Send> ParallelCoupling<S> {
     pub fn with_batching(mut self, batch_window: SimDuration, channel_depth: usize) -> Self {
         assert!(!batch_window.is_zero(), "batch window must be non-zero");
         assert!(channel_depth > 0, "need at least one ring slot");
-        self.batch_window = batch_window;
-        self.channel_depth = channel_depth;
+        self.exec = Parallel {
+            batch_window,
+            channel_depth,
+        };
         self
     }
+}
 
-    /// Static pre-flight verification — the same error-level checks as
-    /// [`Coupling::preflight`](crate::coupling::Coupling::preflight),
-    /// including the follower's own
-    /// [`structural_preflight`](CoupledSimulator::structural_preflight).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CastanetError::Preflight`] listing every finding.
-    pub fn preflight(&self) -> Result<(), CastanetError> {
-        let mut findings = preflight_checks(&self.net, &self.sync, self.cell_type, self.iface);
-        findings.extend(self.follower.structural_preflight());
-        if findings.is_empty() {
-            Ok(())
-        } else {
-            Err(CastanetError::Preflight(findings))
-        }
-    }
-
-    /// Runs the coupled simulation until no activity remains before
-    /// `until` on either side, with the two engines on separate threads.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator, conversion and synchronization errors from
-    /// either thread. A follower panic is re-raised once both rings close.
-    pub fn run(&mut self, until: SimTime) -> Result<CouplingStats, CastanetError> {
-        if self.strict {
-            self.preflight()?;
-        }
-        let batch_window = self.batch_window;
-        let channel_depth = self.channel_depth;
-        let drain_quantum = self.drain_quantum;
-        let drain_quiet_chunks = self.drain_quiet_chunks;
-        let cell_type = self.cell_type;
-        let iface = self.iface;
+impl<S: CoupledSimulator + Send> Executor<S> for Parallel {
+    /// Runs the two engines on separate threads. A follower panic is
+    /// re-raised once both rings close.
+    fn run(c: &mut ParallelCoupling<S>, until: SimTime) -> Result<CouplingStats, CastanetError> {
+        let batch_window = c.exec.batch_window;
+        let channel_depth = c.exec.channel_depth;
+        let drain_quantum = c.drain_quantum;
+        let drain_quiet_chunks = c.drain_quiet_chunks;
+        let cell_type = c.cell_type;
+        let iface = c.iface;
         // δ_j headroom for the adaptive controller, read before the &mut
-        // borrows below freeze `self`.
-        let headroom = self.sync.type_delta(cell_type).unwrap_or(SimDuration::ZERO);
+        // borrows below freeze `c`.
+        let headroom = c.sync.type_delta(cell_type).unwrap_or(SimDuration::ZERO);
         let mut window_ctl = AdaptiveWindow::new(batch_window, headroom);
-        let net = &mut self.net;
-        let stats = &mut self.stats;
-        let outbox = &self.outbox;
-        let follower = &mut self.follower;
-        let sync = &mut self.sync;
-        let promised = &mut self.promised;
-        let follower_tel = self.tel.clone();
+        let net = &mut c.net;
+        let stats = &mut c.stats;
+        let outbox = &c.outbox;
+        let follower = &mut c.follower;
+        let sync = &mut c.sync;
+        let promised = &mut c.promised;
+        let follower_tel = c.tel.clone();
         // Separate handle for the originator's phase spans: `SpanGuard`
         // borrows its `Telemetry`, and borrowing it out of `obs` would
         // freeze the `&mut obs` every reply needs.
-        let phase_tel = self.tel.clone();
-        let mut obs = OriginatorObs::new(&self.tel);
+        let phase_tel = c.tel.clone();
+        let mut obs = OriginatorObs::new(&c.tel);
 
         let mut cmd_ring = SpscRing::<CmdEntry>::new(channel_depth);
         // One reply per in-flight window plus headroom, so the follower
@@ -449,79 +333,20 @@ impl<S: CoupledSimulator + Send> ParallelCoupling<S> {
         };
         let cmd_waits = cmd_ring.wait_stats();
         let rep_waits = rep_ring.wait_stats();
-        self.tel
+        c.tel
             .counter("ring.originator_parks")
             .add(cmd_waits.producer_parks + rep_waits.consumer_parks);
-        self.tel
+        c.tel
             .counter("ring.follower_parks")
             .add(cmd_waits.consumer_parks + rep_waits.producer_parks);
         run_result?;
-        Ok(self.stats)
-    }
-
-    /// The network kernel (e.g. for statistics after the run).
-    #[must_use]
-    pub fn net(&self) -> &Kernel {
-        &self.net
-    }
-
-    /// The follower (e.g. for RTL counters after the run).
-    #[must_use]
-    pub fn follower(&self) -> &S {
-        &self.follower
-    }
-
-    /// Mutable follower access.
-    pub fn follower_mut(&mut self) -> &mut S {
-        &mut self.follower
-    }
-
-    /// The conservative synchronizer.
-    #[must_use]
-    pub fn sync(&self) -> &ConservativeSync {
-        &self.sync
-    }
-
-    /// The interface process's module id inside the network kernel.
-    #[must_use]
-    pub fn iface_module(&self) -> ModuleId {
-        self.iface
-    }
-
-    /// The message type stimulus cells are sent as.
-    #[must_use]
-    pub fn cell_type(&self) -> MessageTypeId {
-        self.cell_type
-    }
-
-    /// Coupling counters.
-    #[must_use]
-    pub fn stats(&self) -> CouplingStats {
-        self.stats
-    }
-
-    /// Synchronization-protocol statistics.
-    #[must_use]
-    pub fn sync_stats(&self) -> SyncStats {
-        self.sync.stats()
-    }
-
-    /// A clone of the interface outbox handle.
-    #[must_use]
-    pub fn outbox(&self) -> OutboxHandle {
-        self.outbox.clone()
-    }
-
-    /// Dismantles the coupling, returning the network kernel and follower.
-    #[must_use]
-    pub fn into_parts(self) -> (Kernel, S) {
-        (self.net, self.follower)
+        Ok(c.stats)
     }
 }
 
 /// The originator's three-phase loop: stream timing windows, barrier on
 /// outstanding replies, drain the follower's pipeline. Factored out of
-/// [`ParallelCoupling::run`] so every early return funnels through the
+/// [`Parallel`]'s `run` so every early return funnels through the
 /// ring-closing epilogue there.
 ///
 /// Replies are absorbed only at deterministic points — one blocking pop
@@ -968,7 +793,7 @@ fn fatal_from(rep_rx: &mut RingConsumer<'_, RepEntry>, msgs: &mut Vec<Message>) 
 
 /// The follower thread: pops commands off the ring (spin-then-park when
 /// empty), plays timing windows and drain requests in order, and pushes
-/// replies back. The spawn wrapper in [`ParallelCoupling::run`] closes
+/// replies back. The spawn wrapper in [`Parallel`]'s `run` closes
 /// both rings after this returns — or unwinds — so a blocked peer wakes
 /// and observes termination.
 fn follower_worker<S: CoupledSimulator>(
@@ -1215,7 +1040,6 @@ fn drain_step<S: CoupledSimulator>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coupling::Coupling;
     use crate::cyclecosim::{CycleCosim, EgressIndices, IngressIndices};
     use crate::interface::CastanetInterfaceProcess;
     use castanet_atm::addr::{HeaderFormat, VpiVci};

@@ -444,13 +444,14 @@ mod tests {
                 })
                 .collect();
             for line in &layout {
-                ports[line.data].width = rng.random_range(8..=64usize);
+                let name = ports[line.data].name.clone();
+                ports[line.data] = PortDecl::new(name, rng.random_range(8..=64usize));
             }
             let mut w = StimulusWindow::new(stride);
             for line in &layout {
                 // Registration refuses the line with its data pin narrowed.
                 let mut narrow = ports.clone();
-                narrow[line.data].width = rng.random_range(1..=7usize);
+                narrow[line.data] = PortDecl::new("narrow", rng.random_range(1..=7usize));
                 assert!(matches!(
                     line.check(&narrow, w.pins()),
                     Err(CastanetError::Preflight(f)) if f[0].starts_with("CAST151")

@@ -34,12 +34,14 @@ pub mod report;
 pub use diagnostic::{code_info, has_errors, sort_diagnostics, Diagnostic, Severity, CODES};
 pub use report::{render_human, render_json};
 
-use castanet::coupling::{CoupledSimulator, Coupling, RtlCosim};
+use castanet::coupling::{CoupledSimulator, Coupling, Executor, RtlCosim};
 
-/// Lints the layers common to every follower type: the synchronizer (§3.1)
-/// and the network topology.
+/// Lints the layers common to every follower type and executor: the
+/// synchronizer (§3.1) and the network topology.
 #[must_use]
-pub fn check_coupling_setup<S: CoupledSimulator>(coupling: &Coupling<S>) -> Vec<Diagnostic> {
+pub fn check_coupling_setup<S: CoupledSimulator, X: Executor<S>>(
+    coupling: &Coupling<S, X>,
+) -> Vec<Diagnostic> {
     let mut diags = passes::sync_liveness::check_sync(coupling.sync(), Some(coupling.cell_type()));
     diags.extend(passes::topology::check_topology(
         coupling.net(),
@@ -55,12 +57,8 @@ pub fn check_coupling_setup<S: CoupledSimulator>(coupling: &Coupling<S>) -> Vec<
 /// This is the complete pre-flight analysis; run it on a setup *before*
 /// `Coupling::run` to get every finding at once instead of the first panic.
 #[must_use]
-pub fn check_coupling(coupling: &Coupling<RtlCosim>) -> Vec<Diagnostic> {
-    let mut diags = passes::sync_liveness::check_sync(coupling.sync(), Some(coupling.cell_type()));
-    diags.extend(passes::topology::check_topology(
-        coupling.net(),
-        Some(coupling.iface_module()),
-    ));
+pub fn check_coupling<X: Executor<RtlCosim>>(coupling: &Coupling<RtlCosim, X>) -> Vec<Diagnostic> {
+    let mut diags = check_coupling_setup(coupling);
     diags.extend(passes::interface::check_interface(
         coupling.net(),
         coupling.iface_module(),

@@ -47,7 +47,7 @@ impl Ports {
         {
             None => Ok(()),
             Some(port) => Err(RtlError::WidthMismatch {
-                expected: self.inputs[port].width,
+                expected: self.inputs[port].width(),
                 got: 64 - row[port].leading_zeros() as usize,
             }),
         }

@@ -19,15 +19,21 @@ use crate::sim::{RtlCtx, RtlProcess, Simulator};
 use castanet_netsim::time::SimDuration;
 use std::borrow::Cow;
 
-/// Declaration of one pin-level port (≤ 64 bits).
+/// Declaration of one pin-level port, 1 to 64 bits wide.
+///
+/// [`PortDecl::new`] is the only way to build one, so no port outside
+/// 1..=64 bits exists for a mask or a lane bank to trip over:
+///
+/// ```compile_fail
+/// let wide = castanet_rtl::cycle::PortDecl { name: "wide".into(), width: 65 };
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortDecl {
     /// Port name (used for signal naming when attached to the event-driven
     /// kernel). A `'static` name is borrowed, so declaring a port list
     /// from fixed names allocates only the list.
     pub name: Cow<'static, str>,
-    /// Width in bits (1..=64).
-    pub width: usize,
+    width: usize,
 }
 
 impl PortDecl {
@@ -43,6 +49,12 @@ impl PortDecl {
             name: name.into(),
             width,
         }
+    }
+
+    /// Width in bits (1..=64).
+    #[must_use]
+    pub fn width(&self) -> usize {
+        self.width
     }
 
     /// Bit mask covering the port's width.
@@ -357,7 +369,7 @@ pub fn attach_cycle_dut(
         clk,
         inputs: inputs.clone(),
         outputs: outputs.clone(),
-        out_widths: out_decls.iter().map(|p| p.width).collect(),
+        out_widths: out_decls.iter().map(PortDecl::width).collect(),
         in_words: Vec::with_capacity(inputs.len()),
         out_cur: vec![0; outputs.len()],
         out_prev: vec![0; outputs.len()],
@@ -419,7 +431,7 @@ pub fn attach_cycle_dut_gated(
         clk,
         inputs: inputs.clone(),
         outputs: outputs.clone(),
-        out_widths: out_decls.iter().map(|p| p.width).collect(),
+        out_widths: out_decls.iter().map(PortDecl::width).collect(),
         in_words: Vec::with_capacity(inputs.len()),
         out_cur: vec![0; outputs.len()],
         out_prev: vec![0; outputs.len()],
@@ -449,6 +461,16 @@ mod tests {
     use super::*;
     use crate::logic::Logic;
     use castanet_netsim::time::{SimDuration, SimTime};
+
+    #[test]
+    fn port_widths_outside_1_to_64_are_refused() {
+        for width in [0, 65] {
+            let built = std::panic::catch_unwind(|| PortDecl::new("p", width));
+            assert!(built.is_err(), "a {width}-bit port was built");
+        }
+        assert_eq!(PortDecl::new("p", 1).mask(), 1);
+        assert_eq!(PortDecl::new("p", 64).mask(), u64::MAX);
+    }
 
     /// An accumulator: out <= out + in each edge; clear input resets.
     struct Accumulator {

@@ -108,9 +108,9 @@ impl MappedCycleDut {
 
         let mut lane_cursor = 0usize;
         for (i, p) in dut.input_ports().iter().enumerate() {
-            let lanes_needed = p.width.div_ceil(8);
+            let lanes_needed = p.width().div_ceil(8);
             let mut segments = Vec::new();
-            let mut remaining = p.width;
+            let mut remaining = p.width();
             for k in 0..lanes_needed {
                 let bits = remaining.min(8);
                 segments.push(PinSegment::new(lane_cursor + k, 7, bits));
@@ -119,20 +119,20 @@ impl MappedCycleDut {
             lane_cursor += lanes_needed;
             map.inports.push(InportMapping {
                 number: i,
-                width: p.width,
+                width: p.width(),
                 segments,
             });
         }
         let mut top_cursor = LANES;
         for (i, p) in dut.output_ports().iter().enumerate() {
-            let lanes_needed = p.width.div_ceil(8);
+            let lanes_needed = p.width().div_ceil(8);
             assert!(
                 top_cursor >= lanes_needed && top_cursor - lanes_needed >= lane_cursor,
                 "dut ports exceed the board's 128 pins"
             );
             top_cursor -= lanes_needed;
             let mut segments = Vec::new();
-            let mut remaining = p.width;
+            let mut remaining = p.width();
             for k in 0..lanes_needed {
                 let bits = remaining.min(8);
                 segments.push(PinSegment::new(top_cursor + k, 7, bits));
@@ -141,7 +141,7 @@ impl MappedCycleDut {
             }
             map.outports.push(OutportMapping {
                 number: i,
-                width: p.width,
+                width: p.width(),
                 segments,
             });
         }

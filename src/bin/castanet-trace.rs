@@ -24,7 +24,7 @@
 //! path or a collision with the replay input is reported up front instead
 //! of after the run.
 
-use castanet::coupling::CoupledSimulator;
+use castanet::coupling::{CoupledSimulator, CouplingStats, Executor};
 use castanet::traceio::{read_trace, stimulus_messages};
 use castanet::{CastanetError, Message, Telemetry};
 use castanet_atm::addr::HeaderFormat;
@@ -33,7 +33,7 @@ use castanet_netsim::time::SimTime;
 use castanet_obs::export::{render_summary, write_chrome_trace, write_jsonl};
 use castanet_obs::{EventKind, Track};
 use coverify::scenarios::{
-    switch_cosim, switch_cosim_compiled, switch_cosim_cycle, switch_cosim_parallel,
+    switch_cosim, switch_cosim_compiled, switch_cosim_cycle, switch_cosim_parallel, SwitchCosim,
     SwitchScenarioConfig,
 };
 use std::io::Write;
@@ -68,6 +68,16 @@ enum Format {
 /// shipped scenarios at their default sizes.
 const RING_CAPACITY: usize = 1 << 20;
 
+/// Runs one assembled scenario, whatever its engine and executor, with
+/// telemetry attached to every layer.
+fn run_traced<F: CoupledSimulator, X: Executor<F>>(
+    scenario: SwitchCosim<F, X>,
+    tel: &Telemetry,
+    until: SimTime,
+) -> Result<CouplingStats, CastanetError> {
+    scenario.with_telemetry(tel).coupling.run(until)
+}
+
 /// Runs one named scenario with telemetry attached to every layer.
 fn run_scenario(
     name: &str,
@@ -81,28 +91,10 @@ fn run_scenario(
     };
     let until = SimTime::from_secs(1);
     let stats = match name {
-        "switch_cosim" => {
-            let mut coupling = switch_cosim(config).with_telemetry(tel).coupling;
-            coupling.run(until)?;
-            coupling.stats()
-        }
-        "switch_cosim_cycle" => {
-            let mut coupling = switch_cosim_cycle(config).with_telemetry(tel).coupling;
-            coupling.run(until)?;
-            coupling.stats()
-        }
-        "switch_cosim_parallel" => {
-            let mut coupling = switch_cosim_parallel(config).with_telemetry(tel).coupling;
-            coupling.run(until)?;
-            coupling.stats()
-        }
-        "switch_cosim_compiled" => {
-            let mut coupling = switch_cosim_compiled(config, lanes)
-                .with_telemetry(tel)
-                .coupling;
-            coupling.run(until)?;
-            coupling.stats()
-        }
+        "switch_cosim" => run_traced(switch_cosim(config), tel, until)?,
+        "switch_cosim_cycle" => run_traced(switch_cosim_cycle(config), tel, until)?,
+        "switch_cosim_parallel" => run_traced(switch_cosim_parallel(config), tel, until)?,
+        "switch_cosim_compiled" => run_traced(switch_cosim_compiled(config, lanes), tel, until)?,
         other => {
             eprintln!("unknown scenario: {other}");
             usage();

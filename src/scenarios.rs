@@ -9,12 +9,13 @@
 //! and the `repro` driver all measure identical configurations.
 
 use castanet::compare::StreamComparator;
-use castanet::coupling::{Coupling, RtlCosim};
+use castanet::coupling::{CoupledSimulator, Coupling, Executor, Parallel, RtlCosim, Serial};
 use castanet::entity::{CosimEntity, EgressSignals, IngressSignals};
 use castanet::hwloop::{BoardCosim, EgressPorts, IngressPorts};
 use castanet::interface::CastanetInterfaceProcess;
 use castanet::message::MessageTypeId;
 use castanet::sync::ConservativeSync;
+use castanet::{CompiledCosim, CycleCosim};
 use castanet_atm::addr::{HeaderFormat, VpiVci};
 use castanet_atm::cell::{AtmCell, CELL_OCTETS};
 use castanet_atm::traffic::source::{sequenced_payload, TrafficSourceProcess};
@@ -131,17 +132,35 @@ impl SwitchScenarioConfig {
     }
 }
 
-/// A fully assembled switch co-simulation (Fig. 1's left path).
-pub struct SwitchCosim {
+/// A fully assembled switch co-simulation (Fig. 1's left path): the
+/// follower `F` is one engine, the executor `X` runs the coupling.
+///
+/// The default is the event-driven RTL follower on the serial executor
+/// ([`switch_cosim`]); the aliases below name the other pairings.
+pub struct SwitchCosim<F: CoupledSimulator = RtlCosim, X = Serial> {
     /// The coupled simulation, ready to run.
-    pub coupling: Coupling<RtlCosim>,
+    pub coupling: Coupling<F, X>,
     /// Cells returned on each egress line, via the interface process.
     pub collectors: Vec<CollectorHandle>,
     /// The configuration it was built from.
     pub config: SwitchScenarioConfig,
 }
 
-impl std::fmt::Debug for SwitchCosim {
+/// The cycle-based variant ([`switch_cosim_cycle`]): the cycle engine
+/// with idle skipping as the follower — the paper's §5 "integration of
+/// cycle-based simulation techniques".
+pub type SwitchCosimCycle = SwitchCosim<CycleCosim>;
+
+/// The cycle-based variant on the parallel executor
+/// ([`switch_cosim_parallel`]): the two engines run on separate threads.
+pub type SwitchCosimParallel = SwitchCosim<CycleCosim, Parallel>;
+
+/// The multi-lane variant ([`switch_cosim_compiled`]): lane 0 of the
+/// cycle follower carries the coupled traffic, the other lanes are free
+/// for seeded scenarios.
+pub type SwitchCosimCompiled = SwitchCosim<CompiledCosim>;
+
+impl<F: CoupledSimulator, X> std::fmt::Debug for SwitchCosim<F, X> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SwitchCosim")
             .field("config", &self.config)
@@ -149,8 +168,9 @@ impl std::fmt::Debug for SwitchCosim {
     }
 }
 
-impl SwitchCosim {
-    /// Attaches a telemetry handle to every layer of the coupling.
+impl<F: CoupledSimulator, X: Executor<F>> SwitchCosim<F, X> {
+    /// Attaches a telemetry handle to every layer of the coupling (under
+    /// the parallel executor both engine threads record into it).
     #[must_use]
     pub fn with_telemetry(mut self, tel: &castanet::Telemetry) -> Self {
         self.coupling = self.coupling.with_telemetry(tel);
@@ -158,18 +178,26 @@ impl SwitchCosim {
     }
 }
 
-/// The network half shared by every switch co-simulation variant: traffic
-/// sources into the interface process, one collector per egress line.
-struct SwitchNet {
-    net: Kernel,
-    sync: ConservativeSync,
-    cell_type: MessageTypeId,
-    iface: castanet_netsim::event::ModuleId,
-    outbox: castanet::interface::OutboxHandle,
-    collectors: Vec<CollectorHandle>,
+impl<F: CoupledSimulator + Send> SwitchCosim<F> {
+    /// The same scenario on the parallel executor, every setting kept.
+    #[must_use]
+    pub fn into_parallel(self) -> SwitchCosim<F, Parallel> {
+        SwitchCosim {
+            coupling: self.coupling.into_parallel(),
+            collectors: self.collectors,
+            config: self.config,
+        }
+    }
 }
 
-fn switch_net(config: &SwitchScenarioConfig) -> SwitchNet {
+/// Builds the network half shared by every switch co-simulation variant —
+/// traffic sources into the interface process, one collector per egress
+/// line — and couples `follower(cell_type)` to it, strict, on the serial
+/// executor.
+fn switch_scenario<F: CoupledSimulator>(
+    config: SwitchScenarioConfig,
+    follower: impl FnOnce(MessageTypeId) -> F,
+) -> SwitchCosim<F> {
     let mut net = Kernel::new(config.seed);
     let node = net.add_node("coverify");
     let mut sync = ConservativeSync::new();
@@ -196,13 +224,11 @@ fn switch_net(config: &SwitchScenarioConfig) -> SwitchNet {
             .expect("fresh ports");
         collectors.push(h);
     }
-    SwitchNet {
-        net,
-        sync,
-        cell_type,
-        iface,
-        outbox,
+    let coupling = Coupling::new(net, follower(cell_type), sync, cell_type, iface, outbox);
+    SwitchCosim {
+        coupling: coupling.with_strict(true),
         collectors,
+        config,
     }
 }
 
@@ -214,8 +240,8 @@ fn switch_cycle_follower(
     config: &SwitchScenarioConfig,
     cell_type: MessageTypeId,
     lanes: usize,
-) -> castanet::CycleCosim {
-    use castanet::cyclecosim::{CycleCosim, EgressIndices, IngressIndices};
+) -> CycleCosim {
+    use castanet::cyclecosim::{EgressIndices, IngressIndices};
     use castanet_rtl::compiled::LaneBank;
     use castanet_rtl::cycle::CycleDut;
     let duts: Vec<Box<dyn CycleDut>> = (0..lanes)
@@ -253,16 +279,15 @@ fn switch_cycle_follower(
 /// egress cells return into the network model.
 #[must_use]
 pub fn switch_cosim(config: SwitchScenarioConfig) -> SwitchCosim {
-    let SwitchNet {
-        net,
-        sync,
-        cell_type,
-        iface,
-        outbox,
-        collectors,
-    } = switch_net(&config);
+    switch_scenario(config, |cell_type| {
+        switch_event_follower(&config, cell_type)
+    })
+}
 
-    // RTL side.
+/// The event-driven follower of [`switch_cosim`]: the switch behind the
+/// gated-clock cycle bridge in the RTL simulator, with its co-simulation
+/// entity.
+fn switch_event_follower(config: &SwitchScenarioConfig, cell_type: MessageTypeId) -> RtlCosim {
     let mut sim = Simulator::new();
     // Gated attachment: the switch reports idle between cells, so the long
     // inter-cell gaps cost zero clock events — the restarted edges land on
@@ -292,163 +317,36 @@ pub fn switch_cosim(config: SwitchScenarioConfig) -> SwitchCosim {
         })
         .collect();
     entity.add_egress(&mut sim, clk, &egress);
-    let follower = RtlCosim::new(sim, entity);
-
-    SwitchCosim {
-        coupling: Coupling::new(net, follower, sync, cell_type, iface, outbox).with_strict(true),
-        collectors,
-        config,
-    }
+    RtlCosim::new(sim, entity)
 }
 
-/// The cycle-based variant of [`switch_cosim`]: the same network model and
-/// workload, but the follower is the cycle engine with idle skipping — the
-/// paper's §5 "integration of cycle-based simulation techniques".
-pub struct SwitchCosimCycle {
-    /// The coupled simulation, ready to run.
-    pub coupling: Coupling<castanet::CycleCosim>,
-    /// Cells returned on each egress line.
-    pub collectors: Vec<CollectorHandle>,
-    /// The configuration it was built from.
-    pub config: SwitchScenarioConfig,
-}
-
-impl std::fmt::Debug for SwitchCosimCycle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SwitchCosimCycle")
-            .field("config", &self.config)
-            .finish()
-    }
-}
-
-impl SwitchCosimCycle {
-    /// Attaches a telemetry handle to every layer of the coupling.
-    #[must_use]
-    pub fn with_telemetry(mut self, tel: &castanet::Telemetry) -> Self {
-        self.coupling = self.coupling.with_telemetry(tel);
-        self
-    }
-}
-
-/// Builds the cycle-based co-simulation (see [`SwitchCosimCycle`]).
+/// Builds the cycle-based co-simulation (see [`SwitchCosimCycle`]): the
+/// same network model and workload as [`switch_cosim`], the cycle
+/// follower on one lane.
 #[must_use]
 pub fn switch_cosim_cycle(config: SwitchScenarioConfig) -> SwitchCosimCycle {
-    let SwitchNet {
-        net,
-        sync,
-        cell_type,
-        iface,
-        outbox,
-        collectors,
-    } = switch_net(&config);
-    let follower = switch_cycle_follower(&config, cell_type, 1);
-    SwitchCosimCycle {
-        coupling: Coupling::new(net, follower, sync, cell_type, iface, outbox).with_strict(true),
-        collectors,
-        config,
-    }
+    switch_scenario(config, |cell_type| {
+        switch_cycle_follower(&config, cell_type, 1)
+    })
 }
 
-/// The parallel-executor variant: the same network model, workload and
-/// cycle-engine follower as [`switch_cosim_cycle`], but hosted on
-/// [`castanet::ParallelCoupling`] so the two engines run on separate threads.
-pub struct SwitchCosimParallel {
-    /// The parallel coupled simulation, ready to run.
-    pub coupling: castanet::ParallelCoupling<castanet::CycleCosim>,
-    /// Cells returned on each egress line.
-    pub collectors: Vec<CollectorHandle>,
-    /// The configuration it was built from.
-    pub config: SwitchScenarioConfig,
-}
-
-impl std::fmt::Debug for SwitchCosimParallel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SwitchCosimParallel")
-            .field("config", &self.config)
-            .finish()
-    }
-}
-
-impl SwitchCosimParallel {
-    /// Attaches a telemetry handle to every layer of the parallel coupling
-    /// (both engine threads record into the same sink and registry).
-    #[must_use]
-    pub fn with_telemetry(mut self, tel: &castanet::Telemetry) -> Self {
-        self.coupling = self.coupling.with_telemetry(tel);
-        self
-    }
-}
-
-/// Builds the parallel coupled co-simulation (see [`SwitchCosimParallel`]).
+/// Builds the parallel coupled co-simulation (see [`SwitchCosimParallel`]):
+/// [`switch_cosim_cycle`] on the parallel executor's defaults.
 #[must_use]
 pub fn switch_cosim_parallel(config: SwitchScenarioConfig) -> SwitchCosimParallel {
-    let SwitchNet {
-        net,
-        sync,
-        cell_type,
-        iface,
-        outbox,
-        collectors,
-    } = switch_net(&config);
-    let follower = switch_cycle_follower(&config, cell_type, 1);
-    SwitchCosimParallel {
-        coupling: castanet::ParallelCoupling::new(net, follower, sync, cell_type, iface, outbox)
-            .with_strict(true),
-        collectors,
-        config,
-    }
-}
-
-/// The multi-lane variant of [`switch_cosim_cycle`]: the same network model
-/// and workload, with the cycle follower's lane 0 carrying the coupled
-/// traffic and the other lanes free for seeded scenarios.
-pub struct SwitchCosimCompiled {
-    /// The coupled simulation, ready to run.
-    pub coupling: Coupling<castanet::CompiledCosim>,
-    /// Cells returned on each egress line.
-    pub collectors: Vec<CollectorHandle>,
-    /// The configuration it was built from.
-    pub config: SwitchScenarioConfig,
-}
-
-impl std::fmt::Debug for SwitchCosimCompiled {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SwitchCosimCompiled")
-            .field("config", &self.config)
-            .finish()
-    }
-}
-
-impl SwitchCosimCompiled {
-    /// Attaches a telemetry handle to every layer of the coupling.
-    #[must_use]
-    pub fn with_telemetry(mut self, tel: &castanet::Telemetry) -> Self {
-        self.coupling = self.coupling.with_telemetry(tel);
-        self
-    }
+    switch_cosim_cycle(config).into_parallel()
 }
 
 /// Builds the multi-lane co-simulation (see [`SwitchCosimCompiled`]).
 /// `lanes` instances run per sweep; network traffic drives lane 0 only —
 /// seed the others through
-/// [`castanet::CompiledCosim::seed_cell`] (or use
+/// [`CompiledCosim::seed_cell`] (or use
 /// [`switch_compiled_sweep`]).
 #[must_use]
 pub fn switch_cosim_compiled(config: SwitchScenarioConfig, lanes: usize) -> SwitchCosimCompiled {
-    let SwitchNet {
-        net,
-        sync,
-        cell_type,
-        iface,
-        outbox,
-        collectors,
-    } = switch_net(&config);
-    let follower = castanet::CompiledCosim::new(switch_cycle_follower(&config, cell_type, lanes));
-    SwitchCosimCompiled {
-        coupling: Coupling::new(net, follower, sync, cell_type, iface, outbox).with_strict(true),
-        collectors,
-        config,
-    }
+    switch_scenario(config, |cell_type| {
+        CompiledCosim::new(switch_cycle_follower(&config, cell_type, lanes))
+    })
 }
 
 /// xorshift64* — the deterministic per-seed stream generator of the sweep
@@ -480,7 +378,6 @@ fn sweep_rng(state: &mut u64) -> u64 {
 /// headers cannot fail).
 #[must_use]
 pub fn switch_compiled_sweep(config: &SwitchScenarioConfig, seeds: &[u64]) -> Vec<Vec<AtmCell>> {
-    use castanet::coupling::CoupledSimulator;
     assert!(
         !seeds.is_empty() && seeds.len() <= castanet_rtl::compiled::LANES,
         "1..={} seeds per sweep",
@@ -1081,7 +978,6 @@ mod tests {
 
     #[test]
     fn board_variant_switches_cells() {
-        use castanet::coupling::CoupledSimulator;
         use castanet::message::Message;
         let mut cosim = switch_on_board(256, MessageTypeId(3));
         let cell = AtmCell::user_data(VpiVci::uni(1, 40).unwrap(), [1; 48]);

@@ -255,7 +255,7 @@ fn seeded_payload_bug_is_detected_by_the_comparator() {
         .expect("wire");
 
     let follower = RtlCosim::new(sim, entity);
-    let mut coupling = Coupling::new(net, follower, sync, cell_type, iface, outbox);
+    let mut coupling: Coupling<_> = Coupling::new(net, follower, sync, cell_type, iface, outbox);
     coupling.run(SimTime::from_ms(10)).expect("run");
 
     // Compare against the clean reference expectation.
@@ -312,7 +312,7 @@ fn board_follower_couples_into_the_full_loop() {
         .expect("wire");
 
     let follower = switch_on_board(256, cell_type);
-    let mut coupling = Coupling::new(net, follower, sync, cell_type, iface, outbox)
+    let mut coupling: Coupling<_> = Coupling::new(net, follower, sync, cell_type, iface, outbox)
         .with_drain(SimDuration::from_us(100), 3);
     let stats = coupling.run(SimTime::from_ms(10)).expect("run");
     assert_eq!(stats.messages_to_follower, 10);

@@ -179,30 +179,29 @@ fn routed_switch() -> AtmSwitchRtl {
 }
 
 /// A routed switch with two injectable faults. With `fuse` set it panics
-/// at that clock edge. With `narrow` it declares line 1's enable and
-/// valid pins (`rx_en1` and `tx_valid1`, input and output 5) zero bits
-/// wide: `PortDecl`'s fields are public, so a DUT can declare a width
-/// `PortDecl::new` refuses.
+/// at that clock edge. With `narrow` it declares line 1's data pins
+/// (`rx_data1` and `tx_data1`, input and output 3) 4 bits wide, too
+/// narrow for an octet.
 struct Fused {
     switch: AtmSwitchRtl,
     fuse: Option<u32>,
     narrow: bool,
 }
 
+/// `ports` with port 3 (line 1's data pin) cut to 4 bits if `narrow`.
+fn narrowed(mut ports: Vec<PortDecl>, narrow: bool) -> Vec<PortDecl> {
+    if narrow {
+        ports[3] = PortDecl::new(ports[3].name.clone(), 4);
+    }
+    ports
+}
+
 impl CycleDut for Fused {
     fn input_ports(&self) -> Vec<PortDecl> {
-        let mut ports = self.switch.input_ports();
-        if self.narrow {
-            ports[5].width = 0;
-        }
-        ports
+        narrowed(self.switch.input_ports(), self.narrow)
     }
     fn output_ports(&self) -> Vec<PortDecl> {
-        let mut ports = self.switch.output_ports();
-        if self.narrow {
-            ports[5].width = 0;
-        }
-        ports
+        narrowed(self.switch.output_ports(), self.narrow)
     }
     fn reset(&mut self) {
         self.switch.reset();
@@ -307,10 +306,10 @@ fn parallel_coupling_propagates_a_compiled_lane_panic() {
 }
 
 #[test]
-fn a_zero_width_strobe_is_rejected_at_registration() {
+fn a_narrow_data_pin_is_rejected_at_registration() {
     // A bank's lanes declare identical ports, so every lane's DUT is
     // narrow, `PANIC_LANE`'s among them, and its fuse would blow on the
-    // first clock. The zero-width strobes are refused when line 1 is
+    // first clock. The 4-bit data pins are refused when line 1 is
     // registered, on both sides, so no clock ever sees them.
     let narrow = |lane| -> Box<dyn CycleDut> {
         Box::new(Fused {
@@ -343,11 +342,11 @@ fn a_zero_width_strobe_is_rejected_at_registration() {
     assert_eq!(follower.add_egress(egress(0)).unwrap(), 0);
     assert_eq!(
         finding(follower.add_ingress(ingress(1))),
-        ["CAST151: ingress enable pin 'rx_en1' is 0 bits wide, needs 1"]
+        ["CAST151: ingress data pin 'rx_data1' is 4 bits wide, needs 8"]
     );
     assert_eq!(
         finding(follower.add_egress(egress(1))),
-        ["CAST151: egress valid pin 'tx_valid1' is 0 bits wide, needs 1"]
+        ["CAST151: egress data pin 'tx_data1' is 4 bits wide, needs 8"]
     );
     let cell = AtmCell::user_data(VpiVci::uni(1, 40).unwrap(), [7; 48]);
     assert!(matches!(

@@ -232,7 +232,7 @@ fn full_coupling_over_unix_sockets_two_thread_deployment() {
         .expect("wire");
 
     let follower = RemoteFollower::new(client_t);
-    let mut coupling = Coupling::new(net, follower, sync, cell_type, iface, outbox);
+    let mut coupling: Coupling<_> = Coupling::new(net, follower, sync, cell_type, iface, outbox);
     let stats = coupling
         .run(SimTime::from_ms(10))
         .expect("coupled run over sockets");

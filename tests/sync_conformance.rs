@@ -17,10 +17,13 @@
 //! byte-identical egress from identical traffic on all three — including
 //! through the gated-clock idle-skip fast path, whose evaluated/skipped
 //! telemetry counters must not depend on the cycle follower's lane count.
+//! The E1 switch scenario itself runs through every engine × executor
+//! pairing that `SwitchCosim` names, against the event follower on the
+//! serial executor.
 
 use castanet::compare::StreamComparator;
 use castanet::convert::ByteStreamAssembler;
-use castanet::coupling::{CoupledSimulator, Coupling, RtlCosim};
+use castanet::coupling::{CoupledSimulator, Coupling, Executor, RtlCosim};
 use castanet::cyclecosim::{CycleCosim, EgressIndices, IngressIndices};
 use castanet::entity::{CosimEntity, EgressSignals, IngressSignals};
 use castanet::interface::{response_packet, CastanetInterfaceProcess};
@@ -39,6 +42,10 @@ use castanet_rtl::compiled::LaneBank;
 use castanet_rtl::cycle::{attach_cycle_dut_gated, CycleDut};
 use castanet_rtl::dut::{AtmSwitchRtl, SwitchRtlConfig};
 use castanet_rtl::sim::Simulator;
+use coverify::scenarios::{
+    compare_switch_output, switch_cosim, switch_cosim_compiled, switch_cosim_cycle,
+    switch_cosim_parallel, SwitchCosim, SwitchScenarioConfig,
+};
 
 const SEED: u64 = 0xDA7E_1998;
 const CLK: SimDuration = SimDuration::from_ns(20);
@@ -468,6 +475,67 @@ fn gated_idle_skip_path_is_conformant_across_backends() {
         cycle_eval < cycle_skip / 4,
         "evaluated {cycle_eval} vs skipped {cycle_skip}: idle skip barely fired"
     );
+}
+
+/// Each egress line's cells as wire bytes, in arrival order. Arrival
+/// times are left out: the parallel executor injects pipelined responses
+/// at later network times.
+fn egress_bytes(collectors: &[CollectorHandle]) -> Vec<Vec<Vec<u8>>> {
+    collectors
+        .iter()
+        .map(|c| {
+            c.with(|pkts| {
+                pkts.iter()
+                    .map(|(_, p)| {
+                        let cell = p.payload::<AtmCell>().expect("egress carries cells");
+                        cell.encode(HeaderFormat::Uni).expect("encode").to_vec()
+                    })
+                    .collect()
+            })
+        })
+        .collect()
+}
+
+/// Runs a switch scenario to completion, checks every cell against the
+/// reference model and returns its egress.
+fn run_switch<F: CoupledSimulator, X: Executor<F>>(
+    scenario: SwitchCosim<F, X>,
+) -> Vec<Vec<Vec<u8>>> {
+    let SwitchCosim {
+        mut coupling,
+        collectors,
+        config,
+    } = scenario;
+    coupling.run(SimTime::from_secs(1)).expect("scenario run");
+    let egress = egress_bytes(&collectors);
+    let report = compare_switch_output(&config, &collectors);
+    assert!(report.passed(), "{report}");
+    assert_eq!(report.matched, config.total_cells());
+    egress
+}
+
+#[test]
+fn every_switch_pairing_matches_the_event_follower_on_the_serial_executor() {
+    // The E1 scenario (mixed CBR and on-off sources), shortened.
+    let config = SwitchScenarioConfig {
+        cells_per_source: 40,
+        ..SwitchScenarioConfig::default()
+    };
+    let reference = run_switch(switch_cosim(config));
+    for (pairing, egress) in [
+        (
+            "event/parallel",
+            run_switch(switch_cosim(config).into_parallel()),
+        ),
+        ("cycle/serial", run_switch(switch_cosim_cycle(config))),
+        ("cycle/parallel", run_switch(switch_cosim_parallel(config))),
+        (
+            "4-lane/serial",
+            run_switch(switch_cosim_compiled(config, 4)),
+        ),
+    ] {
+        assert_eq!(egress, reference, "{pairing} vs event/serial");
+    }
 }
 
 #[test]
