@@ -13,7 +13,8 @@ use coverify::scenarios::switch_on_board;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn run_session(cycle_len: u64) -> u64 {
-    let mut cosim = switch_on_board(cycle_len, MessageTypeId(1));
+    let mut cosim =
+        switch_on_board(cycle_len, MessageTypeId(1)).expect("cycle length fits the board");
     for k in 0..4u64 {
         let cell = AtmCell::user_data(VpiVci::uni(1, 40).expect("id"), [k as u8; 48]);
         cosim

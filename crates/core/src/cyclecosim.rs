@@ -104,33 +104,33 @@ impl EgressIndices {
 }
 
 /// Rejects a line whose pin index is past the DUT's port list (`CAST150`)
-/// or whose pin is narrower than what it carries (`CAST151`): 8 bits for
-/// data, 1 for a strobe. So every row the stimulus window builds fits a
-/// registered ingress line's pins. `driven` is `Some` for a line the follower drives, holding the pins
-/// other lines already drive: each pin of such a line must be its own and
-/// no other line's (`CAST152`), or the pin's value would depend on which
-/// line was driven last.
+/// or whose data pin is narrower than the octet it carries (`CAST151`); a
+/// strobe carries 1 bit, which every port has (`PortDecl::new` refuses a
+/// 0-bit port). So every row the stimulus window builds fits a registered
+/// ingress line's pins. `driven` is `Some` for a line the follower drives,
+/// holding the pins other lines already drive: each pin of such a line
+/// must be its own and no other line's (`CAST152`), or the pin's value
+/// would depend on which line was driven last.
 fn check_line(
     line: &str,
     pins: [(&str, usize); 3],
     ports: &[PortDecl],
     driven: Option<&[usize]>,
 ) -> Result<(), CastanetError> {
-    let misfit = pins.iter().find_map(|&(role, index)| {
-        let needs = if role == "data" { 8 } else { 1 };
-        match ports.get(index) {
+    let misfit = pins
+        .iter()
+        .find_map(|&(role, index)| match ports.get(index) {
             None => Some(format!(
                 "CAST150: {line} {role} pin index {index} out of range ({} ports on the DUT)",
                 ports.len()
             )),
-            Some(p) if p.width() < needs => Some(format!(
-                "CAST151: {line} {role} pin '{}' is {} bits wide, needs {needs}",
+            Some(p) if role == "data" && p.width() < 8 => Some(format!(
+                "CAST151: {line} {role} pin '{}' is {} bits wide, needs 8",
                 p.name,
                 p.width()
             )),
             Some(_) => None,
-        }
-    });
+        });
     let shared = || {
         let driven = driven?;
         pins.iter().enumerate().find_map(|(k, &(role, index))| {
@@ -421,7 +421,7 @@ impl CycleCosim {
     ///
     /// [`CastanetError::Preflight`] with one `CAST150` finding for a pin
     /// index past the DUT's input ports, `CAST151` for a data pin
-    /// narrower than 8 bits or a 0-bit strobe, or `CAST152` for a pin the
+    /// narrower than 8 bits, or `CAST152` for a pin the
     /// line uses twice or shares with an ingress line registered before.
     pub fn add_ingress(&mut self, idx: IngressIndices) -> Result<usize, CastanetError> {
         idx.check(self.bank.input_ports(), self.lanes[0].stimulus.pins())?;

@@ -25,11 +25,14 @@
 //! [`crate::CycleCosim`] keeps one window per lane. It places a delivered
 //! cell with [`clock_at_or_after`] and [`StimulusWindow::put_cell`], and
 //! takes the idle-skip jump with [`StimulusWindow::skip_idle`].
+//! [`crate::BoardCosim`] keeps one window and places cells the same way,
+//! but plays every clock: idle board clocks are modelled hardware time.
 //!
 //! Every row fits the DUT's input ports by construction: an octet goes
-//! only into a line's data pin, 0 or 1 into its strobes, which
-//! registration proves are at least 8 and 1 bits wide (`CAST151`), and
-//! every other word stays 0. So the follower clocks rows unchecked.
+//! only into a line's data pin, which registration proves is at least 8
+//! bits wide (`CAST151`), 0 or 1 into its strobes, which every port can
+//! hold, and every other word stays 0. So the followers use rows
+//! unchecked.
 
 use crate::cyclecosim::IngressIndices;
 use castanet_atm::cell::CELL_OCTETS;

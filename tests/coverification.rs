@@ -311,7 +311,7 @@ fn board_follower_couples_into_the_full_loop() {
     net.connect_stream(iface, PortId(1), sink, PortId(0))
         .expect("wire");
 
-    let follower = switch_on_board(256, cell_type);
+    let follower = switch_on_board(256, cell_type).expect("cycle length fits the board");
     let mut coupling: Coupling<_> = Coupling::new(net, follower, sync, cell_type, iface, outbox)
         .with_drain(SimDuration::from_us(100), 3);
     let stats = coupling.run(SimTime::from_ms(10)).expect("run");
