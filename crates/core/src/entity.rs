@@ -23,7 +23,7 @@ use castanet_rtl::logic::Logic;
 use castanet_rtl::signal::SignalId;
 use castanet_rtl::sim::Simulator;
 use castanet_rtl::testbench::{CellStreamMonitor, MonitorHandle};
-use castanet_rtl::vector::LogicVector;
+use castanet_rtl::RtlError;
 use std::ops::Range;
 
 /// The egress-side signals of one DUT line.
@@ -233,15 +233,21 @@ impl CosimEntity {
         // for the first edge of an odd period), so `now <= poke_at`.
         // Other stimulus keeps this true as long as it never lands inside
         // a low phase.
+        // The octets go out as words, which `poke_u64` checks only for
+        // fit: the data pin itself must be one octet wide.
+        let width = sim.signal_width(signals.data);
+        if width != 8 {
+            return Err(RtlError::WidthMismatch {
+                expected: width,
+                got: 8,
+            }
+            .into());
+        }
         let mut last_edge = first_edge;
         for op in &self.ops_scratch {
             let edge = first_edge + self.clock_period * op.cycle;
             let poke_at = self.poke_time(edge);
-            sim.poke(
-                signals.data,
-                LogicVector::from_u64(u64::from(op.data), 8),
-                poke_at,
-            )?;
+            sim.poke_u64(signals.data, u64::from(op.data), poke_at)?;
             last_edge = edge;
         }
         // Control signals only change at transitions (one event each, not
@@ -367,6 +373,26 @@ mod tests {
             enable: dut.inputs[2],
         });
         (sim, entity, dut)
+    }
+
+    #[test]
+    fn a_data_pin_that_is_not_one_octet_wide_is_refused() {
+        let mut sim = Simulator::new();
+        let data = sim.add_signal("data", 16);
+        let sync = sim.add_signal("sync", 1);
+        let enable = sim.add_signal("enable", 1);
+        let mut entity = CosimEntity::new(PERIOD, HeaderFormat::Uni, MessageTypeId(9));
+        entity.add_ingress(IngressSignals { data, sync, enable });
+        let msg = Message::cell(SimTime::ZERO, MessageTypeId(0), 0, cell(42));
+        assert!(matches!(
+            entity.deliver(&mut sim, &msg),
+            Err(CastanetError::Rtl(RtlError::WidthMismatch {
+                expected: 16,
+                got: 8
+            }))
+        ));
+        assert_eq!(sim.pending_time(), Some(SimTime::ZERO), "nothing was poked");
+        assert_eq!(sim.next_time(), None);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 
 use crate::compiled::LaneBank;
 use crate::error::RtlError;
-use crate::logic::Logic;
 use crate::netlist::ProcessIo;
 use crate::signal::SignalId;
 use crate::sim::{RtlCtx, RtlProcess, Simulator};
@@ -227,7 +226,9 @@ struct CycleDutProcess {
     clk: SignalId,
     inputs: Vec<SignalId>,
     outputs: Vec<SignalId>,
-    out_widths: Vec<usize>,
+    /// Width masks of the output ports: a masked word fits its signal, so
+    /// it is assigned as a word without re-reading the signal's width.
+    out_masks: Vec<u64>,
     /// Reused input-word buffer: one sample per clock edge, no
     /// per-edge allocation.
     in_words: Vec<u64>,
@@ -253,7 +254,7 @@ struct CycleDutProcess {
 impl RtlProcess for CycleDutProcess {
     fn init(&mut self, ctx: &mut RtlCtx) {
         if let Some(busy) = self.busy {
-            ctx.assign_bit(busy, Logic::One);
+            ctx.assign_word(busy, 1);
             ctx.set_any_sensitivity(false);
         }
     }
@@ -267,7 +268,7 @@ impl RtlProcess for CycleDutProcess {
             if !self.armed && self.inputs.iter().any(|&s| ctx.event(s)) {
                 self.armed = true;
                 if let Some(busy) = self.busy {
-                    ctx.assign_bit(busy, Logic::One);
+                    ctx.assign_word(busy, 1);
                     ctx.set_any_sensitivity(false);
                 }
             }
@@ -283,16 +284,16 @@ impl RtlProcess for CycleDutProcess {
                 .push(ctx.read_u64(self.inputs[i]).unwrap_or(0));
         }
         self.dut.clock_edge(&self.in_words, &mut self.out_cur);
-        for (((sig, word), &prev), &width) in self
+        for (((&sig, word), &prev), &mask) in self
             .outputs
             .iter()
             .zip(&mut self.out_cur)
             .zip(&self.out_prev)
-            .zip(&self.out_widths)
+            .zip(&self.out_masks)
         {
-            *word &= mask(width);
+            *word &= mask;
             if !self.driven || prev != *word {
-                ctx.assign(*sig, crate::vector::LogicVector::from_u64(*word, width));
+                ctx.assign_word(sig, *word);
             }
         }
         self.driven = true;
@@ -308,7 +309,7 @@ impl RtlProcess for CycleDutProcess {
                 && self.dut.outputs_inert(outs)
             {
                 self.armed = false;
-                ctx.assign_bit(busy, Logic::Zero);
+                ctx.assign_word(busy, 0);
                 ctx.set_any_sensitivity(true);
             }
         }
@@ -326,14 +327,6 @@ impl RtlProcess for CycleDutProcess {
             io = io.writes([busy]);
         }
         Some(io)
-    }
-}
-
-fn mask(width: usize) -> u64 {
-    if width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
     }
 }
 
@@ -369,7 +362,7 @@ pub fn attach_cycle_dut(
         clk,
         inputs: inputs.clone(),
         outputs: outputs.clone(),
-        out_widths: out_decls.iter().map(PortDecl::width).collect(),
+        out_masks: out_decls.iter().map(PortDecl::mask).collect(),
         in_words: Vec::with_capacity(inputs.len()),
         out_cur: vec![0; outputs.len()],
         out_prev: vec![0; outputs.len()],
@@ -431,7 +424,7 @@ pub fn attach_cycle_dut_gated(
         clk,
         inputs: inputs.clone(),
         outputs: outputs.clone(),
-        out_widths: out_decls.iter().map(PortDecl::width).collect(),
+        out_masks: out_decls.iter().map(PortDecl::mask).collect(),
         in_words: Vec::with_capacity(inputs.len()),
         out_cur: vec![0; outputs.len()],
         out_prev: vec![0; outputs.len()],

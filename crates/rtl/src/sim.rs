@@ -15,7 +15,7 @@
 use crate::error::RtlError;
 use crate::logic::Logic;
 use crate::netlist::{GatedClockLink, NetProcess, NetSignal, NetlistGraph, ProcessIo};
-use crate::signal::{ProcId, SignalId, SignalInfo, SignalState};
+use crate::signal::{ProcId, SignalId, SignalInfo, SignalState, Value};
 use crate::vector::LogicVector;
 use crate::wheel::TimingWheel;
 use castanet_netsim::time::{SimDuration, SimTime};
@@ -25,20 +25,33 @@ use std::collections::HashMap;
 /// A pending signal assignment or process wake-up. Time lives in the
 /// scheduling structure (wheel slot or delta queue), not the entry;
 /// `seq` is the global scheduling order that breaks same-time ties.
+/// 32 bytes, so a wheel entry with its timestamp is 40.
 #[derive(Debug)]
 struct Pending {
     seq: u64,
     action: Action,
 }
 
+/// Process and signal ids are held in 32 bits (`add_signal` and
+/// `add_process` refuse more); [`ProcId::EXTERNAL`] is `u32::MAX`.
 #[derive(Debug)]
 enum Action {
     Assign {
-        driver: ProcId,
-        signal: SignalId,
-        value: LogicVector,
+        driver: u32,
+        signal: u32,
+        value: Value,
     },
-    Wake(ProcId),
+    Wake(u32),
+}
+
+impl Action {
+    fn assign(driver: ProcId, signal: SignalId, value: Value) -> Self {
+        Action::Assign {
+            driver: driver.0 as u32,
+            signal: signal.0 as u32,
+            value,
+        }
+    }
 }
 
 /// Sentinel for "signal is not traced" in the dense trace-index table.
@@ -159,7 +172,7 @@ pub struct Simulator {
     /// registered list in `proc_meta` is unchanged.
     deaf: Vec<bool>,
     /// Scratch for `RtlCtx::staged`, reused across process activations.
-    staged_scratch: Vec<(SignalId, LogicVector, SimDuration)>,
+    staged_scratch: Vec<(SignalId, Value, SimDuration)>,
     /// Scratch for `RtlCtx::wakes`, reused across process activations.
     wakes_scratch: Vec<SimDuration>,
     next_seq: u64,
@@ -299,6 +312,7 @@ impl Simulator {
     /// Panics if `width` is zero or the name is already taken.
     pub fn add_signal(&mut self, name: impl Into<String>, width: usize) -> SignalId {
         assert!(width > 0, "signal width must be non-zero");
+        assert!(self.signals.len() < u32::MAX as usize, "too many signals");
         let name = name.into();
         assert!(
             !self.names.contains_key(&name),
@@ -339,6 +353,10 @@ impl Simulator {
         process: Box<dyn RtlProcess>,
         sensitivity: &[SignalId],
     ) -> ProcId {
+        assert!(
+            self.processes.len() < ProcId::EXTERNAL.0,
+            "too many processes"
+        );
         let id = ProcId(self.processes.len());
         let io = process.io();
         self.processes.push(Some(process));
@@ -533,9 +551,19 @@ impl Simulator {
         SignalInfo {
             name: s.name.clone(),
             width: s.width,
-            value: s.value.clone(),
+            value: s.value().clone(),
             event_count: s.event_count,
         }
+    }
+
+    /// Width in bits of a signal.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a foreign `SignalId`.
+    #[must_use]
+    pub fn signal_width(&self, id: SignalId) -> usize {
+        self.signals[id.0].width
     }
 
     /// Ids of all declared signals, in declaration order.
@@ -593,12 +621,7 @@ impl Simulator {
         value: LogicVector,
         at: SimTime,
     ) -> Result<(), RtlError> {
-        if at < self.now {
-            return Err(RtlError::SchedulingInPast {
-                requested: at,
-                now: self.now,
-            });
-        }
+        self.check_not_past(at)?;
         let width = self.signals[signal.0].width;
         if value.width() != width {
             return Err(RtlError::WidthMismatch {
@@ -606,18 +629,30 @@ impl Simulator {
                 got: value.width(),
             });
         }
-        let seq = self.bump_seq();
-        self.queue.push(
-            at.as_picos(),
-            Pending {
-                seq,
-                action: Action::Assign {
-                    driver: ProcId::EXTERNAL,
-                    signal,
-                    value,
-                },
-            },
-        );
+        self.schedule_poke(signal, value.into(), at);
+        Ok(())
+    }
+
+    /// Unsigned form of [`Simulator::poke`]: schedules
+    /// `LogicVector::from_u64(value, width)` without building it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RtlError::SchedulingInPast`] when `at < now`, or
+    /// [`RtlError::WidthMismatch`] when the signal is wider than 64 bits
+    /// (`got: 64`) or `value` needs more bits than it has (`got` the bits
+    /// `value` needs).
+    pub fn poke_u64(&mut self, signal: SignalId, value: u64, at: SimTime) -> Result<(), RtlError> {
+        self.check_not_past(at)?;
+        let width = self.signals[signal.0].width;
+        let needed = (64 - value.leading_zeros() as usize).max(1);
+        if width > 64 || needed > width {
+            return Err(RtlError::WidthMismatch {
+                expected: width,
+                got: if width > 64 { 64 } else { needed },
+            });
+        }
+        self.schedule_poke(signal, Value::Word(value), at);
         Ok(())
     }
 
@@ -632,7 +667,34 @@ impl Simulator {
         value: Logic,
         at: SimTime,
     ) -> Result<(), RtlError> {
-        self.poke(signal, LogicVector::from(value), at)
+        match value {
+            Logic::Zero | Logic::One if self.signals[signal.0].width == 1 => {
+                self.poke_u64(signal, u64::from(value == Logic::One), at)
+            }
+            _ => self.poke(signal, LogicVector::from(value), at),
+        }
+    }
+
+    fn check_not_past(&self, at: SimTime) -> Result<(), RtlError> {
+        if at < self.now {
+            return Err(RtlError::SchedulingInPast {
+                requested: at,
+                now: self.now,
+            });
+        }
+        Ok(())
+    }
+
+    /// Queues a checked external assignment.
+    fn schedule_poke(&mut self, signal: SignalId, value: Value, at: SimTime) {
+        let seq = self.bump_seq();
+        self.queue.push(
+            at.as_picos(),
+            Pending {
+                seq,
+                action: Action::assign(ProcId::EXTERNAL, signal, value),
+            },
+        );
     }
 
     /// Current resolved value of a signal.
@@ -642,7 +704,7 @@ impl Simulator {
     /// Panics on a foreign `SignalId`.
     #[must_use]
     pub fn read(&self, signal: SignalId) -> &LogicVector {
-        &self.signals[signal.0].value
+        self.signals[signal.0].value()
     }
 
     /// Bit 0 of a signal.
@@ -794,25 +856,27 @@ impl Simulator {
                         value,
                     } => {
                         self.counters.transactions += 1;
-                        let had_event = self.signals[signal.0].drive(driver, value, t);
+                        let signal = signal as usize;
+                        let had_event =
+                            self.signals[signal].drive(ProcId(driver as usize), value, t);
                         if had_event {
                             self.counters.events += 1;
-                            let pos = self.trace_pos[signal.0];
+                            let pos = self.trace_pos[signal];
                             if pos != NOT_TRACED {
                                 self.trace_log.push((
                                     t,
                                     pos as usize,
-                                    self.signals[signal.0].value.clone(),
+                                    self.signals[signal].value().clone(),
                                 ));
                             }
-                            for &p in &self.watchers[signal.0] {
+                            for &p in &self.watchers[signal] {
                                 if !self.woken[p.0] && !self.deaf[p.0] {
                                     self.woken[p.0] = true;
                                     wake.push(p);
                                 }
                             }
-                            let rising = &self.watchers_rising[signal.0];
-                            if !rising.is_empty() && self.signals[signal.0].rising_at(t) {
+                            let rising = &self.watchers_rising[signal];
+                            if !rising.is_empty() && self.signals[signal].rising_at(t) {
                                 for &p in rising {
                                     if !self.woken[p.0] {
                                         self.woken[p.0] = true;
@@ -823,9 +887,10 @@ impl Simulator {
                         }
                     }
                     Action::Wake(p) => {
-                        if !self.woken[p.0] {
-                            self.woken[p.0] = true;
-                            wake.push(p);
+                        let p = p as usize;
+                        if !self.woken[p] {
+                            self.woken[p] = true;
+                            wake.push(ProcId(p));
                         }
                     }
                 }
@@ -939,11 +1004,7 @@ impl Simulator {
         self.processes[id.0] = Some(proc_);
         for (signal, value, delay) in staged.drain(..) {
             let seq = self.bump_seq();
-            let action = Action::Assign {
-                driver: id,
-                signal,
-                value,
-            };
+            let action = Action::assign(id, signal, value);
             if delay.is_zero() {
                 self.delta.push(Pending { seq, action });
             } else {
@@ -953,7 +1014,7 @@ impl Simulator {
         }
         for delay in wakes.drain(..) {
             let seq = self.bump_seq();
-            let action = Action::Wake(id);
+            let action = Action::Wake(id.0 as u32);
             if delay.is_zero() {
                 self.delta.push(Pending { seq, action });
             } else {
@@ -1000,12 +1061,8 @@ impl ClockGrid {
     /// the falling edge as a delayed transaction, and a wake at the next
     /// rising-due instant.
     fn rise(self, ctx: &mut RtlCtx, clk: SignalId) {
-        ctx.assign_bit(clk, Logic::One);
-        ctx.assign_after(
-            clk,
-            LogicVector::from(Logic::Zero),
-            SimDuration::from_picos(self.high),
-        );
+        ctx.assign_word(clk, 1);
+        ctx.assign_word_after(clk, 0, SimDuration::from_picos(self.high));
         ctx.wake_after(SimDuration::from_picos(self.period));
     }
 }
@@ -1016,7 +1073,7 @@ pub struct RtlCtx<'a> {
     id: ProcId,
     now: SimTime,
     signals: &'a [SignalState],
-    staged: &'a mut Vec<(SignalId, LogicVector, SimDuration)>,
+    staged: &'a mut Vec<(SignalId, Value, SimDuration)>,
     wakes: &'a mut Vec<SimDuration>,
     /// This process's "any-edge list switched off" flag.
     deaf: &'a mut bool,
@@ -1041,7 +1098,7 @@ impl RtlCtx<'_> {
     /// Current resolved value of a signal.
     #[must_use]
     pub fn read(&self, signal: SignalId) -> &LogicVector {
-        &self.signals[signal.0].value
+        self.signals[signal.0].value()
     }
 
     /// Bit 0 of a signal.
@@ -1085,8 +1142,18 @@ impl RtlCtx<'_> {
     }
 
     /// Scalar convenience for [`RtlCtx::assign`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `signal` is 1 bit wide.
     pub fn assign_bit(&mut self, signal: SignalId, value: Logic) {
-        self.assign(signal, LogicVector::from(value));
+        match value {
+            Logic::Zero | Logic::One => {
+                self.assert_width(signal, 1);
+                self.assign_word(signal, u64::from(value == Logic::One));
+            }
+            _ => self.assign(signal, LogicVector::from(value)),
+        }
     }
 
     /// Stages an assignment after a transport delay.
@@ -1095,19 +1162,52 @@ impl RtlCtx<'_> {
     ///
     /// Panics on width mismatch.
     pub fn assign_after(&mut self, signal: SignalId, value: LogicVector, delay: SimDuration) {
-        assert_eq!(
-            value.width(),
-            self.signals[signal.0].width,
-            "width mismatch assigning {}",
-            self.signals[signal.0].name
-        );
-        self.staged.push((signal, value, delay));
+        self.assert_width(signal, value.width());
+        self.staged.push((signal, value.into(), delay));
     }
 
     /// Unsigned convenience for [`RtlCtx::assign`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `signal` is wider than 64 bits or `value` does not fit
+    /// its width.
     pub fn assign_u64(&mut self, signal: SignalId, value: u64) {
         let width = self.signals[signal.0].width;
-        self.assign(signal, LogicVector::from_u64(value, width));
+        assert!(
+            (1..=64).contains(&width),
+            "width must be 1..=64, got {width}"
+        );
+        assert!(
+            width == 64 || value < (1u64 << width),
+            "value {value:#x} does not fit in {width} bits"
+        );
+        self.assign_word(signal, value);
+    }
+
+    /// [`RtlCtx::assign_u64`] for a caller that has already fitted `word`
+    /// to the signal's width, without reading it again.
+    pub(crate) fn assign_word(&mut self, signal: SignalId, word: u64) {
+        self.assign_word_after(signal, word, SimDuration::ZERO);
+    }
+
+    /// [`RtlCtx::assign_word`] after a transport delay.
+    pub(crate) fn assign_word_after(&mut self, signal: SignalId, word: u64, delay: SimDuration) {
+        debug_assert!(
+            self.signals[signal.0].width <= 64
+                && self.signals[signal.0].width >= 64 - word.leading_zeros() as usize,
+            "word {word:#x} does not fit {}",
+            self.signals[signal.0].name
+        );
+        self.staged.push((signal, Value::Word(word), delay));
+    }
+
+    fn assert_width(&self, signal: SignalId, width: usize) {
+        assert_eq!(
+            width, self.signals[signal.0].width,
+            "width mismatch assigning {}",
+            self.signals[signal.0].name
+        );
     }
 
     /// Schedules this process to run again after `delay` without any signal
@@ -1278,6 +1378,14 @@ mod tests {
                 got: 2
             }
         ));
+        // A strong scalar is still a 1-bit value on the word path.
+        assert_eq!(
+            sim.poke_bit(a, Logic::One, SimTime::ZERO),
+            Err(RtlError::WidthMismatch {
+                expected: 4,
+                got: 1
+            })
+        );
     }
 
     #[test]
@@ -1648,6 +1756,149 @@ mod tests {
         assert_eq!(net.processes[listener.0].sensitivity_any, vec![a]);
         assert_eq!(net.processes[listener.0].sensitivity_rising, vec![clk]);
         assert_eq!(net.processes[rising_a.0].sensitivity_rising, vec![a]);
+    }
+
+    #[test]
+    fn a_strong_one_after_a_weak_h_is_an_event() {
+        let mut sim = Simulator::new();
+        let s = sim.add_signal("s", 1);
+        sim.poke_bit(s, Logic::H, SimTime::from_ns(1)).unwrap();
+        sim.run_until(SimTime::from_ns(2)).unwrap();
+        assert_eq!(sim.read_u64(s), Some(1), "H reads as binary 1");
+        assert_eq!(sim.read_bit(s), Logic::H);
+        sim.poke_u64(s, 1, SimTime::from_ns(2)).unwrap();
+        sim.run_until(SimTime::from_ns(3)).unwrap();
+        assert_eq!(sim.read_u64(s), Some(1));
+        assert_eq!(sim.read_bit(s), Logic::One);
+        assert_eq!(sim.signal_info(s).event_count, 2, "H -> 1 is an event");
+        // And back: a weak H after the strong word is one too.
+        sim.poke_bit(s, Logic::H, SimTime::from_ns(3)).unwrap();
+        sim.run_until(SimTime::from_ns(4)).unwrap();
+        assert_eq!(sim.signal_info(s).event_count, 3);
+        assert_eq!(sim.read(s), &LogicVector::from(Logic::H));
+    }
+
+    #[test]
+    fn a_word_after_u_or_x_is_an_event() {
+        let mut sim = Simulator::new();
+        let s = sim.add_signal("s", 8);
+        let mut counts = Vec::new();
+        for (ns, word) in [(1, Some(0)), (2, None), (3, Some(0)), (4, Some(0))] {
+            let at = SimTime::from_ns(ns);
+            match word {
+                Some(w) => sim.poke_u64(s, w, at).unwrap(),
+                None => sim.poke(s, LogicVector::filled(Logic::X, 8), at).unwrap(),
+            }
+            sim.step_time().unwrap();
+            counts.push(sim.signal_info(s).event_count);
+        }
+        // U -> 0, 0 -> X and X -> 0 are events; the repeated 0 is not.
+        assert_eq!(counts, vec![1, 2, 3, 3]);
+    }
+
+    #[test]
+    fn a_word_driver_joining_a_vector_driver_resolves_as_before() {
+        // The external driver holds a weak vector; a process joins with
+        // strong words, then releases the bus.
+        struct Joiner {
+            bus: SignalId,
+        }
+        impl RtlProcess for Joiner {
+            fn init(&mut self, ctx: &mut RtlCtx) {
+                ctx.wake_after(SimDuration::from_ns(2));
+            }
+            fn run(&mut self, ctx: &mut RtlCtx) {
+                if ctx.now() == SimTime::from_ns(2) {
+                    ctx.assign_u64(self.bus, 0b0101);
+                    ctx.wake_after(SimDuration::from_ns(1));
+                } else {
+                    ctx.assign(self.bus, LogicVector::high_z(4));
+                }
+            }
+        }
+        let mut sim = Simulator::new();
+        let bus = sim.add_signal("bus", 4);
+        sim.add_process(Box::new(Joiner { bus }), &[]);
+        let weak = LogicVector::from_bits(&[Logic::H, Logic::H, Logic::L, Logic::L]);
+        sim.poke(bus, weak.clone(), SimTime::from_ns(1)).unwrap();
+        sim.run_until(SimTime::from_ns(2)).unwrap();
+        assert_eq!(sim.read(bus), &weak);
+        sim.run_until(SimTime::from_ns(3)).unwrap();
+        // Strong bits win over weak ones: 0101 over LLHH.
+        assert_eq!(sim.read(bus), &LogicVector::from_u64(0b0101, 4));
+        assert_eq!(
+            sim.read(bus),
+            &weak.resolve(&LogicVector::from_u64(0b0101, 4))
+        );
+        sim.run_until(SimTime::from_ns(4)).unwrap();
+        assert_eq!(sim.read(bus), &weak, "the release restores the weak value");
+        assert_eq!(sim.signal_info(bus).event_count, 3);
+    }
+
+    #[test]
+    fn a_64_bit_word_round_trips() {
+        let mut sim = Simulator::new();
+        let s = sim.add_signal("s", 64);
+        sim.poke_u64(s, u64::MAX, SimTime::from_ns(1)).unwrap();
+        sim.poke(s, LogicVector::from_u64(1 << 63, 64), SimTime::from_ns(2))
+            .unwrap();
+        sim.run_until(SimTime::from_ns(2)).unwrap();
+        assert_eq!(sim.read_u64(s), Some(u64::MAX));
+        assert_eq!(sim.read(s), &LogicVector::from_u64(u64::MAX, 64));
+        sim.run_until(SimTime::from_ns(3)).unwrap();
+        assert_eq!(sim.read_u64(s), Some(1 << 63));
+        assert_eq!(sim.read_bit(s), Logic::Zero);
+        assert_eq!(sim.signal_info(s).event_count, 2);
+        // A word needs at most the signal's width; a wider signal takes
+        // vectors only.
+        let wide = sim.add_signal("wide", 65);
+        let at = SimTime::from_ns(5);
+        assert_eq!(
+            sim.poke_u64(wide, 1, at),
+            Err(RtlError::WidthMismatch {
+                expected: 65,
+                got: 64
+            })
+        );
+        let narrow = sim.add_signal("narrow", 4);
+        assert_eq!(
+            sim.poke_u64(narrow, 0x10, at),
+            Err(RtlError::WidthMismatch {
+                expected: 4,
+                got: 5
+            })
+        );
+    }
+
+    #[test]
+    fn assign_bit_z_stays_nine_valued() {
+        struct Release {
+            y: SignalId,
+        }
+        impl RtlProcess for Release {
+            fn init(&mut self, ctx: &mut RtlCtx) {
+                ctx.assign_bit(self.y, Logic::One);
+                ctx.wake_after(SimDuration::from_ns(1));
+            }
+            fn run(&mut self, ctx: &mut RtlCtx) {
+                ctx.assign_bit(self.y, Logic::Z);
+            }
+        }
+        let mut sim = Simulator::new();
+        let y = sim.add_signal("y", 1);
+        sim.add_process(Box::new(Release { y }), &[]);
+        sim.run_until(SimTime::from_ns(1)).unwrap();
+        assert_eq!(sim.read_bit(y), Logic::One);
+        sim.run_to_quiescence().unwrap();
+        assert_eq!(sim.read_bit(y), Logic::Z);
+        assert_eq!(sim.read_u64(y), None);
+        assert_eq!(sim.read(y), &LogicVector::from(Logic::Z));
+        assert_eq!(sim.signal_info(y).event_count, 2);
+    }
+
+    #[test]
+    fn a_queue_entry_is_40_bytes() {
+        assert_eq!(std::mem::size_of::<(u64, Pending)>(), 40);
     }
 
     #[test]

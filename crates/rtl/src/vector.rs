@@ -43,6 +43,9 @@ const REP_1: u64 = 0x1111_1111_1111_1111;
 const REP_2: u64 = 0x2222_2222_2222_2222;
 /// `0b1010` in every nibble: the "defined" test mask.
 const REP_A: u64 = 0xAAAA_AAAA_AAAA_AAAA;
+/// `0b1110` in every nibble: the "strong `0`/`1`" test mask (`L`/`H`
+/// differ from `0`/`1` only in bit 2).
+const REP_E: u64 = 0xEEEE_EEEE_EEEE_EEEE;
 
 /// Spreads the 16 bits of `v` into the nibble LSBs of a word
 /// (bit `i` → bit `4 * i`).
@@ -316,6 +319,23 @@ impl LogicVector {
     /// the width exceeds 64.
     #[must_use]
     pub fn to_u64(&self) -> Option<u64> {
+        self.gather(REP_A)
+    }
+
+    /// The value as a word when every bit is a strong `0` or `1` and the
+    /// width is at most 64 — exactly when `self` equals
+    /// `LogicVector::from_u64(word, self.width())`. Unlike
+    /// [`LogicVector::to_u64`], weak `L`/`H` bits give `None`.
+    #[must_use]
+    pub(crate) fn to_two_state(&self) -> Option<u64> {
+        self.gather(REP_E)
+    }
+
+    /// Integer reading of a vector of at most 64 bits whose every nibble
+    /// `n` satisfies `n & t == 0b0010` (`t` the nibble of `test`), i.e.
+    /// packs like `0` or `1` in the bits `test` selects; `None` otherwise.
+    #[inline]
+    fn gather(&self, test: u64) -> Option<u64> {
         let width = self.len as usize;
         if width > 64 {
             return None;
@@ -329,7 +349,7 @@ impl LogicVector {
             } else {
                 u64::MAX
             };
-            if w & REP_A != REP_2 & mask {
+            if w & test != REP_2 & mask {
                 return None;
             }
             out |= u64::from(compress16(w & REP_1)) << (i * NIBS_PER_WORD);
@@ -510,6 +530,21 @@ mod tests {
     fn weak_values_still_read_as_integers() {
         let v = LogicVector::from_bits(&[Logic::H, Logic::L, Logic::H]);
         assert_eq!(v.to_u64(), Some(0b101));
+        assert_eq!(v.to_two_state(), None, "weak bits are not two-state");
+    }
+
+    #[test]
+    fn two_state_words_are_exactly_the_strong_vectors() {
+        for (v, w) in [(0u64, 1), (1, 1), (0xA5, 8), (0x1234, 17), (u64::MAX, 64)] {
+            assert_eq!(LogicVector::from_u64(v, w).to_two_state(), Some(v));
+        }
+        for &l in &Logic::ALL {
+            let mut v = LogicVector::from_u64(0b1010, 4);
+            v.set_bit(3, l);
+            let strong = matches!(l, Logic::Zero | Logic::One);
+            assert_eq!(v.to_two_state().is_some(), strong, "{l:?}");
+        }
+        assert_eq!(LogicVector::filled(Logic::One, 65).to_two_state(), None);
     }
 
     #[test]

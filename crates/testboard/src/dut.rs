@@ -42,8 +42,10 @@ pub trait HardwareDut: Send {
 pub struct MappedCycleDut {
     dut: Box<dyn CycleDut>,
     map: PinMapConfig,
-    in_numbers: Vec<usize>,
-    out_numbers: Vec<usize>,
+    /// Indices into `map.inports` / `map.outports` in ascending port
+    /// number order, so a clock walks the ports without a lookup.
+    in_order: Vec<usize>,
+    out_order: Vec<usize>,
     /// Reused per-clock port words, sized from the DUT's port lists.
     in_words: Vec<u64>,
     out_words: Vec<u64>,
@@ -52,8 +54,8 @@ pub struct MappedCycleDut {
 impl std::fmt::Debug for MappedCycleDut {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MappedCycleDut")
-            .field("inports", &self.in_numbers.len())
-            .field("outports", &self.out_numbers.len())
+            .field("inports", &self.in_order.len())
+            .field("outports", &self.out_order.len())
             .finish()
     }
 }
@@ -68,27 +70,27 @@ impl MappedCycleDut {
     /// Panics when the port counts disagree.
     #[must_use]
     pub fn new(dut: Box<dyn CycleDut>, map: PinMapConfig) -> Self {
-        let mut in_numbers: Vec<usize> = map.inports.iter().map(|p| p.number).collect();
-        in_numbers.sort_unstable();
-        let mut out_numbers: Vec<usize> = map.outports.iter().map(|p| p.number).collect();
-        out_numbers.sort_unstable();
+        let mut in_order: Vec<usize> = (0..map.inports.len()).collect();
+        in_order.sort_by_key(|&i| map.inports[i].number);
+        let mut out_order: Vec<usize> = (0..map.outports.len()).collect();
+        out_order.sort_by_key(|&i| map.outports[i].number);
         assert_eq!(
-            in_numbers.len(),
+            in_order.len(),
             dut.input_ports().len(),
             "pin map must declare one inport per dut input"
         );
         assert_eq!(
-            out_numbers.len(),
+            out_order.len(),
             dut.output_ports().len(),
             "pin map must declare one outport per dut output"
         );
         MappedCycleDut {
             dut,
             map,
-            in_words: vec![0; in_numbers.len()],
-            out_words: vec![0; out_numbers.len()],
-            in_numbers,
-            out_numbers,
+            in_words: vec![0; in_order.len()],
+            out_words: vec![0; out_order.len()],
+            in_order,
+            out_order,
         }
     }
 
@@ -154,14 +156,13 @@ impl HardwareDut for MappedCycleDut {
     }
 
     fn clock(&mut self, pins_in: &PinFrame) -> PinFrame {
-        for (word, &n) in self.in_words.iter_mut().zip(&self.in_numbers) {
-            let port = self.map.inport(n).expect("validated at construction");
-            *word = decode_segments(&port.segments, pins_in);
+        for (word, &i) in self.in_words.iter_mut().zip(&self.in_order) {
+            *word = decode_segments(&self.map.inports[i].segments, pins_in);
         }
         self.dut.clock_edge(&self.in_words, &mut self.out_words);
         let mut frame: PinFrame = [0; LANES];
-        for (&n, &value) in self.out_numbers.iter().zip(&self.out_words) {
-            let port = self.map.outport(n).expect("validated at construction");
+        for (&i, &value) in self.out_order.iter().zip(&self.out_words) {
+            let port = &self.map.outports[i];
             encode_segments(&port.segments, port.width, value, &mut frame);
         }
         frame

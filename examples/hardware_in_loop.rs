@@ -62,17 +62,18 @@ fn part1_functional_chip_verification() {
 
 fn part2_timing_fault_detection() {
     println!("== real-time verification catches timing violations ==");
-    const CELLS: usize = 4;
+    const CELLS: u64 = 4;
     let clean = [
         (10_000_000u64, "within spec (10 MHz)"),
         (20_000_000, "overclocked (20 MHz)"),
     ]
     .map(|(clock_hz, label)| {
-        let (good, bad) =
-            timing_fault_on_board(clock_hz, CELLS as u64).expect("board session failed");
-        let lost = CELLS.saturating_sub(good);
-        println!("  {label}: {good} clean cells, {lost} lost, {bad} corrupted outputs");
-        good
+        let outcome = timing_fault_on_board(clock_hz, CELLS).expect("board session failed");
+        println!(
+            "  {label}: {} clean cells, {} lost, {} corrupted outputs",
+            outcome.clean, outcome.lost, outcome.corrupted
+        );
+        outcome.clean
     });
     assert_eq!(clean[0], CELLS, "the rated clock delivers every cell");
     assert!(clean[1] < clean[0], "overclocking must lose cells");

@@ -386,14 +386,15 @@ fn e5_board(full: bool) {
     }
     println!("   shape: longer hardware cycles amortize the SCSI software phases — the board's design rationale.");
 
-    let corrupted =
-        [10_000_000, 20_000_000].map(|hz| timing_fault_on_board(hz, 8).expect("board session").1);
+    let [rated, overclocked] =
+        [10_000_000, 20_000_000].map(|hz| timing_fault_on_board(hz, 8).expect("board session"));
     println!(
-        "   timing faults: 0 corrupted cells at rated 10 MHz, {} corrupted at 20 MHz — only real-time runs expose them\n",
-        corrupted[1]
+        "   timing faults: of 8 cells, {} clean at rated 10 MHz; {} lost and {} corrupted at 20 MHz — only real-time runs expose them\n",
+        rated.clean, overclocked.lost, overclocked.corrupted
     );
-    assert_eq!(corrupted[0], 0);
-    assert!(corrupted[1] > 0);
+    assert_eq!(rated.clean, 8, "the rated clock delivers every cell");
+    assert_eq!(rated.corrupted, 0);
+    assert!(overclocked.corrupted > 0);
 }
 
 // ---------------------------------------------------------------------

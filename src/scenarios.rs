@@ -521,16 +521,31 @@ pub fn switch_on_board(
     Ok(cosim)
 }
 
+/// What a [`timing_fault_on_board`] session got back of the cells it sent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimingFaultOutcome {
+    /// Cells reassembled cleanly on the egress line.
+    pub clean: u64,
+    /// Outputs that failed reassembly ([`BoardCosim::undecodable`]).
+    pub corrupted: u64,
+    /// Cells sent less the clean and the corrupted ones: cells the chip
+    /// lost outright (a fault on a valid or sync pin drops or re-syncs
+    /// octets without a HEC error).
+    pub lost: u64,
+}
+
 /// Timing-fault detection at real-time speed (§3.3): `cells` cells on
 /// route 1/40 cross [`switch_on_board`]'s chip, rated for 10 MHz
 /// ([`TimingFaultDut`]), on a board clocked at `clock_hz`, in one test
-/// cycle with room to drain. Returns the clean cells reassembled on line 1
-/// and the outputs that failed reassembly ([`BoardCosim::undecodable`]).
+/// cycle with room to drain.
 ///
 /// # Errors
 ///
 /// [`CastanetError::Board`] when the test cycle does not fit the board.
-pub fn timing_fault_on_board(clock_hz: u64, cells: u64) -> Result<(usize, u64), CastanetError> {
+pub fn timing_fault_on_board(
+    clock_hz: u64,
+    cells: u64,
+) -> Result<TimingFaultOutcome, CastanetError> {
     let (board, chip) = mounted_switch(clock_hz)?;
     let mut chip = TimingFaultDut::new(chip, 10_000_000);
     chip.set_board_clock_hz(clock_hz);
@@ -545,8 +560,13 @@ pub fn timing_fault_on_board(clock_hz: u64, cells: u64) -> Result<(usize, u64), 
     }
     let horizon = SimTime::ZERO + SimDuration::from_freq_hz(clock_hz) * (clocks + 1);
     let responses = cosim.advance_batch(horizon)?;
-    let clean = responses.iter().filter(|r| r.as_cell().is_some()).count();
-    Ok((clean, cosim.undecodable()))
+    let clean = responses.iter().filter(|r| r.as_cell().is_some()).count() as u64;
+    let corrupted = cosim.undecodable();
+    Ok(TimingFaultOutcome {
+        clean,
+        corrupted,
+        lost: cells.saturating_sub(clean + corrupted),
+    })
 }
 
 /// The 2-port switch's data-path subset as a chip on a 64 Ki-word board
@@ -1025,8 +1045,19 @@ mod tests {
 
     #[test]
     fn only_the_overclocked_board_loses_cells() {
-        assert_eq!(timing_fault_on_board(10_000_000, 4).unwrap(), (4, 0));
-        let (clean, _) = timing_fault_on_board(20_000_000, 4).unwrap();
-        assert!(clean < 4, "{clean} of 4 cells survived a 2x overclock");
+        assert_eq!(
+            timing_fault_on_board(10_000_000, 4).unwrap(),
+            TimingFaultOutcome {
+                clean: 4,
+                corrupted: 0,
+                lost: 0
+            }
+        );
+        let outcome = timing_fault_on_board(20_000_000, 4).unwrap();
+        assert!(
+            outcome.clean < 4,
+            "{outcome:?} of 4 cells at a 2x overclock"
+        );
+        assert_eq!(outcome.clean + outcome.corrupted + outcome.lost, 4);
     }
 }

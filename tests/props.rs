@@ -848,58 +848,119 @@ fn packed_vector_matches_naive_model() {
 }
 
 /// A random value for a `width`-bit signal: any of the nine states per
-/// bit, a binary value (`0`/`1`/`L`/`H`), all-`X`, or a released (all-`Z`)
-/// driver.
+/// bit, a binary value (`0`/`1`/`L`/`H`), all-`X`, all-`1` or all-`H` (a
+/// strong value and its weak twin, which read alike), or a released
+/// (all-`Z`) driver.
 fn gen_drive(g: &mut Gen, width: usize) -> LogicVector {
-    match g.range_usize(0, 4) {
+    match g.range_usize(0, 5) {
         0 => LogicVector::from_bits(&g.vec_of(width, width + 1, gen_logic)),
         1 => LogicVector::from_bits(&g.vec_of(width, width + 1, |g| {
             [Logic::Zero, Logic::One, Logic::L, Logic::H][g.range_usize(0, 4)]
         })),
         2 => LogicVector::filled(Logic::X, width),
+        3 => LogicVector::filled([Logic::One, Logic::H][g.range_usize(0, 2)], width),
         _ => LogicVector::high_z(width),
+    }
+}
+
+/// One scripted drive of a test signal: at `at_ps`, `value`, sent as a
+/// word (`assign_u64` from a process, `poke_u64` from outside) when
+/// `as_word` is set and as a vector (`assign_after`, `poke`) otherwise.
+#[derive(Clone)]
+struct Drive {
+    at_ps: u64,
+    value: LogicVector,
+    as_word: bool,
+}
+
+impl Drive {
+    /// A drive of `value`; a strong two-state value of at most 64 bits
+    /// goes as a word half the time, so both kernel paths meet the model.
+    fn new(g: &mut Gen, at_ps: u64, value: LogicVector) -> Self {
+        let two_state =
+            value.width() <= 64 && value.iter().all(|l| matches!(l, Logic::Zero | Logic::One));
+        let as_word = two_state && g.bool();
+        Drive {
+            at_ps,
+            value,
+            as_word,
+        }
+    }
+
+    /// Schedules the drive as the external driver.
+    fn poke(&self, sim: &mut castanet_rtl::Simulator, signal: castanet_rtl::SignalId) {
+        let at = SimTime::from_picos(self.at_ps);
+        if self.as_word {
+            let word = self.value.to_u64().expect("a two-state value");
+            sim.poke_u64(signal, word, at).expect("poke_u64");
+        } else {
+            sim.poke(signal, self.value.clone(), at).expect("poke");
+        }
+    }
+}
+
+/// One driver process: schedules its vector drives at elaboration and
+/// assigns each word drive when a wake-up at its time fires, i.e. one
+/// delta cycle after the vector transactions of that instant.
+struct Script {
+    signal: castanet_rtl::SignalId,
+    steps: Vec<Drive>,
+}
+
+impl castanet_rtl::RtlProcess for Script {
+    fn init(&mut self, ctx: &mut castanet_rtl::RtlCtx) {
+        for step in &self.steps {
+            let delay = SimDuration::from_picos(step.at_ps);
+            if step.as_word {
+                ctx.wake_after(delay);
+            } else {
+                ctx.assign_after(self.signal, step.value.clone(), delay);
+            }
+        }
+    }
+    fn run(&mut self, ctx: &mut castanet_rtl::RtlCtx) {
+        let now = ctx.now().as_picos();
+        for step in self.steps.iter().filter(|s| s.as_word && s.at_ps == now) {
+            ctx.assign_u64(self.signal, step.value.to_u64().expect("a two-state value"));
+        }
     }
 }
 
 /// The kernel's cached two-state reads (`read_u64`, `read_bit`, `rising`,
 /// `falling`) against the resolved value itself, on a live simulator:
 /// random multi-driver traffic over all nine states at widths 1..=80 (so
-/// the 64-bit inline boundary is crossed), checked from inside a probe
-/// process after every event and from outside after every time step.
+/// the 64-bit inline boundary is crossed), strong two-state drives sent as
+/// words half the time, checked from inside a probe process after every
+/// event and from outside after every time step.
 #[test]
 fn two_state_reads_match_the_resolved_value() {
     use castanet_rtl::signal::SignalId;
     use castanet_rtl::sim::{RtlCtx, RtlProcess, Simulator};
 
-    /// One driver slot: schedules its whole script at elaboration.
-    struct Script {
-        signal: SignalId,
-        steps: Vec<(u64, LogicVector)>,
-    }
-    impl RtlProcess for Script {
-        fn init(&mut self, ctx: &mut RtlCtx) {
-            for (at_ps, value) in self.steps.drain(..) {
-                ctx.assign_after(self.signal, value, SimDuration::from_picos(at_ps));
-            }
-        }
-        fn run(&mut self, _: &mut RtlCtx) {}
-    }
-
-    /// Sensitive to every signal; keeps the last value it saw of each,
-    /// which is the value before the most recent event.
+    /// Sensitive to every signal; keeps the last value it saw of each
+    /// and, from those, the values at the end of the previous instant it
+    /// ran at. An instant carries at most one transaction per signal (word
+    /// drives land a delta cycle after vector ones, so the probe may run
+    /// twice in it), so those are the values before the instant's events.
     struct Probe {
         signals: Vec<SignalId>,
         last: Vec<LogicVector>,
+        before: Vec<LogicVector>,
+        at: Option<SimTime>,
     }
     impl RtlProcess for Probe {
         fn run(&mut self, ctx: &mut RtlCtx) {
-            for (&s, last) in self.signals.iter().zip(&mut self.last) {
+            if self.at != Some(ctx.now()) {
+                self.at = Some(ctx.now());
+                self.before.clone_from(&self.last);
+            }
+            for ((&s, last), before) in self.signals.iter().zip(&mut self.last).zip(&self.before) {
                 let value = ctx.read(s).clone();
                 assert_eq!(ctx.read_u64(s), value.to_u64(), "read_u64 of {s}");
                 assert_eq!(ctx.read_bit(s), value.bit(0), "read_bit of {s}");
                 let event = ctx.event(s);
-                assert_eq!(event, value != *last, "event flag of {s}");
-                let (now, before) = (value.bit(0), last.bit(0));
+                assert_eq!(event, value != *before, "event flag of {s}");
+                let (now, before) = (value.bit(0), before.bit(0));
                 assert_eq!(
                     ctx.rising(s),
                     event && now.is_one() && !before.is_one(),
@@ -922,15 +983,18 @@ fn two_state_reads_match_the_resolved_value() {
             let width = g.range_usize(1, 81);
             let signal = sim.add_signal(format!("s{i}"), width);
             // Every time point carries at most one transaction per signal,
-            // so the probe's last-seen value is the value before the most
-            // recent event. Slot 0 goes X -> 1 and then releases (Z), ahead
-            // of random traffic spread over every driver slot; the last
-            // slot stands for the external (poke) driver.
+            // so the probe can tell each instant's events from the values
+            // before it. Slot 0 goes X -> H -> 1 (a weak and a strong value
+            // that read alike) and then releases (Z), ahead of random
+            // traffic spread over every driver slot; the last slot stands
+            // for the external (poke) driver.
             let drivers = g.range_usize(1, 4);
+            let ones = LogicVector::from_bits(&vec![Logic::One; width]);
             let mut scripts = vec![vec![
-                (500, LogicVector::filled(Logic::X, width)),
-                (1_000, LogicVector::from_bits(&vec![Logic::One; width])),
-                (2_000, LogicVector::high_z(width)),
+                Drive::new(g, 500, LogicVector::filled(Logic::X, width)),
+                Drive::new(g, 700, LogicVector::filled(Logic::H, width)),
+                Drive::new(g, 1_000, ones),
+                Drive::new(g, 2_000, LogicVector::high_z(width)),
             ]];
             scripts.resize_with(drivers + 1, Vec::new);
             let mut times: Vec<u64> = (0..g.range_usize(0, 24))
@@ -940,25 +1004,27 @@ fn two_state_reads_match_the_resolved_value() {
             times.dedup();
             for at_ps in times {
                 let slot = g.range_usize(0, drivers + 1);
-                scripts[slot].push((at_ps, gen_drive(g, width)));
+                let value = gen_drive(g, width);
+                scripts[slot].push(Drive::new(g, at_ps, value));
             }
-            for (at_ps, value) in scripts.pop().expect("external slot") {
-                sim.poke(signal, value, SimTime::from_picos(at_ps))
-                    .expect("poke");
+            for drive in scripts.pop().expect("external slot") {
+                drive.poke(&mut sim, signal);
             }
             for steps in scripts {
                 sim.add_process(Box::new(Script { signal, steps }), &[]);
             }
             signals.push(signal);
         }
-        let last = signals
+        let last: Vec<_> = signals
             .iter()
             .map(|&s| LogicVector::uninitialized(sim.read(s).width()))
             .collect();
         sim.add_process(
             Box::new(Probe {
                 signals: signals.clone(),
+                before: last.clone(),
                 last,
+                at: None,
             }),
             &signals,
         );
@@ -976,23 +1042,10 @@ fn two_state_reads_match_the_resolved_value() {
 /// phase, a second (and possibly a third, external) driver joining, and a
 /// tri-state release, against the driver-table model: one slot per
 /// driver holding its latest contribution, resolved on every transaction.
+/// Strong two-state drives go as words half the time.
 #[test]
 fn sole_driver_signals_match_the_driver_model() {
-    use castanet_rtl::signal::SignalId;
-    use castanet_rtl::sim::{RtlCtx, RtlProcess, Simulator};
-
-    struct Script {
-        signal: SignalId,
-        steps: Vec<(u64, LogicVector)>,
-    }
-    impl RtlProcess for Script {
-        fn init(&mut self, ctx: &mut RtlCtx) {
-            for (at_ps, value) in self.steps.drain(..) {
-                ctx.assign_after(self.signal, value, SimDuration::from_picos(at_ps));
-            }
-        }
-        fn run(&mut self, _: &mut RtlCtx) {}
-    }
+    use castanet_rtl::sim::Simulator;
 
     cases("sole_driver_signals_match_the_driver_model", |g| {
         let width = g.range_usize(1, 81);
@@ -1000,21 +1053,25 @@ fn sole_driver_signals_match_the_driver_model() {
         // external slot (driver 2) may join later. One driver releases the
         // bus (Z) after the join. Times are in ns.
         let join = g.range_u64(2, 12);
-        let mut scripts: Vec<Vec<(u64, LogicVector)>> = vec![Vec::new(); 3];
+        let mut scripts: Vec<Vec<Drive>> = vec![Vec::new(); 3];
+        let drive = |g: &mut Gen, t: u64, value| Drive::new(g, 1_000 * t, value);
         for t in 1..join {
             if t == 1 || g.bool() {
-                scripts[0].push((t, gen_drive(g, width)));
+                let value = gen_drive(g, width);
+                scripts[0].push(drive(g, t, value));
             }
         }
-        scripts[1].push((join, gen_drive(g, width)));
+        let value = gen_drive(g, width);
+        scripts[1].push(drive(g, join, value));
         let release = g.range_u64(join + 1, join + 6);
         let releaser = g.range_usize(0, 2);
         for t in join + 1..join + 12 {
             for (slot, script) in scripts.iter_mut().enumerate() {
                 if slot == releaser && t == release {
-                    script.push((t, LogicVector::high_z(width)));
+                    script.push(drive(g, t, LogicVector::high_z(width)));
                 } else if g.range_usize(0, 3) == 0 {
-                    script.push((t, gen_drive(g, width)));
+                    let value = gen_drive(g, width);
+                    script.push(drive(g, t, value));
                 }
             }
         }
@@ -1026,12 +1083,11 @@ fn sole_driver_signals_match_the_driver_model() {
         }
         let mut sim = Simulator::new();
         let signal = sim.add_signal("bus", width);
-        for (t, value) in &scripts[2] {
-            let at = SimTime::from_ns(*t);
-            sim.poke(signal, value.clone(), at).expect("poke");
+        for drive in &scripts[2] {
+            drive.poke(&mut sim, signal);
         }
         for script in &scripts[..2] {
-            let steps = script.iter().map(|(t, v)| (1_000 * t, v.clone())).collect();
+            let steps = script.clone();
             sim.add_process(Box::new(Script { signal, steps }), &[]);
         }
 
@@ -1040,14 +1096,27 @@ fn sole_driver_signals_match_the_driver_model() {
         let mut table: Vec<(usize, LogicVector)> = Vec::new();
         let mut resolved = LogicVector::uninitialized(width);
         let mut events = 0;
-        let mut times: Vec<u64> = scripts.iter().flatten().map(|&(t, _)| t).collect();
+        let mut times: Vec<u64> = scripts.iter().flatten().map(|d| d.at_ps).collect();
         times.sort_unstable();
         times.dedup();
         for t in times {
             // Pokes were scheduled first, so they apply first at a shared
-            // instant; then the processes in registration order.
-            for slot in [2, 0, 1] {
-                for (_, value) in scripts[slot].iter().filter(|(at, _)| *at == t) {
+            // instant; then the processes' vector drives in registration
+            // order; then, a delta cycle later, their word drives in the
+            // same order.
+            let order = [
+                (2, false),
+                (2, true),
+                (0, false),
+                (1, false),
+                (0, true),
+                (1, true),
+            ];
+            for (slot, as_word) in order {
+                let due = scripts[slot]
+                    .iter()
+                    .filter(|d| d.at_ps == t && d.as_word == as_word);
+                for Drive { value, .. } in due {
                     match table.iter_mut().find(|(d, _)| *d == slot) {
                         Some(entry) => entry.1 = value.clone(),
                         None => table.push((slot, value.clone())),
@@ -1063,11 +1132,11 @@ fn sole_driver_signals_match_the_driver_model() {
                 }
             }
             assert!(sim.step_time().expect("step"));
-            assert_eq!(sim.now(), SimTime::from_ns(t));
-            assert_eq!(sim.read(signal), &resolved, "value at {t} ns");
-            assert_eq!(sim.read_u64(signal), resolved.to_u64(), "u64 at {t} ns");
+            assert_eq!(sim.now(), SimTime::from_picos(t));
+            assert_eq!(sim.read(signal), &resolved, "value at {t} ps");
+            assert_eq!(sim.read_u64(signal), resolved.to_u64(), "u64 at {t} ps");
             let info = sim.signal_info(signal);
-            assert_eq!(info.event_count, events, "events at {t} ns");
+            assert_eq!(info.event_count, events, "events at {t} ps");
         }
         assert!(!sim.step_time().expect("drained"));
     });
