@@ -1,10 +1,11 @@
 //! Shared helpers for the experiment benches.
 //!
-//! Each Criterion bench target regenerates one experiment of the paper; the
-//! per-experiment index lives in `DESIGN.md` §6 and the measured reference
-//! run in `EXPERIMENTS.md`. The benches intentionally keep workloads small
-//! enough for Criterion's repeated sampling — the `repro` binary runs the
-//! paper-sized workloads once instead.
+//! Each Criterion bench target samples one throughput question (E1, E7,
+//! E10, E12, E13); the per-experiment index lives in `DESIGN.md` §6 and the
+//! measured reference run in `EXPERIMENTS.md`. The benches intentionally
+//! keep workloads small enough for Criterion's repeated sampling — the
+//! `repro` binary runs the paper-sized workloads of every experiment once
+//! instead.
 
 use castanet_netsim::time::SimDuration;
 use coverify::scenarios::SwitchScenarioConfig;

@@ -394,13 +394,6 @@ pub struct Coupling<S: CoupledSimulator, X = Serial> {
     pub(crate) outbox: OutboxHandle,
     pub(crate) iface: ModuleId,
     pub(crate) stats: CouplingStats,
-    /// Largest time-update promise sent to the follower. Promises are
-    /// monotone: once the originator has declared "no stimulus before t",
-    /// later (injection-created) events may run earlier on the network
-    /// side, but they must not generate *stimulus* before t — the
-    /// feedforward assumption of the paper's flow. Violations surface as
-    /// causality errors from the synchronizer.
-    pub(crate) promised: SimTime,
     /// Chunk size of the final drain phase (see [`Coupling::with_drain`]).
     pub(crate) drain_quantum: SimDuration,
     /// Quiet drain chunks required before the run is declared complete.
@@ -452,7 +445,6 @@ impl<S: CoupledSimulator, X: Executor<S>> Coupling<S, X> {
             outbox,
             iface,
             stats: CouplingStats::default(),
-            promised: SimTime::ZERO,
             drain_quantum: SimDuration::from_us(50),
             drain_quiet_chunks: 2,
             strict: false,
@@ -696,7 +688,6 @@ impl<S: CoupledSimulator + Send> Coupling<S, Serial> {
             outbox: self.outbox,
             iface: self.iface,
             stats: self.stats,
-            promised: self.promised,
             drain_quantum: self.drain_quantum,
             drain_quiet_chunks: self.drain_quiet_chunks,
             strict: self.strict,
@@ -724,10 +715,11 @@ impl<S: CoupledSimulator> Executor<S> for Serial {
             };
 
             // Time update: the originator promises no stimulus before
-            // `horizon`. Promises only ever grow (see `promised`).
-            if horizon > c.promised {
-                c.sync.receive(c.cell_type, horizon, true)?;
-                c.promised = horizon;
+            // `horizon`. Later (injection-created) network events may run
+            // earlier than a promise, but must not generate stimulus
+            // before it — the feedforward assumption of the paper's flow;
+            // a violation surfaces as a causality error.
+            if c.sync.promise(c.cell_type, horizon)? {
                 c.tel.record(
                     Track::Originator,
                     c.net.now().as_picos(),
@@ -759,10 +751,7 @@ impl<S: CoupledSimulator> Executor<S> for Serial {
                     },
                 );
             }
-            let local = c.follower.now().max(c.sync.local_time());
-            if local <= c.sync.grant() {
-                c.sync.advance_local(local)?;
-            }
+            c.sync.settle(c.follower.now());
 
             let had_responses = !responses.is_empty();
             let injected = inject_responses(

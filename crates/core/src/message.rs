@@ -4,7 +4,7 @@
 //! time-stamped messages updating the receiving simulator with the current
 //! simulation time of the originator" (§3.1). A message carries its
 //! originator's time stamp, a *message type* (the unit the conservative
-//! protocol's per-type queues `I_j` and processing delays `δ_j` attach to),
+//! protocol's per-type in-order check and processing delays `δ_j` attach to),
 //! a co-simulation port index, and a payload.
 
 use castanet_atm::cell::AtmCell;

@@ -11,8 +11,8 @@
 //! * the **network kernel stays on the calling thread** (it owns the
 //!   interface outbox, which is deliberately thread-local);
 //! * the **follower and its [`ConservativeSync`] run on a spawned scoped
-//!   thread**; they receive *timing windows* — the per-message-type input
-//!   queue contents `I_j` plus a grant horizon — through a preallocated
+//!   thread**; they receive *timing windows* — the window's stimulus
+//!   messages plus a grant horizon — through a preallocated
 //!   [`SpscRing`] of command slots and answer through a second ring of
 //!   reply slots. Slot payloads are `mem::swap`ped in and out, so the
 //!   steady state moves **no allocations across the thread boundary**,
@@ -38,9 +38,11 @@
 //!
 //! Protocol → thread/ring mapping (Fig. 3): every non-null message of the
 //! window raises the originator time on the follower's synchronizer; the
-//! window's grant is the time-stamped null message; the follower advances to
-//! the grant and never past it, so the lag invariant `t_local ≤ grant`
-//! holds exactly as in the serial executive.
+//! window's grant is promised through [`ConservativeSync::promise`] (a
+//! time-stamped null message when it raises the grant past the stimulus);
+//! the follower advances to the grant and settles through
+//! [`ConservativeSync::settle`], never past it, so the lag invariant
+//! `t_local ≤ grant` holds exactly as in the serial executive.
 //! Responses produced while the originator has already raced ahead arrive
 //! "behind" the network clock — that pipeline lag is counted in
 //! [`CouplingStats::deferred_responses`] and injected at the network's
@@ -259,7 +261,6 @@ impl<S: CoupledSimulator + Send> Executor<S> for Parallel {
         let outbox = &c.outbox;
         let follower = &mut c.follower;
         let sync = &mut c.sync;
-        let promised = &mut c.promised;
         let follower_tel = c.tel.clone();
         // Separate handle for the originator's phase spans: `SpanGuard`
         // borrows its `Telemetry`, and borrowing it out of `obs` would
@@ -286,7 +287,6 @@ impl<S: CoupledSimulator + Send> Executor<S> for Parallel {
                         follower_worker(
                             follower,
                             sync,
-                            promised,
                             cell_type,
                             &mut cmd_rx,
                             &mut rep_tx,
@@ -799,7 +799,6 @@ fn fatal_from(rep_rx: &mut RingConsumer<'_, RepEntry>, msgs: &mut Vec<Message>) 
 fn follower_worker<S: CoupledSimulator>(
     follower: &mut S,
     sync: &mut ConservativeSync,
-    promised: &mut SimTime,
     cell_type: MessageTypeId,
     cmd_rx: &mut RingConsumer<'_, CmdEntry>,
     rep_tx: &mut RingProducer<'_, RepEntry>,
@@ -844,8 +843,7 @@ fn follower_worker<S: CoupledSimulator>(
         match kind {
             CmdKind::Empty => {}
             CmdKind::Window => {
-                match conservative_step(follower, sync, promised, cell_type, &mut msgs, grant, tel)
-                {
+                match conservative_step(follower, sync, cell_type, &mut msgs, grant, tel) {
                     Ok(responses) => {
                         if !push_reply(rep_tx, RepKind::Window, responses, None) {
                             break;
@@ -861,7 +859,6 @@ fn follower_worker<S: CoupledSimulator>(
                 match drain_step(
                     follower,
                     sync,
-                    promised,
                     cell_type,
                     quantum,
                     quiet_chunks,
@@ -917,15 +914,15 @@ fn push_reply(
     }
 }
 
-/// Plays one timing window on the follower: queue the stimulus (raising
-/// the originator clock per message), take the grant (the null message),
-/// sweep the whole window in one batched advance, then settle the local
-/// clock — never past the grant. Drains the stimulus scratch so its
-/// capacity returns to the ring.
+/// Plays one timing window on the follower: receive the stimulus (raising
+/// the originator clock per message), promise the window's grant (a null
+/// message only if the stimulus did not already reach it), sweep the
+/// whole window in one batched advance, then settle the local clock —
+/// never past the grant. Drains the stimulus scratch so its capacity
+/// returns to the ring.
 fn conservative_step<S: CoupledSimulator>(
     follower: &mut S,
     sync: &mut ConservativeSync,
-    promised: &mut SimTime,
     cell_type: MessageTypeId,
     msgs: &mut Vec<Message>,
     grant: SimTime,
@@ -943,10 +940,7 @@ fn conservative_step<S: CoupledSimulator>(
             },
         );
     }
-    if grant > *promised {
-        sync.receive(cell_type, grant, true)?;
-        *promised = grant;
-    }
+    sync.promise(cell_type, grant)?;
     let granted = sync.grant();
     let advance_start = tel.now_ns();
     let mut responses = Vec::new();
@@ -980,8 +974,7 @@ fn conservative_step<S: CoupledSimulator>(
             responses: responses.len() as u64,
         },
     );
-    let local = follower.now().max(sync.local_time()).min(granted);
-    sync.advance_local(local)?;
+    sync.settle(follower.now());
     Ok(responses)
 }
 
@@ -992,7 +985,6 @@ fn conservative_step<S: CoupledSimulator>(
 fn drain_step<S: CoupledSimulator>(
     follower: &mut S,
     sync: &mut ConservativeSync,
-    promised: &mut SimTime,
     cell_type: MessageTypeId,
     quantum: SimDuration,
     quiet_chunks: u32,
@@ -1002,13 +994,8 @@ fn drain_step<S: CoupledSimulator>(
 ) -> Result<bool, CastanetError> {
     let mut quiet = 0u32;
     loop {
-        let horizon = (follower.now().max(sync.local_time()) + quantum)
-            .min(until)
-            .max(*promised);
-        if horizon > *promised {
-            sync.receive(cell_type, horizon, true)?;
-            *promised = horizon;
-        }
+        let horizon = (follower.now().max(sync.local_time()) + quantum).min(until);
+        sync.promise(cell_type, horizon)?;
         let granted = sync.grant();
         let chunk_start = tel.now_ns();
         let responses = follower.advance_batch(granted)?;
@@ -1021,8 +1008,7 @@ fn drain_step<S: CoupledSimulator>(
                 responses: responses.len() as u64,
             },
         );
-        let local = follower.now().max(sync.local_time()).min(granted);
-        sync.advance_local(local)?;
+        sync.settle(follower.now());
         if responses.is_empty() {
             quiet += 1;
             if quiet >= quiet_chunks || follower.now() >= until {

@@ -2,47 +2,52 @@
 //!
 //! The protocol couples an *originator* (the network simulator, whose time
 //! runs ahead) with a *follower* (the HDL simulator, whose time always
-//! lags):
+//! lags). The paper describes three parts — per-type input queues `I_j`,
+//! per-type processing delays `δ_j` and a batch window — and both
+//! executors run the **grant-horizon** part of it:
 //!
-//! * messages of type `j` arrive in time-stamp order into input queue
-//!   `I_j`; each carries the originator's current time, so every arrival is
-//!   also a time update;
+//! * every message of type `j` carries the originator's current time, so
+//!   every arrival is also a time update, and stamps of one type arrive in
+//!   time order;
 //! * "upon receipt of a message with a time stamp `t_k` for input queue
 //!   `I_j` and `t_k > t_cur`, the \[follower\] is allowed to process all
 //!   events with a time stamp smaller than `t_k`, but not equal" — the
-//!   **grant horizon** is the largest originator stamp seen;
-//! * "the message at queue `I_j` remains queued until all other input
-//!   queues received messages with time stamp `t_k` …; the local simulation
-//!   time is advanced by the minimum of each message type's processing
-//!   delay `δ_j`" — a **batch window**: when every queue holds a message at
-//!   one common stamp, the follower additionally gains `min_j δ_j` of
-//!   processing lookahead beyond it;
-//! * the follower's clock never passes the granted horizon, so it always
-//!   lags the originator ("the simulated time of the VHDL simulator always
-//!   lags behind OPNET's simulated time") and no event can arrive in its
-//!   past: **no causality errors, no deadlock**.
+//!   grant horizon is the largest originator stamp received;
+//! * the **promise** rule: when the originator has no stimulus to send, it
+//!   raises the grant with a null (time-only) message — sent only when it
+//!   raises the grant ([`ConservativeSync::promise`]);
+//! * the **settle** rule: after an advance the follower's local time moves
+//!   to its clock, never backwards and never past the grant
+//!   ([`ConservativeSync::settle`]), so it always lags the originator
+//!   ("the simulated time of the VHDL simulator always lags behind OPNET's
+//!   simulated time") and no event can arrive in its past: **no causality
+//!   errors, no deadlock**.
+//!
+//! The follower consumes each message as soon as it arrives, so no queue
+//! holds it: per type only `δ_j` and the last stamp are kept, for the
+//! in-order check. `δ_j` is the parallel executor's window headroom. The
+//! batch window ("the local simulation time is advanced by the minimum of
+//! each message type's processing delay `δ_j`" once every queue holds a
+//! message at one stamp) is not implemented: E1 sends one message type, and
+//! E6 pokes its tariff ticks into the DUT before the run, so it could never
+//! fire.
 //!
 //! Deadlock freedom: the grant horizon is monotone non-decreasing in the
 //! received stamps, and the originator can always raise it — with a null
-//! (time-only) message if it has no data to send — so the follower is never
-//! blocked forever while the originator still advances.
+//! message if it has no data to send — so the follower is never blocked
+//! forever while the originator still advances.
 
 use crate::error::CastanetError;
 use crate::message::MessageTypeId;
 use castanet_netsim::time::{SimDuration, SimTime};
-use castanet_obs::{Gauge, Histogram, Telemetry};
-use std::collections::VecDeque;
+use castanet_obs::{Histogram, Telemetry};
 
+/// One registered message type: its processing delay and in-order state.
 #[derive(Debug)]
-struct TypeQueue {
+struct TypeState {
     delta: SimDuration,
-    /// Pending message stamps, in arrival (= time) order.
-    queue: VecDeque<SimTime>,
     /// Stamp of the most recently received message of this type.
     last_stamp: Option<SimTime>,
-    received: u64,
-    /// Queue-depth gauge `|I_j|` (a no-op until telemetry is attached).
-    depth_gauge: Gauge,
 }
 
 /// Statistics of a synchronizer's run, for the E2 comparison.
@@ -52,7 +57,9 @@ pub struct SyncStats {
     pub messages: u64,
     /// Null (time-only) messages among them.
     pub null_messages: u64,
-    /// Batch windows consumed.
+    /// Batch windows consumed: always 0, since the batch window is not
+    /// implemented (see the module docs). Kept because the E1 benchmark
+    /// package reports it.
     pub batches: u64,
     /// The largest observed lag of the follower behind the originator.
     pub max_lag: SimDuration,
@@ -72,23 +79,21 @@ pub struct SyncStats {
 /// sync.receive(cells, SimTime::from_us(10), false)?;
 /// // Follower may now process everything strictly before 10 us.
 /// assert_eq!(sync.grant(), SimTime::from_us(10));
-/// sync.advance_local(SimTime::from_us(9))?;
+/// // A promise the grant already covers costs no null message.
+/// assert!(!sync.promise(cells, SimTime::from_us(10))?);
+/// // The follower's clock reached 9 us: local time settles there.
+/// sync.settle(SimTime::from_us(9));
 /// assert!(sync.local_time() < sync.originator_time());
 /// # Ok::<(), castanet::error::CastanetError>(())
 /// ```
 #[derive(Debug, Default)]
 pub struct ConservativeSync {
-    types: Vec<TypeQueue>,
+    types: Vec<TypeState>,
     /// The follower's current simulated time `t_cur`.
     local: SimTime,
-    /// Largest originator stamp seen across all queues.
+    /// Largest originator stamp received: the grant horizon.
     originator: SimTime,
-    /// Extra lookahead granted by consumed batch windows.
-    batch_grant: SimTime,
     stats: SyncStats,
-    /// Telemetry handle lagging gauges/histograms hang off (disabled by
-    /// default — see [`ConservativeSync::set_telemetry`]).
-    telemetry: Telemetry,
     /// Follower-lag distribution in picoseconds (no-op until attached).
     lag_hist: Histogram,
 }
@@ -106,28 +111,18 @@ impl ConservativeSync {
     /// user").
     pub fn register_type(&mut self, delta: SimDuration) -> MessageTypeId {
         let id = MessageTypeId(self.types.len() as u32);
-        self.types.push(TypeQueue {
+        self.types.push(TypeState {
             delta,
-            queue: VecDeque::new(),
             last_stamp: None,
-            received: 0,
-            depth_gauge: self
-                .telemetry
-                .gauge(&format!("sync.queue_depth.type{}", id.0)),
         });
         id
     }
 
     /// Attaches a telemetry handle: the synchronizer then maintains the
     /// `sync.lag_ps` histogram (follower lag behind the originator, sampled
-    /// at every local advance) and one `sync.queue_depth.type<j>` gauge per
-    /// registered message type `|I_j|`.
+    /// at every local advance).
     pub fn set_telemetry(&mut self, tel: &Telemetry) {
-        self.telemetry = tel.clone();
         self.lag_hist = tel.histogram("sync.lag_ps");
-        for (j, tq) in self.types.iter_mut().enumerate() {
-            tq.depth_gauge = tel.gauge(&format!("sync.queue_depth.type{j}"));
-        }
     }
 
     /// Number of registered types.
@@ -152,7 +147,7 @@ impl ConservativeSync {
     }
 
     /// The stamp of the most recently received message of `type_id`, if any
-    /// message has arrived on that queue yet.
+    /// message of that type has arrived yet.
     #[must_use]
     pub fn last_stamp(&self, type_id: MessageTypeId) -> Option<SimTime> {
         self.types
@@ -166,8 +161,7 @@ impl ConservativeSync {
     #[must_use]
     pub fn grant_horizon_monotone(&self) -> bool {
         let grant = self.grant();
-        grant >= self.originator
-            && self.local <= grant
+        self.local <= grant
             && self
                 .types
                 .iter()
@@ -182,7 +176,7 @@ impl ConservativeSync {
     ///
     /// * [`CastanetError::UnknownMessageType`] for an unregistered type;
     /// * [`CastanetError::Causality`] when the stamp precedes the
-    ///   follower's local time or regresses within its queue (messages
+    ///   follower's local time or regresses within its type (messages
     ///   must arrive in time order — the in-order-delivery assumption of
     ///   the protocol).
     pub fn receive(
@@ -191,8 +185,7 @@ impl ConservativeSync {
         stamp: SimTime,
         is_null: bool,
     ) -> Result<(), CastanetError> {
-        let idx = type_id.0 as usize;
-        let Some(tq) = self.types.get_mut(idx) else {
+        let Some(ts) = self.types.get_mut(type_id.0 as usize) else {
             return Err(CastanetError::UnknownMessageType { type_id: type_id.0 });
         };
         if stamp < self.local {
@@ -201,17 +194,12 @@ impl ConservativeSync {
                 local: self.local,
             });
         }
-        if let Some(last) = tq.last_stamp {
+        if let Some(last) = ts.last_stamp {
             if stamp < last {
                 return Err(CastanetError::Causality { stamp, local: last });
             }
         }
-        tq.last_stamp = Some(stamp);
-        tq.received += 1;
-        if !is_null {
-            tq.queue.push_back(stamp);
-            tq.depth_gauge.set(tq.queue.len() as u64);
-        }
+        ts.last_stamp = Some(stamp);
         self.stats.messages += 1;
         if is_null {
             self.stats.null_messages += 1;
@@ -221,56 +209,31 @@ impl ConservativeSync {
     }
 
     /// The horizon (exclusive) up to which the follower may process local
-    /// events: the largest originator stamp seen, extended by any consumed
-    /// batch windows.
+    /// events: the largest originator stamp received.
     #[must_use]
     pub fn grant(&self) -> SimTime {
-        self.originator.max(self.batch_grant)
+        self.originator
     }
 
-    /// Checks the batch condition: every queue non-empty with a common head
-    /// stamp `t_k`. If so, consumes one message per queue and extends the
-    /// grant to `t_k + min_j δ_j`, returning `(t_k, new grant)`.
-    pub fn try_consume_batch(&mut self) -> Option<(SimTime, SimTime)> {
-        if self.types.is_empty() {
-            return None;
+    /// The promise rule: the originator declares that no stimulus of
+    /// `type_id` comes before `horizon`. A null message stamped `horizon`
+    /// is received only when that raises the grant; a promise at or below
+    /// the grant is already implied and sends and counts nothing. Returns
+    /// whether a null message was sent.
+    ///
+    /// # Errors
+    ///
+    /// As [`ConservativeSync::receive`], for the null message.
+    pub fn promise(
+        &mut self,
+        type_id: MessageTypeId,
+        horizon: SimTime,
+    ) -> Result<bool, CastanetError> {
+        if horizon <= self.grant() {
+            return Ok(false);
         }
-        let head = self.types[0].queue.front().copied()?;
-        for tq in &self.types[1..] {
-            if tq.queue.front().copied() != Some(head) {
-                return None;
-            }
-        }
-        let min_delta = self
-            .types
-            .iter()
-            .map(|t| t.delta)
-            .min()
-            .expect("at least one type");
-        for tq in &mut self.types {
-            tq.queue.pop_front();
-            tq.depth_gauge.set(tq.queue.len() as u64);
-        }
-        let new_grant = head + min_delta;
-        self.batch_grant = self.batch_grant.max(new_grant);
-        self.stats.batches += 1;
-        Some((head, self.grant()))
-    }
-
-    /// Pops the head of one queue once the grant covers it, handing the
-    /// stamp to the follower for processing. Returns `None` while the head
-    /// is still blocked (`stamp >= grant` and no batch window covers it).
-    pub fn pop_ready(&mut self, type_id: MessageTypeId) -> Option<SimTime> {
-        let grant = self.grant();
-        let tq = self.types.get_mut(type_id.0 as usize)?;
-        match tq.queue.front() {
-            Some(&s) if s < grant => {
-                let popped = tq.queue.pop_front();
-                tq.depth_gauge.set(tq.queue.len() as u64);
-                popped
-            }
-            _ => None,
-        }
+        self.receive(type_id, horizon, true)?;
+        Ok(true)
     }
 
     /// Advances the follower's clock. `t` must not pass the grant horizon.
@@ -286,12 +249,23 @@ impl ConservativeSync {
                 local: self.local,
             });
         }
+        self.set_local(t);
+        Ok(())
+    }
+
+    /// The settle rule: after an advance, local time moves to the
+    /// follower's clock `follower_now`, clamped to `[local, grant]` — never
+    /// backwards, never past the grant.
+    pub fn settle(&mut self, follower_now: SimTime) {
+        self.set_local(follower_now.max(self.local).min(self.grant()));
+    }
+
+    fn set_local(&mut self, t: SimTime) {
         self.local = t;
         if let Some(lag) = self.originator.checked_duration_since(t) {
             self.stats.max_lag = self.stats.max_lag.max(lag);
             self.lag_hist.record(lag.as_picos());
         }
-        Ok(())
     }
 
     /// The follower's current time `t_cur`.
@@ -306,14 +280,6 @@ impl ConservativeSync {
         self.originator
     }
 
-    /// Messages still queued for `type_id`.
-    #[must_use]
-    pub fn queued(&self, type_id: MessageTypeId) -> usize {
-        self.types
-            .get(type_id.0 as usize)
-            .map_or(0, |t| t.queue.len())
-    }
-
     /// Run statistics.
     #[must_use]
     pub fn stats(&self) -> SyncStats {
@@ -322,7 +288,7 @@ impl ConservativeSync {
 
     /// The lag invariant the paper relies on: the follower never runs ahead
     /// of the originator's last known time (its clock may equal the grant,
-    /// which includes processing lookahead, but never exceeds it).
+    /// but never exceeds it).
     #[must_use]
     pub fn lag_invariant_holds(&self) -> bool {
         self.local <= self.grant()
@@ -384,9 +350,9 @@ mod tests {
         let a = s.register_type(SimDuration::ZERO);
         let b = s.register_type(SimDuration::ZERO);
         s.receive(a, us(10), false).unwrap();
-        // Another queue may be behind the first (different streams)...
+        // Another type may be behind the first (different streams)...
         s.receive(b, us(7), false).unwrap();
-        // ...but within one queue stamps must not regress.
+        // ...but within one type stamps must not regress.
         assert!(s.receive(a, us(9), false).is_err());
     }
 
@@ -397,58 +363,48 @@ mod tests {
             s.receive(MessageTypeId(0), us(1), false),
             Err(CastanetError::UnknownMessageType { type_id: 0 })
         ));
+        assert!(matches!(
+            s.promise(MessageTypeId(0), us(1)),
+            Err(CastanetError::UnknownMessageType { type_id: 0 })
+        ));
     }
 
     #[test]
-    fn batch_window_adds_min_delta() {
-        let mut s = ConservativeSync::new();
-        let a = s.register_type(SimDuration::from_us(3));
-        let b = s.register_type(SimDuration::from_us(5));
-        s.receive(a, us(10), false).unwrap();
-        assert_eq!(s.try_consume_batch(), None, "queue b still empty");
-        s.receive(b, us(10), false).unwrap();
-        let (stamp, grant) = s.try_consume_batch().unwrap();
-        assert_eq!(stamp, us(10));
-        assert_eq!(grant, us(13), "10 us + min(3,5) us");
-        // The batch consumed one message per queue.
-        assert_eq!(s.queued(a), 0);
-        assert_eq!(s.queued(b), 0);
-        // Local may now advance into the batch window.
-        s.advance_local(us(12)).unwrap();
-        assert!(s.lag_invariant_holds());
-    }
-
-    #[test]
-    fn mismatched_heads_do_not_batch() {
-        let mut s = ConservativeSync::new();
-        let a = s.register_type(SimDuration::from_us(1));
-        let b = s.register_type(SimDuration::from_us(1));
-        s.receive(a, us(10), false).unwrap();
-        s.receive(b, us(11), false).unwrap();
-        assert_eq!(s.try_consume_batch(), None);
-        assert_eq!(s.queued(a), 1);
-    }
-
-    #[test]
-    fn null_messages_advance_time_without_queueing() {
+    fn null_messages_raise_the_grant() {
         let mut s = ConservativeSync::new();
         let a = s.register_type(SimDuration::from_us(1));
         s.receive(a, us(20), true).unwrap();
         assert_eq!(s.grant(), us(20));
-        assert_eq!(s.queued(a), 0);
         assert_eq!(s.stats().null_messages, 1);
     }
 
     #[test]
-    fn pop_ready_respects_grant() {
+    fn a_promise_at_or_below_the_grant_sends_and_counts_nothing() {
         let mut s = ConservativeSync::new();
         let a = s.register_type(SimDuration::from_us(1));
         s.receive(a, us(10), false).unwrap();
-        // Head stamp == grant: blocked ("smaller than t_k, but not equal").
-        assert_eq!(s.pop_ready(a), None);
-        s.receive(a, us(12), true).unwrap(); // null raises the grant
-        assert_eq!(s.pop_ready(a), Some(us(10)));
-        assert_eq!(s.pop_ready(a), None);
+        assert!(!s.promise(a, us(10)).unwrap(), "equal to the grant");
+        assert!(!s.promise(a, us(4)).unwrap(), "below the grant");
+        assert_eq!((s.stats().messages, s.stats().null_messages), (1, 0));
+        assert_eq!(s.last_stamp(a), Some(us(10)));
+        assert!(s.promise(a, us(12)).unwrap(), "raises the grant");
+        assert_eq!(s.grant(), us(12));
+        assert_eq!((s.stats().messages, s.stats().null_messages), (2, 1));
+    }
+
+    #[test]
+    fn settle_never_moves_local_time_backwards_or_past_the_grant() {
+        let mut s = ConservativeSync::new();
+        let a = s.register_type(SimDuration::ZERO);
+        s.receive(a, us(10), false).unwrap();
+        s.settle(us(6));
+        assert_eq!(s.local_time(), us(6));
+        s.settle(us(3)); // a follower clock behind local time
+        assert_eq!(s.local_time(), us(6));
+        s.settle(us(25)); // a follower clock past the grant
+        assert_eq!(s.local_time(), us(10));
+        assert_eq!(s.stats().max_lag, SimDuration::from_us(4));
+        assert!(s.grant_horizon_monotone());
     }
 
     #[test]
@@ -464,7 +420,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_tracks_lag_and_queue_depth() {
+    fn telemetry_tracks_lag() {
         let tel = Telemetry::enabled();
         let mut s = ConservativeSync::new();
         let a = s.register_type(SimDuration::ZERO);
@@ -472,22 +428,15 @@ mod tests {
         s.receive(a, us(100), false).unwrap();
         s.advance_local(us(40)).unwrap();
         let snap = tel.metrics_snapshot();
-        assert_eq!(snap.gauge("sync.queue_depth.type0"), Some(1));
         let lag = snap.histogram("sync.lag_ps").unwrap();
         assert_eq!(lag.count, 1);
         assert_eq!(lag.max, SimDuration::from_us(60).as_picos());
-        // Types registered *after* attach get live gauges too.
-        let b = s.register_type(SimDuration::ZERO);
-        s.receive(b, us(100), false).unwrap();
-        assert_eq!(
-            tel.metrics_snapshot().gauge("sync.queue_depth.type1"),
-            Some(1)
-        );
     }
 
-    /// A randomized schedule can never produce a causality error or break
-    /// the lag invariant when the follower obeys grants — the property the
-    /// protocol exists to guarantee.
+    /// A randomized schedule of stimulus, promises and follower clocks can
+    /// never produce a causality error or break the lag invariant when the
+    /// follower goes through the promise and settle rules — the property
+    /// the protocol exists to guarantee.
     #[test]
     fn randomized_schedule_preserves_invariants() {
         let mut s = ConservativeSync::new();
@@ -497,6 +446,7 @@ mod tests {
         let mut x: u64 = 0x9E37_79B9;
         let mut stamps = [SimTime::ZERO; 4];
         let mut originator = SimTime::ZERO;
+        let (mut data, mut nulls) = (0, 0);
         for _ in 0..10_000 {
             x ^= x << 13;
             x ^= x >> 7;
@@ -504,14 +454,26 @@ mod tests {
             let j = (x % 4) as usize;
             originator += SimDuration::from_ns(x % 500);
             stamps[j] = stamps[j].max(originator);
-            s.receive(types[j], stamps[j], x.is_multiple_of(5)).unwrap();
-            // The follower chases the originator's time (it does not run
-            // into batch lookahead windows, because this workload gives no
-            // spacing guarantee between messages).
-            let target = s.originator_time();
-            s.advance_local(target).unwrap();
+            let (grant, local) = (s.grant(), s.local_time());
+            if x.is_multiple_of(5) {
+                let sent = s.promise(types[j], stamps[j]).unwrap();
+                assert_eq!(sent, stamps[j] > grant);
+                nulls += u64::from(sent);
+            } else {
+                s.receive(types[j], stamps[j], false).unwrap();
+                data += 1;
+            }
+            // The follower's clock lands anywhere around the grant: short
+            // of it, on it, or past it.
+            let ps = s.grant().as_picos() + (x % 300) * 1_000;
+            let follower = SimTime::from_picos(ps.saturating_sub((x >> 9) % 700 * 1_000));
+            s.settle(follower);
+            assert!(s.local_time() >= local, "settle ran backwards");
+            assert!(s.grant() >= grant, "the grant regressed");
             assert!(s.lag_invariant_holds());
+            assert!(s.grant_horizon_monotone());
         }
-        assert!(s.stats().messages == 10_000);
+        assert_eq!(s.stats().null_messages, nulls);
+        assert_eq!(s.stats().messages, data + nulls);
     }
 }

@@ -6,11 +6,11 @@
 //!
 //! Three synchronizers are provided:
 //!
-//! * [`conservative::ConservativeSync`] — the paper's protocol: per-message-
-//!   type input queues `I_j`, user-specified processing delays `δ_j`,
-//!   timing-window advancement, and the invariant that the HDL simulator's
-//!   time always lags the network simulator's. Deadlock-free by
-//!   construction.
+//! * [`conservative::ConservativeSync`] — the paper's protocol, in the
+//!   grant-horizon form both executors run: user-specified processing
+//!   delays `δ_j`, a grant raised by stamped (or null) messages, and the
+//!   invariant that the HDL simulator's time always lags the network
+//!   simulator's. Deadlock-free by construction.
 //! * [`optimistic::OptimisticSync`] — the Time-Warp alternative the paper
 //!   rejects: local time advances freely, causality errors trigger rollback
 //!   to a saved state, and "the memory requirements for the storage of the

@@ -1,11 +1,12 @@
 //! Sync-liveness pass: the deadlock-freedom preconditions of §3.1.
 //!
 //! The conservative protocol is deadlock-free because (a) the grant horizon
-//! is monotone in the received stamps and (b) batch windows add `min_j δ_j`
-//! of processing lookahead. Both degenerate when the configuration is
-//! malformed: with no registered types no grant is ever issued, and a type
-//! with `δ_j = 0` contributes zero lookahead — a batch window then grants no
-//! extra time and progress relies entirely on explicit null messages.
+//! is monotone in the received stamps and (b) the originator can always
+//! raise it. Both degenerate when the configuration is malformed: with no
+//! registered types no grant is ever issued, and a type with `δ_j = 0`
+//! contributes zero lookahead — the parallel executor's window gets no
+//! headroom from it, and progress relies entirely on explicit null
+//! messages.
 
 use crate::diagnostic::{Diagnostic, Severity};
 use castanet::message::MessageTypeId;
@@ -43,8 +44,8 @@ pub fn check_sync(sync: &ConservativeSync, cell_type: Option<MessageTypeId>) -> 
                     Severity::Warning,
                     format!("sync.type[{}]", type_id.0),
                     "processing delay δ_j is zero: this type contributes no lookahead, \
-                     so batch windows add no grant and the protocol risks deadlock \
-                     unless null messages always arrive (§3.1)",
+                     so the parallel window gets no headroom and the protocol risks \
+                     deadlock unless null messages always arrive (§3.1)",
                 )
                 .with_hint(
                     "register the type with its worst-case processing delay, e.g. \

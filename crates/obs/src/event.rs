@@ -136,9 +136,10 @@ pub enum EventKind {
         /// Stimulus messages shipped with the grant.
         msgs: u64,
     },
-    /// A stimulus message was enqueued into per-type input queue `I_j`.
+    /// A stimulus message of type `j` was received by the synchronizer
+    /// (the paper's input queue `I_j`; the follower consumes it at once).
     StimulusEnqueued {
-        /// The message type `j` of the queue.
+        /// The message type `j`.
         type_id: u32,
         /// The co-simulation port addressed.
         port: u32,

@@ -2,8 +2,8 @@
 //!
 //! The conservative synchronization protocol (paper §3.1) and the
 //! abstraction interfaces (§3.2) are only debuggable when their moving
-//! parts are *visible*: per-message-type input queues `I_j`, processing
-//! delays `δ_j`, timing-window grants, the follower's lag behind the
+//! parts are *visible*: null messages, processing delays `δ_j`,
+//! timing-window grants, the follower's lag behind the
 //! originator, channel backpressure between the parallel executor's two
 //! threads. This crate is the measurement layer the rest of the workspace
 //! instruments itself with:

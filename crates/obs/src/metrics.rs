@@ -5,12 +5,12 @@
 //! atomically-updatable handle, a no-op when telemetry is disabled) and
 //! updates it lock-free on the hot path. Any thread may snapshot the whole
 //! registry mid-run — the quantities the paper's protocol lives on
-//! (follower lag, window size, queue depth `|I_j|`, channel occupancy) are
+//! (follower lag, window size, channel occupancy) are
 //! exactly the ones an engineer needs to watch *while* a coupling stalls,
 //! not after.
 //!
-//! Names are dotted paths (`originator.net_events`, `follower.lag_ps`,
-//! `sync.queue_depth.type0`): the prefix is the entity, the suffix the
+//! Names are dotted paths (`originator.net_events`, `sync.lag_ps`,
+//! `sync.deferred_responses`): the prefix is the entity, the suffix the
 //! quantity, so the console exporter can group per entity.
 
 use std::collections::BTreeMap;

@@ -6,6 +6,8 @@
 //! `advance_batch` per step, a serial `Coupling` and a `ParallelCoupling`
 //! — and each pins an FNV-1a hash of every response's stamp, port and
 //! payload bytes, the session and SCSI accounting and the board clock.
+//! The two couplings' stamps and sessions differ, but the cells they
+//! deliver, their lines and their order do not.
 
 use castanet::coupling::{CoupledSimulator, Coupling, Executor};
 use castanet::interface::CastanetInterfaceProcess;
@@ -30,17 +32,20 @@ fn board() -> BoardCosim {
     switch_on_board(37, MessageTypeId(1)).unwrap()
 }
 
+/// FNV-1a over a byte stream.
+fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
+    bytes.fold(0xCBF2_9CE4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01B3)
+    })
+}
+
 /// FNV-1a over each response's stamp, port and wire octets, in turn.
-fn fnv1a(responses: impl Iterator<Item = (SimTime, usize, AtmCell)>) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325_u64;
-    for (stamp, port, cell) in responses {
+fn response_hash(responses: impl Iterator<Item = (SimTime, usize, AtmCell)>) -> u64 {
+    fnv1a(responses.flat_map(|(stamp, port, cell)| {
         let wire = cell.encode(HeaderFormat::Uni).unwrap();
         let head = stamp.as_picos().to_le_bytes().into_iter();
-        for byte in head.chain((port as u64).to_le_bytes()).chain(wire) {
-            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01B3);
-        }
-    }
-    hash
+        head.chain((port as u64).to_le_bytes()).chain(wire)
+    }))
 }
 
 /// What each path pins: the response hash, `(cycles, hw_clocks, hw_time
@@ -94,15 +99,18 @@ fn direct_session(advance: impl Fn(&mut BoardCosim, SimTime) -> Vec<Message>) ->
     let drained = (board.clocks_done() + 5_000) * CLK_PS;
     responses.extend(advance(&mut board, SimTime::from_picos(drained)));
     let cell = |r: &Message| (r.stamp, r.port, r.as_cell().unwrap().clone());
-    pinned(fnv1a(responses.iter().map(cell)), &board)
+    pinned(response_hash(responses.iter().map(cell)), &board)
 }
+
+/// An egress cell without its stamp: the line and the wire octets.
+type Egress = (usize, [u8; CELL_OCTETS]);
 
 /// The network side: four sources into the interface, source `k` sending
 /// VCI `40 + k % 2` on line `k / 2`, so both routes on both lines; one
-/// sink per egress line.
+/// sink per egress line. Returns the pins and the egress, line by line.
 fn coupled_session<X: Executor<BoardCosim>>(
     executor: impl FnOnce(Coupling<BoardCosim>) -> Coupling<BoardCosim, X>,
-) -> Pinned {
+) -> (Pinned, Vec<Egress>) {
     let slot = SimDuration::from_ns(50) * CELL_OCTETS as u64;
     let mut net = Kernel::new(1998);
     let node = net.add_node("board");
@@ -135,11 +143,20 @@ fn coupled_session<X: Executor<BoardCosim>>(
         .with_drain(SimDuration::from_us(100), 3);
     let mut coupling = executor(coupling);
     coupling.run(SimTime::from_ms(5)).unwrap();
-    let cells = collectors.iter().enumerate().flat_map(|(line, got)| {
-        let cells = got.take().into_iter();
-        cells.map(move |(t, pkt)| (t, line, pkt.payload::<AtmCell>().unwrap().clone()))
-    });
-    pinned(fnv1a(cells), coupling.follower())
+    let cells: Vec<_> = collectors
+        .iter()
+        .enumerate()
+        .flat_map(|(line, got)| {
+            let cells = got.take().into_iter();
+            cells.map(move |(t, pkt)| (t, line, pkt.payload::<AtmCell>().unwrap().clone()))
+        })
+        .collect();
+    let egress = cells
+        .iter()
+        .map(|(_, line, cell)| (*line, cell.encode(HeaderFormat::Uni).unwrap()))
+        .collect();
+    let pins = pinned(response_hash(cells.into_iter()), coupling.follower());
+    (pins, egress)
 }
 
 /// What both direct paths give: they play the same test cycles.
@@ -173,7 +190,7 @@ fn one_advance_batch_per_step_gives_the_pinned_session() {
 
 #[test]
 fn a_serial_coupling_gives_the_pinned_session() {
-    let got = coupled_session(|c| c);
+    let (got, _) = coupled_session(|c| c);
     let session = (526, 17_470, 873_500, 1_107_904_000);
     let scsi = (1_052, 559_040, 1_107_904_000);
     assert_eq!(got, (0x77C9_E2AD_35FB_5D0A, session, scsi, 17_470));
@@ -181,8 +198,20 @@ fn a_serial_coupling_gives_the_pinned_session() {
 
 #[test]
 fn a_parallel_coupling_gives_the_pinned_session() {
-    let got = coupled_session(Coupling::into_parallel);
+    let (got, _) = coupled_session(Coupling::into_parallel);
     let session = (578, 19_358, 967_900, 1_217_945_600);
     let scsi = (1_156, 619_456, 1_217_945_600);
     assert_eq!(got, (0xA172_8E95_84CB_1027, session, scsi, 19_358));
+}
+
+#[test]
+fn serial_and_parallel_couplings_deliver_the_same_egress() {
+    let (_, serial) = coupled_session(|c| c);
+    let (_, parallel) = coupled_session(Coupling::into_parallel);
+    assert_eq!(serial.len(), 100);
+    assert_eq!(serial, parallel);
+    let bytes = serial
+        .iter()
+        .flat_map(|(line, wire)| (*line as u64).to_le_bytes().into_iter().chain(*wire));
+    assert_eq!(fnv1a(bytes), 0x1D6B_2342_CA49_F651);
 }
